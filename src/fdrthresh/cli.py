@@ -258,6 +258,8 @@ def cmd_estimate(cfg: dict, out_dir: Path, fmt: str) -> None:
         x = read_vector(cfg["input"])
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc))
+    if not np.isfinite(x).all():
+        raise ConfigError(f"input {cfg['input']}: every value must be finite")
     family = _family(cfg)
     sel = _selector_config(cfg)
     if family.kind == "hard" and not cfg["allow_hard"]:
@@ -359,6 +361,8 @@ def cmd_experiment(cfg: dict, out_dir: Path, fmt: str) -> None:
         raise ConfigError("n must be >= 1")
     if cfg["replicates"] < 2:
         raise ConfigError("replicates must be >= 2")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     kind = cfg["kind"]
     sel = _selector_config(cfg)
     family = _family(cfg)

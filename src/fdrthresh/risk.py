@@ -143,13 +143,6 @@ def soft_risk(mu, level):
     return out
 
 
-def _prior_mix(prior: EmpiricalPrior, values_by_atom, t_shape) -> np.ndarray | float:
-    mixed = np.tensordot(prior.weights, values_by_atom, axes=(0, 0))
-    if t_shape == ():
-        return float(mixed)
-    return mixed
-
-
 def bayes_soft_risk(prior: EmpiricalPrior, level):
     """Average soft-threshold risk ``E_G R(theta, level)``."""
     lev = np.asarray(level, dtype=float)

@@ -19,6 +19,21 @@ holds when ``alpha2 <= alpha1``.  The selected threshold level is
 
 where ``g1`` is a certified monotone transform (identity by default) and
 ``w`` is the interpolation knob.
+
+Both rules depend on ``x`` only through the magnitudes sorted in decreasing
+order, ``m_(1) >= ... >= m_(n)``, because ``N(xi_k) >= k`` holds exactly
+when ``m_(k) >= xi_k``.  The step-up level is ``xi_k`` at the largest such
+``k`` (the Benjamini-Hochberg rejection count ``k_hat``); the step-down
+level is ``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``
+(``k' = n + 1`` when there is none).  Selection therefore sorts ``|x|``
+once and screens every index in p-value form, comparing the tail
+``Phi(-m_(k))`` (one ``norm_cdf`` pass shared by both rules) with
+``alpha k / (2n)``.  Only indices whose tail lies within a relative
+``1e-9`` of that probability are undecided by the screen; they, and the
+index whose level is returned, are confirmed exactly against
+``m_(k) >= xi_k`` with ``xi_k`` computed by the same arithmetic as
+``candidate_levels``, in one quantile call per rule.  The full candidate
+and count arrays are built only when a ``SelectorTrace`` is asked for them.
 """
 
 from __future__ import annotations
@@ -43,6 +58,19 @@ __all__ = [
     "step_down_level",
     "select_lambda",
 ]
+
+# Tail probabilities are clamped just below 1/2 before the quantile call.
+_P_CLAMP = 0.49999999
+
+# The screen decides an index without a quantile only when the tail of its
+# magnitude differs from the level's probability by more than this relative
+# amount; ``norm_cdf`` at a level recovers its probability to about 1e-13
+# relative, so such decisions are certain.
+_SCREEN_RTOL = 1e-9
+
+# Below this probability the relative-accuracy argument no longer holds
+# (subnormal range), so such indices are always confirmed exactly.
+_SCREEN_MIN_P = 1e-290
 
 
 class G1Transform:
@@ -151,6 +179,23 @@ class FdrConfig:
             raise ValueError("interp must lie in [0, 1]")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+
+
+def _levels_at(n: int, alpha: float, ks: np.ndarray) -> np.ndarray:
+    """Candidate levels ``xi_k`` at the 1-based integer indices ``ks``.
+
+    The one place the levels are computed: ``candidate_levels`` evaluates
+    it at every index and the selector at a few, so the two agree bit for
+    bit.
+    """
+    p = alpha * ks / (2.0 * n)
+    levels = np.where(p < 0.5, -norm_quantile(np.minimum(p, _P_CLAMP)), 0.0)
+    return np.maximum(levels, 0.0)
+
+
 def candidate_levels(n: int, alpha: float) -> np.ndarray:
     """Two-sided quantile levels ``-Q(alpha k / (2n))`` for k = 1..n.
 
@@ -160,11 +205,8 @@ def candidate_levels(n: int, alpha: float) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    p = alpha * np.arange(1, n + 1) / (2.0 * n)
-    levels = np.where(p < 0.5, -norm_quantile(np.minimum(p, 0.49999999)), 0.0)
-    return np.maximum(levels, 0.0)
+    _check_alpha(alpha)
+    return _levels_at(n, alpha, np.arange(1, n + 1))
 
 
 def exceed_count(x, t: float) -> int:
@@ -194,6 +236,82 @@ def _counts_at(mags_desc: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return mags_desc.size - np.searchsorted(asc, levels, side="left")
 
 
+def _screen(tail: np.ndarray, index: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices the p-value screen decides: (certain hits, certain misses).
+
+    ``tail[k-1]`` is ``Phi(-m_(k))`` and ``index`` holds 1..n as floats;
+    index k is a hit when ``m_(k) >= xi_k``.  ``tail <= p (1 - rtol)`` with
+    ``p = k / scale`` is tested as ``tail * scale / (1 - rtol) <= k``, and
+    likewise for misses.  Indices in neither mask need the exact comparison.
+    """
+    n = tail.size
+    scale = 2.0 * n / alpha
+    # only probabilities in [_SCREEN_MIN_P, _P_CLAMP) are screened; the
+    # rest, a prefix and a suffix of the indices, are left undecided
+    low = int(min(n, _SCREEN_MIN_P * scale + 1.0))
+    high = max(low, int(min(n, _P_CLAMP * scale)) - 1)
+    hit = np.zeros(n, dtype=bool)
+    miss = np.zeros(n, dtype=bool)
+    t, k = tail[low:high], index[low:high]
+    hit[low:high] = t * (scale / (1.0 - _SCREEN_RTOL)) <= k
+    miss[low:high] = t * (scale / (1.0 + _SCREEN_RTOL)) > k
+    return hit, miss
+
+
+def _step_up(mags, tail, index, alpha: float) -> tuple[int, float]:
+    """The largest k with ``m_(k) >= xi_k`` and its level; (0, +inf) if none."""
+    n = mags.size
+    hit, miss = _screen(tail, index, alpha)
+    last = n - int(np.argmax(hit[::-1])) if hit.any() else 0
+    # a certain hit at ``last``, certain misses above it except these
+    ks = np.flatnonzero(~miss[last:]) + (last + 1)
+    if last:
+        ks = np.concatenate(([last], ks))
+    levels = _levels_at(n, alpha, ks)
+    ok = np.flatnonzero(mags[ks - 1] >= levels)
+    if ok.size == 0:
+        return 0, math.inf
+    return int(ks[ok[-1]]), float(levels[ok[-1]])
+
+
+def _step_down(mags, tail, index, alpha: float) -> float:
+    """``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``.
+
+    ``k' = n + 1`` when there is none; +inf when ``m_(1) < xi_1``.
+    """
+    n = mags.size
+    hit, miss = _screen(tail, index, alpha)
+    later = miss[1:]
+    first = int(np.argmax(later)) + 2 if later.any() else n + 1
+    # certain hits below ``first`` except these
+    unsure = np.flatnonzero(~(hit[1 : first - 1] | miss[1 : first - 1])) + 2
+    ks = np.unique(np.concatenate(([1, first - 1], unsure, unsure - 1)))
+    levels = _levels_at(n, alpha, ks)
+    hits = mags[ks - 1] >= levels
+    if not hits[0]:
+        return math.inf
+    misses = ks[1:][~hits[1:]]
+    stop = int(misses[0]) if misses.size else first
+    return float(levels[np.searchsorted(ks, stop - 1)])
+
+
+def _select_levels(x, alpha1: float, alpha2: float) -> tuple[np.ndarray, int, float, float]:
+    """The selection core shared by every public entry point.
+
+    Returns the magnitudes of ``x`` sorted in decreasing order, the step-up
+    rejection count and level at slope ``alpha1``, and the step-down level
+    at slope ``alpha2``.
+    """
+    arr = _check_observations(x)
+    _check_alpha(alpha1)
+    _check_alpha(alpha2)
+    mags = np.sort(np.abs(arr))[::-1]
+    tail = norm_cdf(-mags)
+    index = np.arange(1.0, arr.size + 1.0)
+    k_hat, up = _step_up(mags, tail, index, alpha1)
+    return mags, k_hat, up, _step_down(mags, tail, index, alpha2)
+
+
 def step_up_level(x, alpha1: float) -> float:
     """Smallest candidate level whose exceedance count reaches its index.
 
@@ -202,14 +320,7 @@ def step_up_level(x, alpha1: float) -> float:
     ``alpha1``: magnitudes at or above the returned level are exactly the
     rejected coordinates.
     """
-    arr = _check_observations(x)
-    levels = candidate_levels(arr.size, alpha1)
-    mags = np.sort(np.abs(arr))[::-1]
-    counts = _counts_at(mags, levels)
-    ok = np.nonzero(counts >= np.arange(1, arr.size + 1))[0]
-    if ok.size == 0:
-        return math.inf
-    return float(levels[ok[-1]])
+    return _select_levels(x, alpha1, alpha1)[2]
 
 
 def step_down_level(x, alpha2: float) -> float:
@@ -219,40 +330,47 @@ def step_down_level(x, alpha2: float) -> float:
     qualifies once anything qualifies at all; the result is +inf exactly
     when no magnitude reaches the first candidate level.
     """
-    arr = _check_observations(x)
-    n = arr.size
-    levels = candidate_levels(n, alpha2)
-    mags = np.sort(np.abs(arr))[::-1]
-    if mags[0] < levels[0]:
-        return math.inf
-    next_levels = np.concatenate([levels[1:], [0.0]])
-    counts_next = _counts_at(mags, next_levels)
-    ok = np.nonzero(counts_next < np.arange(2, n + 2))[0]
-    # index n always qualifies: N(0) = n < n + 1
-    return float(levels[ok[0]])
+    return _select_levels(x, alpha2, alpha2)[3]
 
 
 @dataclass(frozen=True)
 class SelectorTrace:
-    """Full record of one level selection, serializable for diagnostics.
+    """Record of one level selection, serializable for diagnostics.
 
-    ``exceed_counts[k-1]`` is the count at the k-th step-up candidate.
+    Holds the selected levels, the step-up rejection count ``k_hat`` and
+    ``magnitudes``, the sorted ``|x|`` in decreasing order.  The candidate
+    arrays and ``exceed_counts`` (``exceed_counts[k-1]`` is the count at
+    the k-th step-up candidate) are computed from them on each access.
     """
 
-    xi1_candidates: np.ndarray
-    xi2_candidates: np.ndarray
-    exceed_counts: np.ndarray
     xi1_hat: float
     xi2_hat: float
     lower: float
     upper: float
     lambda_hat: float
+    k_hat: int
+    alpha1: float
+    alpha2: float
+    magnitudes: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def xi1_candidates(self) -> np.ndarray:
+        return candidate_levels(self.magnitudes.size, self.alpha1)
+
+    @property
+    def xi2_candidates(self) -> np.ndarray:
+        return candidate_levels(self.magnitudes.size, self.alpha2)
+
+    @property
+    def exceed_counts(self) -> np.ndarray:
+        return _counts_at(self.magnitudes, self.xi1_candidates)
 
     def to_dict(self) -> dict:
+        xi1 = self.xi1_candidates
         return {
-            "xi1_candidates": self.xi1_candidates.tolist(),
+            "xi1_candidates": xi1.tolist(),
             "xi2_candidates": self.xi2_candidates.tolist(),
-            "exceed_counts": self.exceed_counts.tolist(),
+            "exceed_counts": _counts_at(self.magnitudes, xi1).tolist(),
             "xi1_hat": self.xi1_hat,
             "xi2_hat": self.xi2_hat,
             "lower": self.lower,
@@ -272,15 +390,7 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     step-up level is +inf (nothing selected anywhere) the interval collapses
     to +inf and the downstream estimate is identically zero.
     """
-    arr = _check_observations(x)
-    n = arr.size
-    xi1_cands = candidate_levels(n, config.alpha1)
-    xi2_cands = candidate_levels(n, config.alpha2)
-    mags = np.sort(np.abs(arr))[::-1]
-    counts = _counts_at(mags, xi1_cands)
-
-    xi1 = step_up_level(arr, config.alpha1)
-    xi2 = step_down_level(arr, config.alpha2)
+    mags, k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
 
     lower = math.sqrt(1.0 + config.delta1) * config.g1(xi1)
     upper = math.sqrt(1.0 + config.delta2) * xi2
@@ -294,12 +404,13 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     else:
         lam = lower + w * (upper - lower)
     return SelectorTrace(
-        xi1_candidates=xi1_cands,
-        xi2_candidates=xi2_cands,
-        exceed_counts=counts.astype(int),
         xi1_hat=xi1,
         xi2_hat=xi2,
         lower=lower,
         upper=upper,
         lambda_hat=lam,
+        k_hat=k_hat,
+        alpha1=config.alpha1,
+        alpha2=config.alpha2,
+        magnitudes=mags,
     )

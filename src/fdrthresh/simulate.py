@@ -139,7 +139,8 @@ class SignalGenerator:
             if self.weak:
                 k = np.arange(1, n + 1)
                 theta = np.minimum(self.radius * (n / k) ** (1.0 / self.p), lam)
-                assert (theta <= self.radius * (n / k) ** (1.0 / self.p) * (1 + 1e-12)).all()
+                if not (theta <= self.radius * (n / k) ** (1.0 / self.p) * (1 + 1e-12)).all():
+                    raise ValueError("signal leaves the weak lp ball")
                 return theta
             if self.p == 0.0:
                 m = min(int(math.floor(n * self.radius)), n)
@@ -148,9 +149,11 @@ class SignalGenerator:
             theta = np.zeros(n)
             theta[:m] = lam
             if self.p > 0.0:
-                assert np.mean(np.abs(theta) ** self.p) <= self.radius**self.p * (1 + 1e-12)
+                inside = np.mean(np.abs(theta) ** self.p) <= self.radius**self.p * (1 + 1e-12)
             else:
-                assert np.count_nonzero(theta) <= n * self.radius * (1 + 1e-12)
+                inside = np.count_nonzero(theta) <= n * self.radius * (1 + 1e-12)
+            if not inside:
+                raise ValueError("signal leaves the lp ball")
             return theta
         raise ValueError(f"unknown signal kind: {self.kind!r}")
 

@@ -107,6 +107,14 @@ def test_estimate_missing_files_exit_2(tmp_path):
     assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_input_exit_2(tmp_path, bad, capsys):
+    data = write(tmp_path / "x.csv", f"3.0\n{bad}\n0.2\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {data}\n")
+    assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # curves
 
@@ -280,6 +288,16 @@ def test_experiment_validation_exit_2(tmp_path):
     assert run("experiment", "--config", bad_n, "--out", out) == 2
     bad_reps = write(tmp_path / "c.cfg", "kind = regret\nn = 10\nreplicates = 1\n")
     assert run("experiment", "--config", bad_reps, "--out", out) == 2
+
+
+def test_experiment_negative_seed_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    bad_seed = write(tmp_path / "a.cfg", "kind = regret\nn = 10\nreplicates = 4\nseed = -1\n")
+    assert run("experiment", "--config", bad_seed, "--out", out) == 2
+    good = write(tmp_path / "b.cfg", "kind = regret\nn = 10\nreplicates = 4\n")
+    assert run("experiment", "--config", good, "--out", out, "--seed", "-1") == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert run("experiment", "--config", good, "--out", out, "--seed", "0") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,121 @@
+"""Property tests: the single-sort selector against brute-force references.
+
+The strategies put magnitudes exactly on candidate levels and one ulp to
+either side of them, repeat values, and mix in zeros and magnitudes of 40
+and more, whose Gaussian tail underflows to 0.  Examples are derandomized
+so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fdrthresh.selector import (
+    FdrConfig,
+    _counts_at,
+    candidate_levels,
+    select_lambda,
+    step_down_level,
+    step_up_level,
+)
+from test_selector import _brute_step_down, _brute_step_up
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# slopes across the usual range, plus one deep enough that the p-value
+# screen cannot decide any index and one whose probabilities get clamped
+ALPHAS = st.one_of(
+    st.floats(1e-6, 0.99),
+    st.sampled_from([0.05, 0.2, 1e-300, 0.999999999]),
+)
+# probabilities alpha k / (2n) in the subnormal range, all hits
+SUBNORMAL = (candidate_levels(5, 1e-309), 1e-309)
+# a hit, then one ulp below a level whose probability is clamped below 1/2
+CLAMPED = (
+    np.array([3.0, np.nextafter(candidate_levels(2, 0.999999999)[1], 0.0)]),
+    0.999999999,
+)
+
+
+@st.composite
+def observations(draw, max_n=60, alpha=ALPHAS):
+    """``(x, alpha)`` with magnitudes on, next to and away from the levels."""
+    a = draw(alpha)
+    n = draw(st.integers(1, max_n))
+    levels = candidate_levels(n, a)
+    index = st.integers(0, n - 1)
+    piece = st.one_of(
+        st.floats(0.0, 8.0),
+        index.map(lambda k: levels[k]),
+        st.tuples(index, st.sampled_from([-np.inf, np.inf])).map(
+            lambda t: np.nextafter(levels[t[0]], t[1])
+        ),
+        st.just(0.0),
+        st.floats(40.0, 1e3),
+    )
+    mags = np.array(draw(st.lists(piece, min_size=n, max_size=n)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    # repeat some entries to make ties
+    if n > 1 and draw(st.booleans()):
+        src = draw(st.lists(index, min_size=1, max_size=n))
+        dst = draw(st.lists(index, min_size=len(src), max_size=len(src)))
+        mags[dst] = mags[src]
+    return mags * signs, a
+
+
+@SETTINGS
+@given(observations())
+@example((np.zeros(7), 0.2))
+@example((np.array([0.0]), 0.2))
+@example((np.array([2.5]), 0.2))
+@example((np.full(5, 45.0), 0.1))
+@example(SUBNORMAL)
+@example(CLAMPED)
+def test_step_up_matches_brute_force(case):
+    x, alpha = case
+    assert step_up_level(x, alpha) == _brute_step_up(x, alpha)
+
+
+@SETTINGS
+@given(observations())
+@example((np.zeros(7), 0.1))
+@example((np.array([0.0]), 0.1))
+@example((np.array([2.5]), 0.1))
+@example((np.full(5, 45.0), 0.1))
+@example(SUBNORMAL)
+@example(CLAMPED)
+def test_step_down_matches_brute_force(case):
+    x, alpha = case
+    assert step_down_level(x, alpha) == _brute_step_down(x, alpha)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(observations(max_n=2000, alpha=st.floats(1e-4, 0.5)))
+def test_large_n_matches_brute_force(case):
+    x, alpha = case
+    assert step_up_level(x, alpha) == _brute_step_up(x, alpha)
+    assert step_down_level(x, alpha) == _brute_step_down(x, alpha)
+
+
+@SETTINGS
+@given(observations(), st.floats(0.01, 1.0))
+def test_trace_arrays_and_count(case, ratio):
+    x, alpha1 = case
+    alpha2 = alpha1 * ratio
+    config = FdrConfig(
+        alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2
+    )
+    trace = select_lambda(x, config)
+    n = x.size
+    xi1 = candidate_levels(n, alpha1)
+    np.testing.assert_array_equal(trace.xi1_candidates, xi1)
+    np.testing.assert_array_equal(trace.xi2_candidates, candidate_levels(n, alpha2))
+    np.testing.assert_array_equal(trace.magnitudes, np.sort(np.abs(x))[::-1])
+    counts = _counts_at(trace.magnitudes, xi1)
+    np.testing.assert_array_equal(trace.exceed_counts, counts)
+    np.testing.assert_array_equal(counts, [np.sum(np.abs(x) >= t) for t in xi1])
+    # k_hat is the step-up rejection count
+    hits = np.flatnonzero(counts >= np.arange(1, n + 1))
+    assert trace.k_hat == (hits[-1] + 1 if hits.size else 0)
+    assert trace.xi1_hat == (xi1[trace.k_hat - 1] if trace.k_hat else np.inf)
+    assert trace.xi2_hat == _brute_step_down(x, alpha2)

@@ -183,6 +183,9 @@ class TestSignalGenerator:
         assert np.all(ordered <= cap * (1 + 1e-12))
         lam = minimax_level(n, p, radius)
         assert np.all(ordered <= lam + 1e-12)
+        # the membership check raises, and survives python -O
+        with pytest.raises(ValueError):
+            SignalGenerator.least_favorable(p, radius, weak=True, level=math.nan).realize(n)
 
     def test_describe(self):
         assert SignalGenerator.zero().describe()
