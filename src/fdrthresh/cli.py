@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    fdrthresh estimate   --config cfg [--out DIR] [--seed N] [--format F]
+    fdrthresh estimate   --config cfg [--out DIR]
     fdrthresh risk-curve --config cfg [--out DIR] [--format F]
     fdrthresh fdr-curve  --config cfg [--out DIR] [--format F]
     fdrthresh experiment --config cfg [--out DIR] [--seed N] [--replicates N]
@@ -209,16 +209,14 @@ def _write_resolved(cfg: dict, out_dir: Path) -> None:
     (out_dir / "resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, schema: str, rows) -> None:
-    lines = [f"# schema: {schema}"]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, schema: str, lines) -> None:
+    """Write already formatted ``lines`` under a schema comment."""
+    path.write_text("\n".join([f"# schema: {schema}", *lines]) + "\n")
 
 
-def _json_meta(cfg: dict, extra: dict) -> dict:
+def _write_json(path: Path, cfg: dict, extra: dict) -> None:
     meta = {"package_version": __version__, "config": {k: cfg[k] for k in sorted(cfg)}}
-    meta.update(extra)
-    return meta
+    path.write_text(json.dumps({**meta, **extra}, indent=2, sort_keys=True) + "\n")
 
 
 def _selector_config(cfg: dict) -> FdrConfig:
@@ -253,7 +251,7 @@ def _family(cfg: dict) -> ThresholdFamily:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_estimate(cfg: dict, out_dir: Path, fmt: str) -> None:
+def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     try:
         x = read_vector(cfg["input"])
     except (OSError, ValueError) as exc:
@@ -265,13 +263,13 @@ def cmd_estimate(cfg: dict, out_dir: Path, fmt: str) -> None:
     if family.kind == "hard" and not cfg["allow_hard"]:
         raise ConfigError("family = hard requires allow_hard = true")
     report = fdr_threshold_estimate(x, family, sel, allow_hard=cfg["allow_hard"])
+    rows = enumerate(zip(x.tolist(), report.estimate.tolist()))
     _write_csv(
         out_dir / "estimate.csv",
         "index:int,observation:float,estimate:float",
-        ((i, repr(float(x[i])), repr(float(report.estimate[i]))) for i in range(x.size)),
+        (f"{i},{a!r},{b!r}" for i, (a, b) in rows),
     )
-    payload = _json_meta(cfg, report.to_dict())
-    (out_dir / "estimate.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "estimate.json", cfg, report.to_dict())
 
 
 def _build_prior(cfg: dict) -> EmpiricalPrior:
@@ -314,19 +312,17 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
     _write_csv(
         out_dir / "curve.csv",
         "level:float,value:float",
-        ((repr(float(l)), repr(float(v))) for l, v in zip(levels, values)),
+        (f"{float(l)!r},{float(v)!r}" for l, v in zip(levels, values)),
     )
     if fmt == "json":
-        payload = _json_meta(
+        _write_json(
+            out_dir / "curve.json",
             cfg,
             {
                 "functional": functional,
                 "levels": [float(l) for l in levels],
                 "values": [float(v) for v in values],
             },
-        )
-        (out_dir / "curve.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
     elif fmt == "svg":
         svg = svg_line_chart(
@@ -356,7 +352,7 @@ def _experiment_theta(cfg: dict) -> np.ndarray:
         raise ConfigError(str(exc))
 
 
-def cmd_experiment(cfg: dict, out_dir: Path, fmt: str) -> None:
+def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     if cfg["n"] < 1:
         raise ConfigError("n must be >= 1")
     if cfg["replicates"] < 2:
@@ -397,6 +393,7 @@ def cmd_experiment(cfg: dict, out_dir: Path, fmt: str) -> None:
         for label, mean, se in rep.rows:
             rows += [(f"{label}_risk", repr(mean)), (f"{label}_se", repr(se))]
         rows.append(("exact_total", repr(rep.exact_total)))
+        extra["fingerprint"] = rep.config_fingerprint
     elif kind == "minimax":
         if cfg["radius"] <= 0.0:
             raise ConfigError("minimax experiment requires radius > 0")
@@ -429,12 +426,12 @@ def cmd_experiment(cfg: dict, out_dir: Path, fmt: str) -> None:
             ("se_variance", repr(rep.se_variance)),
             ("passed", str(rep.passed).lower()),
         ]
+        extra["fingerprint"] = rep.config_fingerprint
     rows.append(("seed", str(cfg["seed"])))
-    _write_csv(out_dir / "experiment.csv", "metric:str,value:str", rows)
-    payload = _json_meta(cfg, {**extra, "results": {k: v for k, v in rows}})
-    (out_dir / "experiment.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_csv(
+        out_dir / "experiment.csv", "metric:str,value:str", (f"{k},{v}" for k, v in rows)
     )
+    _write_json(out_dir / "experiment.json", cfg, {**extra, "results": dict(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -450,34 +447,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default=".", help="output directory (created if needed)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--replicates", type=int, default=None, help="override config replicates"
-        )
-        p.add_argument(
-            "--format",
-            choices=("csv", "json", "svg"),
-            default="csv",
-            help="output format for curve artifacts",
-        )
+        if name == "experiment":
+            p.add_argument("--seed", type=int, help="override config seed")
+            p.add_argument("--replicates", type=int, help="override config replicates")
+        elif name in ("risk-curve", "fdr-curve"):
+            p.add_argument(
+                "--format", choices=("csv", "json", "svg"), default="csv", help="curve output format"
+            )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "replicates": args.replicates}
+    overrides = {k: getattr(args, k, None) for k in ("seed", "replicates")}
     try:
         cfg = _resolve_config(args.command, args.config, overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "estimate":
-            cmd_estimate(cfg, out_dir, args.format)
+            cmd_estimate(cfg, out_dir)
         elif args.command == "risk-curve":
             cmd_risk_curve(cfg, out_dir, args.format)
         elif args.command == "fdr-curve":
             cmd_risk_curve(cfg, out_dir, args.format, functional="fdr_curve")
         else:
-            cmd_experiment(cfg, out_dir, args.format)
+            cmd_experiment(cfg, out_dir)
         _write_resolved(cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

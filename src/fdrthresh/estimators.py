@@ -45,13 +45,13 @@ class EstimateReport:
     outside_theory: bool = False
 
     def to_dict(self) -> dict:
+        """Summary of the level choice; the estimate itself is left out."""
         return {
             "n": int(self.estimate.size),
             "level": self.level,
             "family": self.family.describe(),
             "outside_theory": self.outside_theory,
             "trace": self.trace.to_dict() if self.trace is not None else None,
-            "estimate": self.estimate.tolist(),
         }
 
     def to_json(self) -> str:
@@ -148,18 +148,22 @@ def read_vector(path) -> np.ndarray:
                 f"(header says {count} values, file has {(len(raw) - 16) // 8})"
             )
         return np.frombuffer(raw[16:], dtype="<f8").astype(float)
-    values = []
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
-    if not values:
+    lines = [line.partition("#")[0].strip() for line in raw.decode("utf-8").splitlines()]
+    try:
+        values = np.fromiter(map(float, filter(None, lines)), dtype=float)
+    except ValueError:
+        # find the offending line for the message
+        for lineno, text in enumerate(lines, start=1):
+            if not text:
+                continue
+            try:
+                float(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
+        raise
+    if values.size == 0:
         raise ValueError(f"{path}: no values found")
-    return np.asarray(values, dtype=float)
+    return values
 
 
 def write_vector_binary(path, x) -> None:

@@ -366,16 +366,14 @@ class SelectorTrace:
         return _counts_at(self.magnitudes, self.xi1_candidates)
 
     def to_dict(self) -> dict:
-        xi1 = self.xi1_candidates
+        """The scalar summary; the arrays stay available as properties."""
         return {
-            "xi1_candidates": xi1.tolist(),
-            "xi2_candidates": self.xi2_candidates.tolist(),
-            "exceed_counts": _counts_at(self.magnitudes, xi1).tolist(),
             "xi1_hat": self.xi1_hat,
             "xi2_hat": self.xi2_hat,
             "lower": self.lower,
             "upper": self.upper,
             "lambda_hat": self.lambda_hat,
+            "k_hat": self.k_hat,
         }
 
     def to_json(self) -> str:

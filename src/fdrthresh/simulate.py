@@ -185,13 +185,11 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
 
 
-def _fingerprint(**fields) -> str:
-    blob = json.dumps(fields, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _theta_digest(theta: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()).hexdigest()[:16]
+def _fingerprint(theta: np.ndarray, **fields) -> str:
+    """Short digest of a run's settings, with ``n`` and a digest of ``theta``."""
+    digest = hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()).hexdigest()[:16]
+    blob = json.dumps({**fields, "n": theta.size, "theta": digest}, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def mc_mean(
@@ -232,14 +230,7 @@ def mc_mean(
 
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
-    fp = _fingerprint(
-        label=label,
-        n=n,
-        replicates=replicates,
-        seed=seed,
-        antithetic=antithetic,
-        theta=_theta_digest(theta),
-    )
+    fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=antithetic)
     return McEstimate(mean, se, replicates, seed, fp)
 
 
@@ -382,6 +373,7 @@ class CommonMeanReport:
     mu: float
     rows: tuple[tuple[str, float, float], ...]
     exact_total: float
+    config_fingerprint: str
 
 
 def common_mean_experiment(
@@ -411,7 +403,11 @@ def common_mean_experiment(
     ):
         est = mc_risk(theta, fn, replicates, seed, label=f"common_mean:{label}")
         rows.append((label, est.mean, est.std_error))
-    return CommonMeanReport(int(n), float(mu), tuple(rows), exact_total)
+    fp = _fingerprint(
+        theta, kind="common_mean", replicates=int(replicates), seed=int(seed),
+        family=f"soft,{firm_fam.describe()}", level="adaptive",
+    )
+    return CommonMeanReport(int(n), float(mu), tuple(rows), exact_total, fp)
 
 
 @dataclass(frozen=True)
@@ -463,6 +459,7 @@ class ConcentrationReport:
     bound: float
     se_variance: float
     passed: bool
+    config_fingerprint: str
 
 
 def concentration_check(
@@ -497,4 +494,8 @@ def concentration_check(
     m4 = float(np.mean(centered**4))
     se_var = math.sqrt(max(m4 - var * var, 0.0) / samples.size)
     bound = 4.0 * family.slope**2 / n
-    return ConcentrationReport(n, var, bound, se_var, var <= bound + 3.0 * se_var)
+    fp = _fingerprint(
+        theta, kind="concentration", replicates=int(replicates), seed=int(seed),
+        family=family.describe(), level=level,
+    )
+    return ConcentrationReport(n, var, bound, se_var, var <= bound + 3.0 * se_var, fp)

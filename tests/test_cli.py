@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from fdrthresh.cli import main
-from fdrthresh.thresholds import soft
+from fdrthresh.estimators import fdr_threshold_estimate, read_vector
+from fdrthresh.selector import FdrConfig
+from fdrthresh.thresholds import ThresholdFamily, soft
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -50,17 +52,18 @@ def test_estimate_end_to_end(tmp_path, four_point):
     report = json.loads((out / "estimate.json").read_text())
     level = report["level"]
     assert level == pytest.approx(1.4395314709384563, rel=1e-12)
+    assert "estimate" not in report
+    assert report["trace"]["k_hat"] == 3
     x = np.array([3.0, 1.7, 1.5, 0.2])
     expect = soft(x, level)
-    np.testing.assert_allclose(report["estimate"], expect, rtol=1e-12)
 
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0].startswith("# schema:")
     assert len(lines) == 5
-    idx, obs, est = lines[1].split(",")
-    assert idx == "0"
-    assert float(obs) == 3.0
-    assert float(est) == pytest.approx(expect[0], rel=1e-15)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+    np.testing.assert_array_equal([float(r[1]) for r in rows], x)
+    np.testing.assert_allclose([float(r[2]) for r in rows], expect, rtol=1e-12)
 
 
 def test_estimate_rerun_from_resolved_is_byte_identical(tmp_path, four_point):
@@ -105,6 +108,49 @@ def test_estimate_missing_files_exit_2(tmp_path):
     empty_vec = write(tmp_path / "empty.csv", "# nothing here\n")
     cfg = write(tmp_path / "c.cfg", f"input = {empty_vec}\n")
     assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+
+
+# awkward values for ``repr``: signed zero, the smallest subnormal, tiny and
+# huge magnitudes, a sum that does not round to one digit, integral floats
+AWKWARD = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 3.0, -2.0, 1e22, -1.7, 0.2]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [AWKWARD, [v for v in AWKWARD if abs(v) < 2.5]],  # the second selects nothing
+    ids=["finite-level", "inf-level"],
+)
+def test_estimate_csv_matches_row_by_row_repr(tmp_path, values):
+    data = write(tmp_path / "x.csv", "".join(f"{v!r}\n" for v in values))
+    cfg = write(
+        tmp_path / "c.cfg",
+        f"input = {data}\nalpha1 = 0.2\nalpha2 = 0.1\nalpha1p = 0.4\nalpha2p = 0.05\n",
+    )
+    out = tmp_path / "out"
+    assert run("estimate", "--config", cfg, "--out", str(out)) == 0
+    x = read_vector(data)
+    config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05)
+    report = fdr_threshold_estimate(x, ThresholdFamily("soft"), config)
+    assert math.isinf(report.level) == (len(values) < len(AWKWARD))
+    rows = [(i, repr(float(x[i])), repr(float(report.estimate[i]))) for i in range(x.size)]
+    lines = ["# schema: index:int,observation:float,estimate:float"]
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    assert (out / "estimate.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_estimate_json_is_a_summary(tmp_path):
+    x = np.random.default_rng(5).standard_normal(100_000)
+    x[:500] += 4.0
+    data = write(tmp_path / "x.csv", "\n".join(map(repr, x.tolist())) + "\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {data}\n")
+    out = tmp_path / "out"
+    assert run("estimate", "--config", cfg, "--out", str(out)) == 0
+    blob = (out / "estimate.json").read_bytes()
+    assert len(blob) < 4096
+    report = json.loads(blob)
+    assert report["n"] == 100_000
+    assert report["trace"]["k_hat"] > 0
+    assert report["trace"]["lambda_hat"] == report["level"]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -290,6 +336,26 @@ def test_experiment_validation_exit_2(tmp_path):
     assert run("experiment", "--config", bad_reps, "--out", out) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = common_mean\nn = 40\nmu = 0.5\nreplicates = 6\nseed = 1\n",
+        "kind = concentration\nn = 40\nlevel = 1.0\nreplicates = 6\nseed = 1\n",
+    ],
+    ids=["common_mean", "concentration"],
+)
+def test_experiment_fingerprint(tmp_path, text):
+    cfg = write(tmp_path / "e.cfg", text)
+
+    def fingerprint(out, *extra):
+        assert run("experiment", "--config", cfg, "--out", str(tmp_path / out), *extra) == 0
+        return json.loads((tmp_path / out / "experiment.json").read_text())["fingerprint"]
+
+    first = fingerprint("a")
+    assert fingerprint("b") == first
+    assert fingerprint("c", "--seed", "2") != first
+
+
 def test_experiment_negative_seed_exit_2(tmp_path, capsys):
     out = str(tmp_path / "o")
     bad_seed = write(tmp_path / "a.cfg", "kind = regret\nn = 10\nreplicates = 4\nseed = -1\n")
@@ -302,6 +368,23 @@ def test_experiment_negative_seed_exit_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--seed", "5"],
+        ["estimate", "--replicates", "3"],
+        ["estimate", "--format", "svg"],
+        ["experiment", "--format", "svg"],
+    ],
+)
+def test_flags_a_subcommand_ignores_exit_2(tmp_path, four_point, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--config", four_point, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_console_script_version():

@@ -125,15 +125,55 @@ def test_report_serialization():
     assert payload["n"] == 4
     assert payload["family"] == "soft"
     assert payload["level"] == pytest.approx(report.level)
-    assert len(payload["estimate"]) == 4
+    assert set(payload) == {"n", "level", "family", "outside_theory", "trace"}
     assert payload["trace"]["xi2_hat"] == pytest.approx(2.2414027276049456)
+    assert payload["trace"]["k_hat"] == 3
 
     inf_report = fdr_threshold_estimate(np.zeros(3), config=CONFIG4)
     decoded = json.loads(inf_report.to_json())
     assert decoded["level"] == float("inf")
 
 
+def _read_text_by_line(path) -> np.ndarray:
+    """Line-by-line reference for the text path of ``read_vector``."""
+    values = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
+    return np.asarray(values, dtype=float)
+
+
+READER_CASES = [
+    "# header\n1.5 # inline\n-0.0#tight\n  # only a comment\n2.5e-3\n",
+    "\n\n1\n\n\t\n-3\n\n",
+    "  0.1  \n\t-7.25\t\n 1e-300 \r\n5e-324\n1e16\n",
+    "1.0\n2.0\n# note\n\n  x3 \n4.0\n",
+    "1.0\n2.0 # fine\n3.0 4.0\n",
+    "nan-ish\n",
+]
+
+
 class TestVectorFiles:
+    @pytest.mark.parametrize("text", READER_CASES)
+    def test_csv_reader_matches_line_by_line(self, tmp_path, text):
+        path = tmp_path / "vec.csv"
+        path.write_text(text)
+        try:
+            want = _read_text_by_line(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_vector(path)
+            assert str(got.value) == str(exc)
+        else:
+            got = read_vector(path)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(65)
         x = rng.standard_normal(257)

@@ -277,9 +277,14 @@ class TestSelectLambda:
     def test_trace_serialization(self):
         trace = select_lambda(X4, self.CONFIG)
         payload = json.loads(trace.to_json())
-        assert payload["xi1_hat"] == trace.xi1_hat
-        assert payload["lambda_hat"] == trace.lambda_hat
-        assert len(payload["xi1_candidates"]) == 4
+        assert payload == {
+            "xi1_hat": trace.xi1_hat,
+            "xi2_hat": trace.xi2_hat,
+            "lower": trace.lower,
+            "upper": trace.upper,
+            "lambda_hat": trace.lambda_hat,
+            "k_hat": 3,
+        }
 
 
 def test_config_validation():

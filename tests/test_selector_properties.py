@@ -1,4 +1,5 @@
-"""Property tests: the single-sort selector against brute-force references.
+"""Property tests: the single-sort selector against brute-force references,
+and the algebra of the estimator built on it.
 
 The strategies put magnitudes exactly on candidate levels and one ulp to
 either side of them, repeat values, and mix in zeros and magnitudes of 40
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.selector import (
     FdrConfig,
     _counts_at,
@@ -18,6 +20,7 @@ from fdrthresh.selector import (
     step_down_level,
     step_up_level,
 )
+from fdrthresh.thresholds import ThresholdFamily
 from test_selector import _brute_step_down, _brute_step_up
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -119,3 +122,87 @@ def test_trace_arrays_and_count(case, ratio):
     assert trace.k_hat == (hits[-1] + 1 if hits.size else 0)
     assert trace.xi1_hat == (xi1[trace.k_hat - 1] if trace.k_hat else np.inf)
     assert trace.xi2_hat == _brute_step_down(x, alpha2)
+
+
+# ---------------------------------------------------------------------------
+# estimator algebra
+
+FAMILIES = st.sampled_from(
+    [
+        ThresholdFamily("soft"),
+        ThresholdFamily("hard"),
+        ThresholdFamily("firm", firm_slope=1.5),
+        ThresholdFamily("interpolated", firm_slope=1.8, weight=0.3),
+    ]
+)
+
+
+def _config(alpha1, ratio=0.5, interp=0.0):
+    alpha2 = alpha1 * ratio
+    return FdrConfig(
+        alpha1=alpha1,
+        alpha2=alpha2,
+        alpha1p=(1.0 + alpha1) / 2,
+        alpha2p=alpha2 / 2,
+        delta1=0.1,
+        delta2=0.3,
+        interp=interp,
+    )
+
+
+def _estimate(x, family, config, scale=1.0):
+    return fdr_threshold_estimate(x, family, config, allow_hard=True, scale=scale).estimate
+
+
+@SETTINGS
+@given(observations(), FAMILIES, st.floats(0.0, 1.0))
+def test_estimate_is_odd(case, family, interp):
+    x, alpha = case
+    config = _config(alpha, interp=interp)
+    np.testing.assert_array_equal(_estimate(-x, family, config), -_estimate(x, family, config))
+
+
+@SETTINGS
+@given(observations(), FAMILIES, st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_estimate_is_permutation_equivariant(case, family, interp, rnd):
+    x, alpha = case
+    config = _config(alpha, interp=interp)
+    perm = np.array(rnd.sample(range(x.size), x.size))
+    np.testing.assert_array_equal(
+        _estimate(x[perm], family, config), _estimate(x, family, config)[perm]
+    )
+
+
+@SETTINGS
+@given(observations(), FAMILIES, st.integers(-20, 20))
+def test_estimate_is_scale_equivariant(case, family, exponent):
+    # powers of two, so that c * x / c == x exactly
+    x, alpha = case
+    config = _config(alpha)
+    c = 2.0**exponent
+    np.testing.assert_array_equal(
+        _estimate(c * x, family, config, scale=c), c * _estimate(x, family, config)
+    )
+
+
+@SETTINGS
+@given(observations(), st.floats(0.0, 1.0))
+def test_step_up_level_below_step_down_level(case, ratio):
+    x, alpha1 = case
+    alpha2 = alpha1 * ratio
+    if alpha2 > 0.0:
+        assert step_up_level(x, alpha1) <= step_down_level(x, alpha2)
+
+
+@SETTINGS
+@given(
+    observations(),
+    st.floats(0.01, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+@example((np.array([3.0, 1.7, 1.5, 0.2]), 0.2), 0.5, [0.0, 0.5, 1.0 - 2**-53, 1.0])
+def test_lambda_nondecreasing_in_interp(case, ratio, interps):
+    x, alpha1 = case
+    interps = sorted(interps)
+    lams = [select_lambda(x, _config(alpha1, ratio, w)).lambda_hat for w in interps]
+    assert all(a <= b for a, b in zip(lams, lams[1:]))
