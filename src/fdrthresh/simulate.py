@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import fdr_threshold_estimate
+from .estimators import fdr_threshold_estimate, sample_mean_estimate
 from .risk import EmpiricalPrior, optimal_levels
 from .selector import FdrConfig
 from .thresholds import ThresholdFamily, apply_family
@@ -192,6 +192,38 @@ def _fingerprint(theta: np.ndarray, **fields) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antithetic=False) -> np.ndarray:
+    """``statistic(theta + z_i)`` per replicate ``i``, with ``z_i`` from its own stream.
+
+    With ``antithetic=True`` returns the pair averages of ``statistic(theta
+    + z_j)`` and ``statistic(theta - z_j)`` over the first half of the streams.
+    """
+    if theta.ndim != 1 or theta.size == 0:
+        raise ValueError("theta must be a nonempty 1-d vector")
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2")
+    if antithetic and replicates % 2:
+        raise ValueError("antithetic pairing requires an even replicate count")
+    values = np.empty(replicates // 2 if antithetic else replicates)
+    for i in range(values.size):
+        z = _replicate_rng(seed, i).standard_normal(theta.size)
+        if antithetic:
+            values[i] = 0.5 * (statistic(theta + z) + statistic(theta - z))
+        else:
+            values[i] = statistic(theta + z)
+    return values
+
+
+def _squared_loss(theta: np.ndarray, estimate_fn) -> Callable[[np.ndarray], float]:
+    """The statistic ``x -> ||estimate_fn(x) - theta||^2``."""
+
+    def loss(x: np.ndarray) -> float:
+        diff = np.asarray(estimate_fn(x), dtype=float) - theta
+        return float(diff @ diff)
+
+    return loss
+
+
 def mc_mean(
     theta,
     statistic: Callable[[np.ndarray], float],
@@ -202,32 +234,13 @@ def mc_mean(
 ) -> McEstimate:
     """Average ``statistic(theta + noise)`` over independent replicates.
 
-    With ``antithetic=True`` (requires an even count) replicate ``2j + 1``
-    reuses the negated noise of replicate ``2j`` and the standard error is
-    computed over the independent pair averages.
+    With ``antithetic=True`` (requires an even count) pair ``j`` evaluates
+    ``theta + z_j`` and ``theta - z_j`` on replicate ``j``'s stream, and the
+    standard error is computed over the independent pair averages.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise ValueError("theta must be a nonempty 1-d vector")
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
-    if antithetic and replicates % 2:
-        raise ValueError("antithetic pairing requires an even replicate count")
     seed = int(seed)
-    n = theta.size
-
-    if antithetic:
-        pair_vals = np.empty(replicates // 2)
-        for j in range(replicates // 2):
-            z = _replicate_rng(seed, j).standard_normal(n)
-            pair_vals[j] = 0.5 * (statistic(theta + z) + statistic(theta - z))
-        samples = pair_vals
-    else:
-        samples = np.empty(replicates)
-        for i in range(replicates):
-            z = _replicate_rng(seed, i).standard_normal(n)
-            samples[i] = statistic(theta + z)
-
+    samples = _samples(theta, statistic, replicates, seed, antithetic)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
     fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=antithetic)
@@ -244,11 +257,7 @@ def mc_risk(
 ) -> McEstimate:
     """Monte Carlo total squared-error risk ``E ||estimate(X) - theta||^2``."""
     theta = np.asarray(theta, dtype=float)
-
-    def loss(x: np.ndarray) -> float:
-        diff = np.asarray(estimate_fn(x), dtype=float) - theta
-        return float(diff @ diff)
-
+    loss = _squared_loss(theta, estimate_fn)
     return mc_mean(theta, loss, replicates, seed, antithetic=antithetic, label=label or "risk")
 
 
@@ -270,40 +279,29 @@ def oracle_loss_min(x, theta) -> tuple[float, float]:
     n = x.size
     order = np.argsort(np.abs(x), kind="stable")
     mags = np.abs(x)[order]
-    signed_err = (np.sign(x) * (x - theta))[order]
+    # copysign, not sign: an active x_i = 0 (only at L = 0) must still cost theta_i^2
+    signed_err = (np.copysign(1.0, x) * (x - theta))[order]
     th2 = (theta**2)[order]
 
     # prefix_kill[m] = loss of the m smallest-magnitude coords once killed
     prefix_kill = np.concatenate([[0.0], np.cumsum(th2)])
     # suffix sums over the active (surviving) coords
-    suf1 = np.concatenate([np.cumsum(signed_err[::-1])[::-1], [0.0]])
-    suf2 = np.concatenate([np.cumsum((signed_err**2)[::-1])[::-1], [0.0]])
-
+    suf1 = np.cumsum(signed_err[::-1])[::-1]
+    suf2 = np.cumsum((signed_err**2)[::-1])[::-1]
     total = float(prefix_kill[-1])
-    best_level = math.inf
-    best_loss = total
-    edges = np.concatenate([[0.0], mags])
-    for m in range(n):
-        lo = float(edges[m])
-        hi = float(mags[m])
-        if hi <= lo and m > 0:
-            continue  # empty segment created by tied magnitudes
-        cnt = n - m
-        s1 = float(suf1[m])
-        s2 = float(suf2[m])
 
-        def seg_loss(lam: float) -> float:
-            return float(prefix_kill[m]) + s2 - 2.0 * lam * s1 + cnt * lam * lam
-
-        stat = min(max(s1 / cnt, lo), hi)
-        for lam in (lo, stat, hi):
-            val = seg_loss(lam)
-            if val < best_loss - 1e-15 * max(1.0, total):
-                best_loss = val
-                best_level = lam
+    # On segment m, L in [|x|_(m-1), |x|_(m)], the m smallest are killed and
+    # the loss is the convex quadratic below, so its minimum is at the
+    # stationary point clipped to the segment.  A coordinate with |x| = L
+    # costs theta^2 either way, so tied (one-point) segments are exact too.
+    cnt = np.arange(n, 0, -1)
+    levels = np.clip(suf1 / cnt, np.concatenate([[0.0], mags[:-1]]), mags)
+    losses = prefix_kill[:-1] + suf2 - 2.0 * levels * suf1 + cnt * levels * levels
+    best = int(np.argmin(losses))
+    best_loss = float(losses[best])
     if best_loss >= total - 1e-15 * max(1.0, total):
         return math.inf, total
-    return best_level, best_loss
+    return float(levels[best]), best_loss
 
 
 @dataclass(frozen=True)
@@ -399,7 +397,7 @@ def common_mean_experiment(
     for label, fn in (
         ("fdr_soft", lambda x: fdr_threshold_estimate(x, soft_fam, config).estimate),
         ("fdr_firm", lambda x: fdr_threshold_estimate(x, firm_fam, config).estimate),
-        ("sample_mean", lambda x: np.full(x.shape, float(x.mean()))),
+        ("sample_mean", lambda x: sample_mean_estimate(x).estimate),
     ):
         est = mc_risk(theta, fn, replicates, seed, label=f"common_mean:{label}")
         rows.append((label, est.mean, est.std_error))
@@ -484,11 +482,8 @@ def concentration_check(
     if math.isnan(level) or level < 0.0:
         raise ValueError("level must be >= 0")
 
-    samples = np.empty(int(replicates))
-    for i in range(int(replicates)):
-        z = _replicate_rng(int(seed), i).standard_normal(n)
-        diff = np.asarray(apply_family(theta + z, level, family)) - theta
-        samples[i] = math.sqrt(float(diff @ diff) / n)
+    loss = _squared_loss(theta, lambda x: apply_family(x, level, family))
+    samples = _samples(theta, lambda x: math.sqrt(loss(x) / n), int(replicates), int(seed))
     var = float(samples.var(ddof=1))
     centered = samples - samples.mean()
     m4 = float(np.mean(centered**4))

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,13 @@ def test_four_point_soft_estimate():
     np.testing.assert_allclose(report.estimate, soft(X4, lam), rtol=1e-12)
     assert report.trace is not None
     assert not report.outside_theory
+
+
+def test_readme_example_level():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = float(re.search(r"report\.level\s+# (\S+)", readme).group(1))
+    report = fdr_threshold_estimate(X4, ThresholdFamily("soft"), CONFIG4)
+    assert report.level == documented
 
 
 def test_zero_vector_estimates_zero():

@@ -24,7 +24,7 @@ from fdrthresh.simulate import (
     oracle_loss_min,
     regret_experiment,
 )
-from fdrthresh.thresholds import ThresholdFamily, soft
+from fdrthresh.thresholds import ThresholdFamily, apply_family, soft
 
 
 class TestMcMean:
@@ -53,6 +53,31 @@ class TestMcMean:
             mc_mean(np.zeros(3), stat, 51, seed=0, antithetic=True)
         with pytest.raises(ValueError):
             mc_mean(np.array([]), stat, 10, seed=0)
+
+    def test_replicate_streams_pinned(self):
+        # replicate i draws from Philox keyed by the seed at counter i << 192
+        theta = np.array([0.5, -1.0, 0.0, 2.0, 0.25])
+        seed, replicates = 12345, 8
+        draws = [
+            np.random.Generator(np.random.Philox(key=seed, counter=i << 192)).standard_normal(5)
+            for i in range(replicates)
+        ]
+        stat = lambda x: float(np.max(x) + x @ x)
+        plain = np.array([stat(theta + z) for z in draws])
+        paired = np.array([0.5 * (stat(theta + z) + stat(theta - z)) for z in draws[:4]])
+        for est, want in (
+            (mc_mean(theta, stat, replicates, seed), plain),
+            (mc_mean(theta, stat, replicates, seed, antithetic=True), paired),
+        ):
+            assert est.mean == float(want.mean())
+            assert est.std_error == float(want.std(ddof=1) / math.sqrt(want.size))
+        family = ThresholdFamily("firm", firm_slope=1.5)
+        scaled = np.empty(replicates)
+        for i, z in enumerate(draws):
+            diff = apply_family(theta + z, 0.7, family) - theta
+            scaled[i] = math.sqrt(float(diff @ diff) / theta.size)
+        report = concentration_check(theta, 0.7, family, replicates, seed)
+        assert report.variance == float(scaled.var(ddof=1))
 
     def test_antithetic_kills_linear_noise(self):
         theta = np.full(20, 0.7)
@@ -109,10 +134,12 @@ class TestOracleLossMin:
     def test_grid_oracle_agreement(self):
         rng = np.random.default_rng(16)
         grid_size = 100_000
+        cases = []
         for _ in range(200):
             n = int(rng.integers(2, 21))
             theta = np.where(rng.random(n) < 0.4, rng.uniform(-4, 4, size=n), 0.0)
-            x = theta + rng.standard_normal(n)
+            cases.append((theta + rng.standard_normal(n), theta))
+        for x, theta in cases + _oracle_edge_cases(rng):
             level, loss = oracle_loss_min(x, theta)
             # uniform grid plus the kink levels |x_i|: at a kink the loss has a
             # corner, where a uniform grid alone is only first-order accurate
@@ -129,16 +156,37 @@ class TestOracleLossMin:
 
     def test_loss_matches_level(self):
         rng = np.random.default_rng(17)
+        cases = []
         for _ in range(50):
             n = int(rng.integers(2, 30))
             theta = rng.normal(0, 2, size=n)
-            x = theta + rng.standard_normal(n)
+            cases.append((theta + rng.standard_normal(n), theta))
+        for x, theta in cases + _oracle_edge_cases(rng):
             level, loss = oracle_loss_min(x, theta)
             if math.isfinite(level):
                 direct = float(((soft(x, level) - theta) ** 2).sum())
                 assert loss == pytest.approx(direct, rel=1e-12)
             else:
                 assert loss == pytest.approx(float(theta @ theta), rel=1e-12)
+
+
+def _oracle_edge_cases(rng):
+    """Tied magnitudes, n = 1, all-zero x, and x == theta on a subset."""
+    cases = [(np.array([2.5]), np.array([1.0])), (np.array([-0.3]), np.array([0.0]))]
+    for _ in range(20):
+        n = int(rng.integers(2, 25))
+        theta = np.where(rng.random(n) < 0.5, rng.uniform(-4, 4, size=n), 0.0)
+        x = theta + rng.standard_normal(n)
+        on_target = x.copy()
+        on_target[: n // 2] = theta[: n // 2]
+        cases += [
+            (np.round(x), theta),
+            (np.round(x, 1), theta),
+            (x[:1], theta[:1]),
+            (np.zeros(n), theta),
+            (on_target, theta),
+        ]
+    return cases
 
 
 class TestSignalGenerator:
@@ -292,3 +340,11 @@ class TestExperiments:
     def test_concentration_rejects_hard(self):
         with pytest.raises(ValueError):
             concentration_check(np.zeros(10), 1.0, ThresholdFamily("hard"), 100, 0)
+
+    @pytest.mark.parametrize(
+        "theta, replicates",
+        [(np.zeros(10), 1), (np.zeros(10), 0), (np.array([]), 10), (np.zeros((2, 5)), 10)],
+    )
+    def test_concentration_validation(self, theta, replicates):
+        with pytest.raises(ValueError):
+            concentration_check(theta, 1.0, ThresholdFamily("soft"), replicates, 0)
