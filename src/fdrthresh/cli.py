@@ -288,8 +288,8 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
     level_max = cfg["level_max"]
     if level_max <= 0.0:
         level_max = math.sqrt(2.0 * math.log(max(prior.n, 2))) + 4.0
-    if not (cfg["level_min"] >= 0.0 and level_max > cfg["level_min"]):
-        raise ConfigError("need 0 <= level_min < level_max")
+    if not (cfg["level_min"] >= 0.0 and level_max > cfg["level_min"] and math.isfinite(level_max)):
+        raise ConfigError("need 0 <= level_min < level_max < inf")
     if cfg["points"] < 2:
         raise ConfigError("points must be >= 2")
     levels = np.linspace(cfg["level_min"], level_max, cfg["points"])
@@ -301,7 +301,7 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
             vlines.append((opt.level_exact, "optimal"))
     elif functional == "surrogate_risk":
         b0 = cfg.get("b0", 4.0)
-        if b0 < 4.0:
+        if not b0 >= 4.0:
             raise ConfigError("b0 must be >= 4")
         values = surrogate_risk(prior, levels, b0)
         opt = optimal_levels(prior, b0=b0, level_max=level_max)
@@ -337,19 +337,21 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
 
 def _experiment_theta(cfg: dict) -> np.ndarray:
     kind = cfg["kind"]
-    n = cfg["n"]
     try:
         if kind == "common_mean":
-            return SignalGenerator.common_mean(cfg["mu"]).realize(n)
-        if kind == "minimax":
-            return SignalGenerator.least_favorable(
-                cfg["p"], cfg["radius"], weak=cfg["weak"]
-            ).realize(n)
-        if cfg["spike_count"] > 0:
-            return SignalGenerator.spikes(cfg["spike_count"], cfg["spike_value"]).realize(n)
-        return SignalGenerator.zero().realize(n)
+            gen = SignalGenerator.common_mean(cfg["mu"])
+        elif kind == "minimax":
+            gen = SignalGenerator.least_favorable(cfg["p"], cfg["radius"], weak=cfg["weak"])
+        elif cfg["spike_count"] > 0:
+            gen = SignalGenerator.spikes(cfg["spike_count"], cfg["spike_value"])
+        else:
+            gen = SignalGenerator.zero()
+        theta = gen.realize(cfg["n"])
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if not np.isfinite(theta).all():
+        raise ConfigError(f"{kind} experiment: every mean must be finite")
+    return theta
 
 
 def cmd_experiment(cfg: dict, out_dir: Path) -> None:
@@ -364,10 +366,14 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     family = _family(cfg)
     if family.kind == "hard" and not cfg["allow_hard"]:
         raise ConfigError("family = hard requires allow_hard = true")
+    if kind == "minimax" and not (0.0 < cfg["radius"] < math.inf and 0.0 <= cfg["p"] < 2.0):
+        raise ConfigError("minimax experiment requires 0 < radius < inf and 0 <= p < 2")
+    if kind == "concentration" and not cfg["level"] >= 0.0:
+        raise ConfigError("concentration check requires level >= 0")
+    theta = _experiment_theta(cfg)
     rows: list[tuple[str, str]] = []
     extra: dict = {"kind": kind}
     if kind == "regret":
-        theta = _experiment_theta(cfg)
         rep = regret_experiment(
             theta, cfg["replicates"], cfg["seed"], sel, family, strong=cfg["strong"]
         )
@@ -395,8 +401,6 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
         rows.append(("exact_total", repr(rep.exact_total)))
         extra["fingerprint"] = rep.config_fingerprint
     elif kind == "minimax":
-        if cfg["radius"] <= 0.0:
-            raise ConfigError("minimax experiment requires radius > 0")
         rep = minimax_ball_experiment(
             cfg["n"],
             cfg["p"],
@@ -416,7 +420,6 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
         ]
         extra["fingerprint"] = rep.mc.config_fingerprint
     else:  # concentration
-        theta = _experiment_theta(cfg)
         if not family.is_smooth:
             raise ConfigError("concentration check requires a smooth family")
         rep = concentration_check(theta, cfg["level"], family, cfg["replicates"], cfg["seed"])

@@ -162,11 +162,16 @@ def critical_tail_level(n: int) -> float:
     lo, hi = 1.0, math.sqrt(2.0 * math.log(4.0 * float(n))) + 3.0
     if f(lo) <= 0.0 or f(hi) >= 0.0:  # pragma: no cover - guarded by n >= 2
         raise RuntimeError("bisection bracket failed")
+    return _bisect(lambda z: f(z) > 0.0, lo, hi)
+
+
+def _bisect(below, lo: float, hi: float) -> float:
+    """Bisect ``[lo, hi]`` to adjacent floats, ``below`` true at ``lo`` and false at ``hi``."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f(mid) > 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid

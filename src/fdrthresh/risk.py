@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import norm_cdf, norm_pdf
+from .gauss import _bisect, norm_cdf, norm_pdf
 
 __all__ = [
     "EmpiricalPrior",
@@ -232,15 +232,7 @@ def population_fdr_levels(prior: EmpiricalPrior, alpha1p: float, alpha2p: float)
             hi *= 2.0
             if hi > _TAIL_SEARCH_CAP:
                 raise ValueError("curve crossing lies beyond the searchable tail")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if fdr_curve(prior, mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(lambda t: fdr_curve(prior, t) > target, lo, hi)
 
     return crossing(alpha1p), crossing(alpha2p)
 

@@ -4,7 +4,8 @@ Noise replication is counter-based: replicate ``i`` always draws from a
 Philox stream keyed by the root seed with block counter ``i << 192``, so
 results are bit-reproducible for a given (seed, config) regardless of
 block sizes or evaluation order, and distinct replicates can never share
-stream state.
+stream state.  Each replicate is drawn once: an experiment that compares
+several statistics evaluates all of them on that one draw.
 """
 
 from __future__ import annotations
@@ -195,8 +196,9 @@ def _fingerprint(theta: np.ndarray, **fields) -> str:
 def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antithetic=False) -> np.ndarray:
     """``statistic(theta + z_i)`` per replicate ``i``, with ``z_i`` from its own stream.
 
-    With ``antithetic=True`` returns the pair averages of ``statistic(theta
-    + z_j)`` and ``statistic(theta - z_j)`` over the first half of the streams.
+    A scalar statistic gives an (R,) array and one returning S floats an
+    (R, S) array.  With ``antithetic=True`` the rows are the pair averages
+    of ``statistic(theta +/- z_j)`` over the first half of the streams.
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
@@ -204,14 +206,14 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antitheti
         raise ValueError("replicates must be >= 2")
     if antithetic and replicates % 2:
         raise ValueError("antithetic pairing requires an even replicate count")
-    values = np.empty(replicates // 2 if antithetic else replicates)
-    for i in range(values.size):
+    rows = []
+    for i in range(replicates // 2 if antithetic else replicates):
         z = _replicate_rng(seed, i).standard_normal(theta.size)
+        row = np.asarray(statistic(theta + z), dtype=float)
         if antithetic:
-            values[i] = 0.5 * (statistic(theta + z) + statistic(theta - z))
-        else:
-            values[i] = statistic(theta + z)
-    return values
+            row = 0.5 * (row + np.asarray(statistic(theta - z), dtype=float))
+        rows.append(row)
+    return np.array(rows)
 
 
 def _squared_loss(theta: np.ndarray, estimate_fn) -> Callable[[np.ndarray], float]:
@@ -226,25 +228,33 @@ def _squared_loss(theta: np.ndarray, estimate_fn) -> Callable[[np.ndarray], floa
 
 def mc_mean(
     theta,
-    statistic: Callable[[np.ndarray], float],
+    statistic: Callable[[np.ndarray], float | Sequence[float]],
     replicates: int,
     seed: int,
     antithetic: bool = False,
     label: str = "",
-) -> McEstimate:
+) -> McEstimate | tuple[McEstimate, ...]:
     """Average ``statistic(theta + noise)`` over independent replicates.
 
     With ``antithetic=True`` (requires an even count) pair ``j`` evaluates
     ``theta + z_j`` and ``theta - z_j`` on replicate ``j``'s stream, and the
-    standard error is computed over the independent pair averages.
+    standard error is computed over the independent pair averages.  A
+    statistic returning a fixed-length sequence of S floats is evaluated on
+    the same draws for every component, and the result is a tuple of S
+    estimates sharing one fingerprint.
     """
     theta = np.asarray(theta, dtype=float)
     seed = int(seed)
     samples = _samples(theta, statistic, replicates, seed, antithetic)
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(samples.size))
     fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=antithetic)
-    return McEstimate(mean, se, replicates, seed, fp)
+
+    def summary(column: np.ndarray) -> McEstimate:
+        se = float(column.std(ddof=1) / math.sqrt(column.size))
+        return McEstimate(float(column.mean()), se, replicates, seed, fp)
+
+    if samples.ndim == 1:
+        return summary(samples)
+    return tuple(summary(samples[:, j]) for j in range(samples.shape[1]))
 
 
 def mc_risk(
@@ -329,35 +339,22 @@ def regret_experiment(
     """Monte Carlo risk of the adaptive rule vs the exact optimum ``n eta``.
 
     With ``strong=True`` also estimates the pathwise oracle benchmark
-    ``E min_L ||soft(X, L) - theta||^2`` on the same noise streams.
+    ``E min_L ||soft(X, L) - theta||^2`` on the same draws.
     """
     theta = np.asarray(theta, dtype=float)
     prior = EmpiricalPrior.from_vector(theta)
     opt = optimal_levels(prior)
     exact_total = opt.risk_exact * theta.size
 
-    mc = mc_risk(
-        theta,
-        lambda x: fdr_threshold_estimate(x, family, config).estimate,
-        replicates,
-        seed,
-        label=f"regret:{family.describe()}",
-    )
+    loss = _squared_loss(theta, lambda x: fdr_threshold_estimate(x, family, config).estimate)
+    statistic = (lambda x: (loss(x), oracle_loss_min(x, theta)[1])) if strong else loss
+    result = mc_mean(theta, statistic, replicates, seed, label=f"regret:{family.describe()}")
+    mc, oracle_mc = result if strong else (result, None)
+    oracle_ratio = math.nan
+    if strong and oracle_mc.mean > 1e-10:
+        oracle_ratio = mc.mean / oracle_mc.mean
     degenerate = exact_total < 1e-10
     ratio = math.nan if degenerate else mc.mean / exact_total
-
-    oracle_mc = None
-    oracle_ratio = math.nan
-    if strong:
-        oracle_mc = mc_mean(
-            theta,
-            lambda x: oracle_loss_min(x, theta)[1],
-            replicates,
-            seed,
-            label="oracle_loss",
-        )
-        if oracle_mc.mean > 1e-10:
-            oracle_ratio = mc.mean / oracle_mc.mean
     return RegretReport(
         theta.size, mc, exact_total, mc.mean - exact_total, ratio, degenerate, oracle_mc, oracle_ratio
     )
@@ -393,14 +390,15 @@ def common_mean_experiment(
 
     soft_fam = ThresholdFamily("soft")
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
-    rows = []
-    for label, fn in (
-        ("fdr_soft", lambda x: fdr_threshold_estimate(x, soft_fam, config).estimate),
-        ("fdr_firm", lambda x: fdr_threshold_estimate(x, firm_fam, config).estimate),
-        ("sample_mean", lambda x: sample_mean_estimate(x).estimate),
-    ):
-        est = mc_risk(theta, fn, replicates, seed, label=f"common_mean:{label}")
-        rows.append((label, est.mean, est.std_error))
+    estimators = {
+        "fdr_soft": lambda x: fdr_threshold_estimate(x, soft_fam, config).estimate,
+        "fdr_firm": lambda x: fdr_threshold_estimate(x, firm_fam, config).estimate,
+        "sample_mean": lambda x: sample_mean_estimate(x).estimate,
+    }
+    losses = [_squared_loss(theta, fn) for fn in estimators.values()]
+    statistic = lambda x: [loss(x) for loss in losses]
+    ests = mc_mean(theta, statistic, replicates, seed, label="common_mean")
+    rows = [(label, est.mean, est.std_error) for label, est in zip(estimators, ests)]
     fp = _fingerprint(
         theta, kind="common_mean", replicates=int(replicates), seed=int(seed),
         family=f"soft,{firm_fam.describe()}", level="adaptive",

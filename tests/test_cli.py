@@ -317,10 +317,14 @@ def test_experiment_concentration(tmp_path):
     assert run("experiment", "--config", hard, "--out", str(tmp_path / "o2")) == 2
 
 
-def test_experiment_runtime_failure_exit_3(tmp_path, capsys):
+def test_experiment_runtime_failure_exit_3(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr("fdrthresh.cli.concentration_check", fail)
     cfg = write(
         tmp_path / "e.cfg",
-        "kind = concentration\nn = 20\nlevel = nan\nreplicates = 10\n",
+        "kind = concentration\nn = 20\nlevel = 1.0\nreplicates = 10\n",
     )
     assert run("experiment", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert "runtime error:" in capsys.readouterr().err
@@ -385,6 +389,37 @@ def test_flags_a_subcommand_ignores_exit_2(tmp_path, four_point, argv, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+_EXPERIMENT = "experiment", "n = 20\nreplicates = 4\n"
+_CURVE = "risk-curve", "atoms = 0, 3\n"
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (_EXPERIMENT, "kind = concentration\nlevel = -1\n"),
+        (_EXPERIMENT, "kind = concentration\nlevel = nan\n"),
+        (_EXPERIMENT, "kind = concentration\nspike_count = 2\nspike_value = nan\n"),
+        (_EXPERIMENT, "kind = common_mean\nmu = nan\n"),
+        (_EXPERIMENT, "kind = common_mean\nmu = inf\n"),
+        (_EXPERIMENT, "kind = regret\nspike_count = 2\nspike_value = nan\n"),
+        (_EXPERIMENT, "kind = regret\nspike_count = 2\nspike_value = inf\n"),
+        (_EXPERIMENT, "kind = minimax\np = -1\nradius = 0.1\n"),
+        (_EXPERIMENT, "kind = minimax\np = 2.5\nradius = 0.1\n"),
+        (_EXPERIMENT, "kind = minimax\np = 0\nweak = true\nradius = 0.1\n"),
+        (_EXPERIMENT, "kind = minimax\np = 1\nradius = nan\n"),
+        (_CURVE, "functional = surrogate_risk\nb0 = nan\n"),
+        (_CURVE, "level_max = inf\n"),
+        (("fdr-curve", "atoms = 0, 3\n"), "level_max = inf\n"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v.strip().replace("\n", ","),
+)
+def test_bad_config_values_exit_2(tmp_path, command, text, capsys):
+    name, base = command
+    cfg = write(tmp_path / "c.cfg", base + text)
+    assert run(name, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_console_script_version():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fdrthresh import simulate
 from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk, optimal_levels
 from fdrthresh.selector import FdrConfig
 from fdrthresh.simulate import (
@@ -78,6 +79,29 @@ class TestMcMean:
             scaled[i] = math.sqrt(float(diff @ diff) / theta.size)
         report = concentration_check(theta, 0.7, family, replicates, seed)
         assert report.variance == float(scaled.var(ddof=1))
+        # a statistic returning two values gives, per value, what a scalar call gives
+        other = lambda x: float(np.sum(np.abs(x)))
+        for antithetic in (False, True):
+            both = mc_mean(theta, lambda x: (stat(x), other(x)), replicates, seed, antithetic=antithetic)
+            assert both[0].config_fingerprint == both[1].config_fingerprint
+            for est, single in zip(both, (stat, other)):
+                alone = mc_mean(theta, single, replicates, seed, antithetic=antithetic)
+                assert (est.mean, est.std_error) == (alone.mean, alone.std_error)
+        spikes = SignalGenerator.spikes(4, 3.0).realize(64)
+        strong = regret_experiment(spikes, replicates, seed, strong=True)
+        assert strong.mc == regret_experiment(spikes, replicates, seed).mc
+
+    def test_each_replicate_drawn_once(self, monkeypatch):
+        streams = []
+        draw = simulate._replicate_rng
+        monkeypatch.setattr(
+            simulate, "_replicate_rng", lambda seed, i: streams.append(i) or draw(seed, i)
+        )
+        regret_experiment(SignalGenerator.spikes(4, 3.0).realize(64), 6, seed=1, strong=True)
+        assert sorted(streams) == list(range(6))
+        streams.clear()
+        common_mean_experiment(64, 0.1, 6, seed=1)
+        assert sorted(streams) == list(range(6))
 
     def test_antithetic_kills_linear_noise(self):
         theta = np.full(20, 0.7)
