@@ -20,7 +20,8 @@ points calibrate the level selectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +114,9 @@ class EmpiricalPrior:
         return bool(np.all((self.atoms == 0.0) | (self.weights == 0.0)))
 
 
-def _survive_term(a, level):
-    """q(a) = E (Z - level)^2 1{Z > a} expressed through closed-form moments."""
-    m0 = norm_cdf(-a)
+def _survive_term(a, level, m0=None):
+    """q(a) = E (Z - level)^2 1{Z > a}; pass ``m0 = Phi(-a)`` when already known."""
+    m0 = norm_cdf(-a) if m0 is None else m0
     dens = norm_pdf(a)
     return (1.0 + level * level) * m0 + (a - 2.0 * level) * dens
 
@@ -135,8 +136,9 @@ def soft_risk(mu, level):
     mu_b, lev_b = np.broadcast_arrays(mu_arr, lev_arr)
     finite = np.isfinite(lev_b)
     lev_f = np.where(finite, lev_b, 1.0)
-    kill = mu_b**2 * (norm_cdf(lev_f - mu_b) - norm_cdf(-lev_f - mu_b))
-    out = kill + _survive_term(lev_f - mu_b, lev_f) + _survive_term(lev_f + mu_b, lev_f)
+    upper = norm_cdf(-lev_f - mu_b)  # Phi(-(L + mu)), shared with q(L + mu)
+    kill = mu_b**2 * (norm_cdf(lev_f - mu_b) - upper)
+    out = kill + _survive_term(lev_f - mu_b, lev_f) + _survive_term(lev_f + mu_b, lev_f, upper)
     out = np.where(finite, out, mu_b**2)
     if out.ndim == 0:
         return float(out)
@@ -237,80 +239,97 @@ def population_fdr_levels(prior: EmpiricalPrior, alpha1p: float, alpha2p: float)
     return crossing(alpha1p), crossing(alpha2p)
 
 
-@dataclass(frozen=True)
+def _exact_slope(prior: EmpiricalPrior, level: float) -> tuple[float, float]:
+    """``(R_G', R_G'')`` at ``level``: per atom ``R' = 2L T - 2[phi(L-mu) + phi(L+mu)]``
+    and ``R'' = 2T - 2mu[phi(L-mu) - phi(L+mu)]``, ``T = Phi(mu-L) + Phi(-mu-L)``."""
+    mu, w = prior.atoms, prior.weights
+    tail = float(w @ (norm_cdf(mu - level) + norm_cdf(-mu - level)))
+    dens_lo, dens_hi = norm_pdf(level - mu), norm_pdf(level + mu)
+    d1 = 2.0 * (level * tail - float(w @ (dens_lo + dens_hi)))
+    return d1, 2.0 * (tail - float(w @ (mu * (dens_lo - dens_hi))))
+
+
+def _surrogate_slope(prior: EmpiricalPrior, level: float, b0: float) -> tuple[float, float]:
+    """Derivatives of the surrogate, convex between its kinks at the ``|atoms|``."""
+    above = float(prior.weights @ (np.abs(prior.atoms) > level))
+    dens = norm_pdf(level)
+    return 2.0 * level * above - b0 * dens, 2.0 * above + b0 * level * dens
+
+
+def _solve_slope(slope, lo: float, hi: float) -> float:
+    """Safeguarded Newton for a zero of ``slope`` on [lo, hi], from the midpoint."""
+    x = 0.5 * (lo + hi)
+    for _ in range(60):  # Newton needs about five steps, bisection about 40
+        d1, d2 = slope(x)
+        newton = x - d1 / d2 if d2 > 0.0 else math.nan
+        lo, hi = (lo, x) if d1 > 0.0 else (x, hi)
+        step = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        step, x = step - x, step
+        if abs(step) <= 1e-13 * max(1.0, x):
+            break
+    return x
+
+
+def _minimize_level(prior: EmpiricalPrior, f, slope, level_max: float, *args):
+    grid = np.linspace(0.0, level_max, 2048)
+    vals = f(prior, grid, *args)
+    i = int(np.argmin(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    edges = np.unique(np.clip(np.r_[lo, hi, np.abs(prior.atoms)], lo, hi))  # split at kinks
+    x, v = float(grid[i]), float(vals[i])
+    for a, b in zip(edges[:-1], edges[1:]):
+        z = _solve_slope(lambda lv: slope(prior, lv, *args), float(a), float(b))
+        if (fz := float(f(prior, z, *args))) <= v:
+            x, v = z, fz
+    if v < prior.mean_square - 1e-12 * max(1.0, prior.mean_square):
+        return x, v
+    return math.inf, prior.mean_square
+
+
+@dataclass(frozen=True, eq=False)
 class OptimalLevels:
     """Minimizers of the exact and surrogate average risks.
 
     ``level_exact``/``level_surrogate`` are +inf when the zero estimator
     (infinite level) is optimal, in which case the corresponding risk is
-    the prior mean square.
+    the prior mean square.  The surrogate pair is minimized on first read.
     """
 
     level_exact: float
     risk_exact: float
-    level_surrogate: float
-    risk_surrogate: float
     b0: float
+    prior: EmpiricalPrior = field(repr=False)
+    level_max: float = field(repr=False)
 
+    @cached_property
+    def _surrogate(self) -> tuple[float, float]:
+        return _minimize_level(
+            self.prior, surrogate_risk, _surrogate_slope, self.level_max, self.b0
+        )
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section minimum of ``f`` on [lo, hi]; returns (argmin, value)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _minimize_level(f, limit_at_inf: float, level_max: float):
-    grid = np.linspace(0.0, level_max, 2048)
-    vals = f(grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    x, v = _golden_min(lambda z: float(f(np.asarray(z))), float(lo), float(hi))
-    if float(vals[i]) < v:
-        x, v = float(grid[i]), float(vals[i])
-    tol = 1e-12 * max(1.0, abs(limit_at_inf))
-    if v < limit_at_inf - tol:
-        return x, v
-    return math.inf, limit_at_inf
+    level_surrogate = property(lambda self: self._surrogate[0])
+    risk_surrogate = property(lambda self: self._surrogate[1])
 
 
 def optimal_levels(
     prior: EmpiricalPrior, b0: float = 4.0, level_max: float | None = None
 ) -> OptimalLevels:
-    """Minimize the exact and surrogate risks over levels in [0, inf].
+    """Minimize the exact risk now and the surrogate on its first read.
 
-    The search scans a 2048-point grid on ``[0, level_max]``, refines the
-    best bracket by golden section, and compares against the infinite-level
-    limit (both functionals tend to the prior mean square).  The default
-    ``level_max = sqrt(2 log n) + 4`` covers every minimizer: beyond it the
-    Gaussian-tail terms are negligible at the 1e-12 comparison tolerance.
+    Each search scans a 2048-point grid on ``[0, level_max]``, runs a safeguarded
+    Newton solve on the closed-form slope in the best bracket (bisection when the
+    curvature is not positive or a step leaves it), keeps the grid value when lower,
+    and compares with the infinite-level limit, the prior mean square.  The default
+    ``level_max = sqrt(2 log n) + 4`` covers every minimizer at 1e-12 tolerance.
     """
     if level_max is None:
         level_max = math.sqrt(2.0 * math.log(max(prior.n, 2))) + 4.0
     if not (level_max > 0.0) or not math.isfinite(level_max):
         raise ValueError("level_max must be positive and finite")
-    limit = prior.mean_square
-    lam_exact, eta_exact = _minimize_level(
-        lambda lv: bayes_soft_risk(prior, lv), limit, level_max
-    )
-    lam_sur, eta_sur = _minimize_level(
-        lambda lv: surrogate_risk(prior, lv, b0), limit, level_max
-    )
-    return OptimalLevels(lam_exact, eta_exact, lam_sur, eta_sur, float(b0))
+    if not (b0 >= 4.0):
+        raise ValueError("b0 must be >= 4")
+    lam, eta = _minimize_level(prior, bayes_soft_risk, _exact_slope, level_max)
+    return OptimalLevels(lam, eta, float(b0), prior, float(level_max))
 
 
 def smooth_risk_bound(prior: EmpiricalPrior, level: float, c0: float) -> float:

@@ -403,8 +403,10 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_EXPERIMENT, "kind = concentration\nspike_count = 2\nspike_value = nan\n"),
         (_EXPERIMENT, "kind = common_mean\nmu = nan\n"),
         (_EXPERIMENT, "kind = common_mean\nmu = inf\n"),
+        (_EXPERIMENT, "kind = common_mean\nmu = 1e200\n"),
         (_EXPERIMENT, "kind = regret\nspike_count = 2\nspike_value = nan\n"),
         (_EXPERIMENT, "kind = regret\nspike_count = 2\nspike_value = inf\n"),
+        (_EXPERIMENT, "kind = regret\nspike_count = 2\nspike_value = 1e200\n"),
         (_EXPERIMENT, "kind = minimax\np = -1\nradius = 0.1\n"),
         (_EXPERIMENT, "kind = minimax\np = 2.5\nradius = 0.1\n"),
         (_EXPERIMENT, "kind = minimax\np = 0\nweak = true\nradius = 0.1\n"),

@@ -17,6 +17,7 @@ from fdrthresh.gauss import (
     norm_cdf,
     norm_pdf,
 )
+from fdrthresh import risk
 from fdrthresh.risk import (
     DiagnosticConstants,
     EmpiricalPrior,
@@ -32,6 +33,7 @@ from fdrthresh.risk import (
     soft_risk,
     surrogate_risk,
 )
+from fdrthresh.simulate import common_mean_experiment, regret_experiment
 
 
 def quad_soft_risk(mu: float, level: float) -> float:
@@ -310,6 +312,93 @@ class TestPopulationLevels:
                     assert 2 * norm_cdf(-xi) <= rho1 * a / (1 - a) + 1e-13
 
 
+def closed_form_risk(mu: float, level: float) -> float:
+    """The soft-risk closed form, which extends smoothly to negative levels."""
+
+    def q(a):
+        return (1 + level**2) * norm_cdf(-a) + (a - 2 * level) * norm_pdf(a)
+
+    kill = mu**2 * (norm_cdf(level - mu) - norm_cdf(-level - mu))
+    return kill + q(level - mu) + q(level + mu)
+
+
+def central(f, x: float, h: float = 1e-5) -> float:
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def slope_cases():
+    rng = np.random.default_rng(45)
+    cases = list(zip(rng.uniform(-10.0, 10.0, 40), rng.uniform(0.0, 10.0, 40)))
+    cases += [(mu, 0.0) for mu in (-3.0, 0.0, 0.5, 38.0)]
+    cases += [(0.0, lam) for lam in (0.3, 2.0, 9.0)]
+    cases += [(mu, lam) for mu in (-38.0, 38.0) for lam in (0.7, 37.5, 38.0, 40.0)]
+    return cases
+
+
+class TestRiskSlopes:
+    def test_exact_slopes_match_central_differences(self):
+        for mu, lam in slope_cases():
+            if lam > 0.0:
+                assert closed_form_risk(mu, lam) == pytest.approx(soft_risk(mu, lam), rel=1e-12)
+            prior = EmpiricalPrior.from_atoms([mu])
+            d1, d2 = risk._exact_slope(prior, lam)
+            assert d1 == pytest.approx(
+                central(lambda lv: closed_form_risk(mu, lv), lam), rel=1e-7, abs=1e-9
+            )
+            assert d2 == pytest.approx(
+                central(lambda lv: risk._exact_slope(prior, lv)[0], lam), rel=1e-7, abs=1e-9
+            )
+
+    def test_mixed_slope_is_the_weighted_atom_slope(self):
+        atoms, weights = np.array([0.0, 1.5, -4.0]), np.array([0.5, 0.3, 0.2])
+        prior = EmpiricalPrior.from_atoms(atoms, weights)
+        per_atom = [risk._exact_slope(EmpiricalPrior.from_atoms([a]), 1.2) for a in atoms]
+        np.testing.assert_allclose(risk._exact_slope(prior, 1.2), weights @ np.array(per_atom))
+
+    def test_surrogate_slope_matches_central_differences_off_kinks(self):
+        rng = np.random.default_rng(46)
+        prior = EmpiricalPrior.from_atoms([0.0, 1.0, -2.5, 38.0], [0.4, 0.3, 0.2, 0.1])
+        kinks = np.abs(prior.atoms)
+        levels = [lv for lv in rng.uniform(0.0, 40.0, 60) if np.min(np.abs(kinks - lv)) > 1e-3]
+        for lam in [0.0, *levels]:
+            d1, _ = risk._surrogate_slope(prior, lam, 6.0)
+            # clipped_second_moment is even in the level, so |lv| extends it past 0
+            smooth = lambda lv: clipped_second_moment(prior, abs(lv)) + 6.0 * norm_cdf(-lv)
+            assert d1 == pytest.approx(central(smooth, lam), rel=1e-7, abs=1e-9)
+            if lam > 0.0:
+                d2 = central(lambda lv: risk._surrogate_slope(prior, lv, 6.0)[0], lam)
+                assert risk._surrogate_slope(prior, lam, 6.0)[1] == pytest.approx(d2, rel=1e-7)
+
+
+def dense_grid_min(fn, prior: EmpiricalPrior, level_max: float) -> float:
+    """Minimum over 1e6 + 1 levels on [0, level_max] and the infinite level."""
+    grid = np.linspace(0.0, level_max, 1_000_001)
+    best = min(float(np.min(fn(prior, chunk))) for chunk in np.array_split(grid, 40))
+    return min(best, prior.mean_square)
+
+
+def edge_prior(name: str) -> tuple[EmpiricalPrior, float | None]:
+    nine_zeros_and_three = EmpiricalPrior.from_vector(np.array([0.0] * 9 + [3.0]))
+    rng = np.random.default_rng(47)
+    return {
+        "zero-atom": (EmpiricalPrior.from_atoms([0.0]), None),
+        "first-cell": (EmpiricalPrior.from_atoms([-5.0, 5.0]), None),
+        "last-cell": (nine_zeros_and_three, 1.1762),
+        "right-end": (nine_zeros_and_three, 1.0),
+        "pm40": (EmpiricalPrior.from_atoms([-40.0, 40.0]), None),
+        # the surrogate has two local minima, split by the kink at 2.4733, in
+        # the best grid bracket; the lower one lies past the kink
+        "kink-in-bracket": (
+            EmpiricalPrior.from_atoms([0.0, 2.4733, 3.4689], [0.98466, 0.00037815, 0.01496185]),
+            40.0,
+        ),
+        "50-atoms": (
+            EmpiricalPrior.from_atoms(rng.normal(0.0, 2.5, 50), rng.dirichlet(np.ones(50))),
+            None,
+        ),
+    }[name]
+
+
 class TestOptimalLevels:
     def test_frozen_example(self):
         prior = EmpiricalPrior.from_vector(np.array([0.0] * 9 + [3.0]))
@@ -341,6 +430,37 @@ class TestOptimalLevels:
             assert opt.risk_surrogate <= sur_grid + 1e-8
             assert opt.risk_exact >= exact_grid - 1e-8
             assert opt.risk_surrogate >= sur_grid - 1e-8
+
+    @pytest.mark.parametrize(
+        "name",
+        ["zero-atom", "first-cell", "last-cell", "right-end", "pm40", "kink-in-bracket", "50-atoms"],
+    )
+    def test_edge_priors_match_dense_grid(self, name):
+        prior, level_max = edge_prior(name)
+        opt = optimal_levels(prior, level_max=level_max)
+        if level_max is None:
+            level_max = math.sqrt(2 * math.log(max(prior.n, 2))) + 4.0
+        cell = level_max / 2047
+        if name == "first-cell":
+            assert 0.0 < opt.level_exact < cell
+        if name == "last-cell":
+            assert level_max - cell < opt.level_exact < level_max
+        exact = dense_grid_min(bayes_soft_risk, prior, level_max)
+        sur = dense_grid_min(surrogate_risk, prior, level_max)
+        assert opt.risk_exact == pytest.approx(exact, abs=1e-8)
+        assert opt.risk_surrogate == pytest.approx(sur, abs=1e-8)
+
+    def test_experiments_never_minimize_the_surrogate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("surrogate risk evaluated")
+
+        monkeypatch.setattr(risk, "surrogate_risk", refuse)
+        with pytest.raises(AssertionError):
+            optimal_levels(EmpiricalPrior.from_atoms([0.0, 3.0])).risk_surrogate
+        theta = np.zeros(64)
+        theta[:4] = 3.0
+        assert regret_experiment(theta, 4, seed=1, strong=True).exact_total > 0.0
+        assert common_mean_experiment(64, 0.1, 4, seed=1).exact_total > 0.0
 
     def test_exact_vs_surrogate_minimum_bound(self):
         # eta_G <= (1 + 1/(level_surrogate^2 v 1)) * eta*_G
