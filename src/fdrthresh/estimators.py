@@ -83,9 +83,13 @@ def fdr_threshold_estimate(
     scale = float(scale)
     if not math.isfinite(scale) or scale <= 0.0:
         raise ValueError("scale must be a positive finite number")
-    arr = np.asarray(x, dtype=float) / scale
+    arr = np.asarray(x, dtype=float)
+    if scale != 1.0:
+        arr = arr / scale
     trace = select_lambda(arr, config)
-    est = scale * apply_family(arr, trace.lambda_hat, family)
+    est = apply_family(arr, trace.lambda_hat, family)
+    if scale != 1.0:
+        est = scale * est
     return EstimateReport(
         estimate=np.asarray(est, dtype=float),
         level=trace.lambda_hat,

@@ -93,10 +93,17 @@ class EmpiricalPrior:
 
     @classmethod
     def from_vector(cls, theta) -> "EmpiricalPrior":
-        """Empirical distribution of the entries of a mean vector."""
+        """Empirical distribution of the entries of a mean vector.
+
+        Rejects a vector whose ``n * max|theta|^2`` overflows: its mean
+        square and every risk total would be infinite.
+        """
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("theta must be a nonempty 1-d vector")
+        top = float(np.max(np.abs(theta)))
+        if not math.isfinite(theta.size * top * top):
+            raise ValueError("theta: n * max|theta|^2 must be finite")
         values, counts = np.unique(theta, return_counts=True)
         return cls(values, counts / theta.size, theta.size)
 

@@ -25,15 +25,31 @@ order, ``m_(1) >= ... >= m_(n)``, because ``N(xi_k) >= k`` holds exactly
 when ``m_(k) >= xi_k``.  The step-up level is ``xi_k`` at the largest such
 ``k`` (the Benjamini-Hochberg rejection count ``k_hat``); the step-down
 level is ``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``
-(``k' = n + 1`` when there is none).  Selection therefore sorts ``|x|``
-once and screens every index in p-value form, comparing the tail
-``Phi(-m_(k))`` (one ``norm_cdf`` pass shared by both rules) with
-``alpha k / (2n)``.  Only indices whose tail lies within a relative
-``1e-9`` of that probability are undecided by the screen; they, and the
-index whose level is returned, are confirmed exactly against
-``m_(k) >= xi_k`` with ``xi_k`` computed by the same arithmetic as
-``candidate_levels``, in one quantile call per rule.  The full candidate
-and count arrays are built only when a ``SelectorTrace`` is asked for them.
+(``k' = n + 1`` when there is none).
+
+Both answers lie among the largest magnitudes.  For any ``K >= k_hat``,
+``m_(k_hat) >= xi_{k_hat} >= xi_K``, so ``k_hat <= N(xi_K)``: starting at
+``K = n``, the count ``K <- N(xi_K)`` never drops below ``k_hat`` (the
+threshold form ``t_BH = sup{t : n t / R(t) <= alpha}`` of Storey, Taylor
+and Siegmund, 2004).  From about 10^4 observations on, selection keeps
+only the magnitudes at or above ``xi_K (1 - 1e-12)`` (the slack covers
+ulp-level wobble of the computed levels) and repeats while that set at
+least halves, which bounds the steps by ``log2 n``; with the largest
+magnitude below the last cut appended, the kept set is a prefix of the
+sorted magnitudes that holds every step-up hit and, when
+``alpha2 <= alpha1``, nearly always the first step-down miss.  Only that
+prefix is sorted and screened.  When the step-down scan still finds no miss before the end
+of a prefix shorter than ``n``, or ``alpha2 > alpha1``, every magnitude is
+sorted and screened instead.
+
+The screen works in p-value form, comparing the tail ``Phi(-m_(k))`` (one
+``norm_cdf`` pass shared by both rules) with ``alpha k / (2n)``.  Only
+indices whose tail lies within a relative ``1e-9`` of that probability are
+undecided by the screen; they, and the index whose level is returned, are
+confirmed exactly against ``m_(k) >= xi_k`` with ``xi_k`` computed by the
+same arithmetic as ``candidate_levels``, in one quantile call per rule.
+The full candidate and count arrays are built only when a ``SelectorTrace``
+is asked for them.
 """
 
 from __future__ import annotations
@@ -71,6 +87,19 @@ _SCREEN_RTOL = 1e-9
 # Below this probability the relative-accuracy argument no longer holds
 # (subnormal range), so such indices are always confirmed exactly.
 _SCREEN_MIN_P = 1e-290
+
+# From this many observations on, selection sorts and screens only the top
+# magnitudes (see the module docstring).  Below it the extra quantile call
+# of each cut costs more than sorting everything; the two paths cross near
+# n = 10^4 on a 2-core x86 host.
+_TOPK_MIN_N = 12_288
+
+# The candidate set is cut again while it holds more than this many entries.
+_TOPK_STOP = 2048
+
+# Relative slack on each cut ``xi_K``: computed levels are nonincreasing in
+# k only up to a few ulps.
+_TOPK_SLACK = 1e-12
 
 
 class G1Transform:
@@ -236,33 +265,35 @@ def _counts_at(mags_desc: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return mags_desc.size - np.searchsorted(asc, levels, side="left")
 
 
-def _screen(tail: np.ndarray, index: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _screen(tail, index, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices the p-value screen decides: (certain hits, certain misses).
 
-    ``tail[k-1]`` is ``Phi(-m_(k))`` and ``index`` holds 1..n as floats;
-    index k is a hit when ``m_(k) >= xi_k``.  ``tail <= p (1 - rtol)`` with
-    ``p = k / scale`` is tested as ``tail * scale / (1 - rtol) <= k``, and
-    likewise for misses.  Indices in neither mask need the exact comparison.
+    ``tail[k-1]`` is ``Phi(-m_(k))`` and ``index`` holds 1, 2, ... as floats
+    for a prefix of the ``n`` sorted magnitudes; index k is a hit when
+    ``m_(k) >= xi_k``.  ``tail <= p (1 - rtol)`` with ``p = k / scale`` is
+    tested as ``tail * scale / (1 - rtol) <= k``, and likewise for misses.
+    Indices in neither mask need the exact comparison.
     """
-    n = tail.size
     scale = 2.0 * n / alpha
     # only probabilities in [_SCREEN_MIN_P, _P_CLAMP) are screened; the
     # rest, a prefix and a suffix of the indices, are left undecided
     low = int(min(n, _SCREEN_MIN_P * scale + 1.0))
     high = max(low, int(min(n, _P_CLAMP * scale)) - 1)
-    hit = np.zeros(n, dtype=bool)
-    miss = np.zeros(n, dtype=bool)
+    hit = np.zeros(tail.size, dtype=bool)
+    miss = np.zeros(tail.size, dtype=bool)
     t, k = tail[low:high], index[low:high]
     hit[low:high] = t * (scale / (1.0 - _SCREEN_RTOL)) <= k
     miss[low:high] = t * (scale / (1.0 + _SCREEN_RTOL)) > k
     return hit, miss
 
 
-def _step_up(mags, tail, index, alpha: float) -> tuple[int, float]:
-    """The largest k with ``m_(k) >= xi_k`` and its level; (0, +inf) if none."""
-    n = mags.size
-    hit, miss = _screen(tail, index, alpha)
-    last = n - int(np.argmax(hit[::-1])) if hit.any() else 0
+def _step_up(mags, tail, index, n: int, alpha: float) -> tuple[int, float]:
+    """The largest k with ``m_(k) >= xi_k`` and its level; (0, +inf) if none.
+
+    ``mags`` is a prefix of the ``n`` sorted magnitudes that holds every hit.
+    """
+    hit, miss = _screen(tail, index, n, alpha)
+    last = mags.size - int(np.argmax(hit[::-1])) if hit.any() else 0
     # a certain hit at ``last``, certain misses above it except these
     ks = np.flatnonzero(~miss[last:]) + (last + 1)
     if last:
@@ -274,15 +305,17 @@ def _step_up(mags, tail, index, alpha: float) -> tuple[int, float]:
     return int(ks[ok[-1]]), float(levels[ok[-1]])
 
 
-def _step_down(mags, tail, index, alpha: float) -> float:
+def _step_down(mags, tail, index, n: int, alpha: float) -> float | None:
     """``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``.
 
-    ``k' = n + 1`` when there is none; +inf when ``m_(1) < xi_1``.
+    ``k' = n + 1`` when there is none; +inf when ``m_(1) < xi_1``.  ``mags``
+    is a prefix of the ``n`` sorted magnitudes; None when it is shorter than
+    ``n`` and holds no such ``k'``.
     """
-    n = mags.size
-    hit, miss = _screen(tail, index, alpha)
+    size = mags.size
+    hit, miss = _screen(tail, index, n, alpha)
     later = miss[1:]
-    first = int(np.argmax(later)) + 2 if later.any() else n + 1
+    first = int(np.argmax(later)) + 2 if later.any() else size + 1
     # certain hits below ``first`` except these
     unsure = np.flatnonzero(~(hit[1 : first - 1] | miss[1 : first - 1])) + 2
     ks = np.unique(np.concatenate(([1, first - 1], unsure, unsure - 1)))
@@ -292,24 +325,59 @@ def _step_down(mags, tail, index, alpha: float) -> float:
         return math.inf
     misses = ks[1:][~hits[1:]]
     stop = int(misses[0]) if misses.size else first
+    if stop > size and size < n:
+        return None
     return float(levels[np.searchsorted(ks, stop - 1)])
+
+
+def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
+    """The largest entries of ``absx`` in decreasing order: every ``m_(k) >=
+    xi_k`` at slope ``alpha``, then the next one.
+
+    The whole of ``absx``, sorted, when no cut drops anything.
+    """
+    n = absx.size
+    cand, pool, cut = absx, None, 0.0
+    while True:
+        level = float(_levels_at(n, alpha, np.array([cand.size]))[0]) * (1.0 - _TOPK_SLACK)
+        kept = cand[cand >= level]
+        if kept.size < cand.size:
+            pool, cut = cand, level
+        halved = 2 * kept.size <= cand.size
+        cand = kept
+        if not (halved and cand.size > _TOPK_STOP):
+            break
+    top = np.sort(cand)[::-1]
+    if pool is None:
+        return top
+    return np.append(top, pool[pool < cut].max())
+
+
+def _levels_from(mags, n: int, alpha1: float, alpha2: float) -> tuple[int, float, float | None]:
+    """Step-up count and level and step-down level from a sorted prefix."""
+    tail = norm_cdf(-mags)
+    index = np.arange(1.0, mags.size + 1.0)
+    k_hat, up = _step_up(mags, tail, index, n, alpha1)
+    return k_hat, up, _step_down(mags, tail, index, n, alpha2)
 
 
 def _select_levels(x, alpha1: float, alpha2: float) -> tuple[np.ndarray, int, float, float]:
     """The selection core shared by every public entry point.
 
-    Returns the magnitudes of ``x`` sorted in decreasing order, the step-up
-    rejection count and level at slope ``alpha1``, and the step-down level
-    at slope ``alpha2``.
+    Returns ``|x|``, the step-up rejection count and level at slope
+    ``alpha1``, and the step-down level at slope ``alpha2``.
     """
     arr = _check_observations(x)
     _check_alpha(alpha1)
     _check_alpha(alpha2)
-    mags = np.sort(np.abs(arr))[::-1]
-    tail = norm_cdf(-mags)
-    index = np.arange(1.0, arr.size + 1.0)
-    k_hat, up = _step_up(mags, tail, index, alpha1)
-    return mags, k_hat, up, _step_down(mags, tail, index, alpha2)
+    absx = np.abs(arr)
+    n = absx.size
+    if n >= _TOPK_MIN_N and alpha2 <= alpha1:
+        k_hat, up, down = _levels_from(_top_magnitudes(absx, alpha1), n, alpha1, alpha2)
+        if down is not None:
+            return absx, k_hat, up, down
+    k_hat, up, down = _levels_from(np.sort(absx)[::-1], n, alpha1, alpha2)
+    return absx, k_hat, up, down
 
 
 def step_up_level(x, alpha1: float) -> float:
@@ -338,9 +406,9 @@ class SelectorTrace:
     """Record of one level selection, serializable for diagnostics.
 
     Holds the selected levels, the step-up rejection count ``k_hat`` and
-    ``magnitudes``, the sorted ``|x|`` in decreasing order.  The candidate
-    arrays and ``exceed_counts`` (``exceed_counts[k-1]`` is the count at
-    the k-th step-up candidate) are computed from them on each access.
+    ``|x|``.  ``magnitudes`` (``|x|`` sorted in decreasing order), the
+    candidate arrays and ``exceed_counts`` (``exceed_counts[k-1]`` is the
+    count at the k-th step-up candidate) are computed on each access.
     """
 
     xi1_hat: float
@@ -351,15 +419,19 @@ class SelectorTrace:
     k_hat: int
     alpha1: float
     alpha2: float
-    magnitudes: np.ndarray = field(repr=False, compare=False)
+    _abs_x: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        return np.sort(self._abs_x)[::-1]
 
     @property
     def xi1_candidates(self) -> np.ndarray:
-        return candidate_levels(self.magnitudes.size, self.alpha1)
+        return candidate_levels(self._abs_x.size, self.alpha1)
 
     @property
     def xi2_candidates(self) -> np.ndarray:
-        return candidate_levels(self.magnitudes.size, self.alpha2)
+        return candidate_levels(self._abs_x.size, self.alpha2)
 
     @property
     def exceed_counts(self) -> np.ndarray:
@@ -388,7 +460,7 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     step-up level is +inf (nothing selected anywhere) the interval collapses
     to +inf and the downstream estimate is identically zero.
     """
-    mags, k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
+    abs_x, k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
 
     lower = math.sqrt(1.0 + config.delta1) * config.g1(xi1)
     upper = math.sqrt(1.0 + config.delta2) * xi2
@@ -410,5 +482,5 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
         k_hat=k_hat,
         alpha1=config.alpha1,
         alpha2=config.alpha2,
-        magnitudes=mags,
+        _abs_x=abs_x,
     )

@@ -40,7 +40,11 @@ def soft(x, level: float):
     if math.isinf(level):
         out = np.zeros_like(arr)
     else:
-        out = np.sign(arr) * np.maximum(np.abs(arr) - level, 0.0)
+        # sign(x) * max(|x| - level, 0) in place, bitwise the same
+        out = np.abs(arr, out=np.empty_like(arr))
+        out -= level
+        np.maximum(out, 0.0, out=out)
+        out *= np.sign(arr)
     return out if arr.ndim else float(out)
 
 

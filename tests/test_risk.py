@@ -87,6 +87,13 @@ class TestEmpiricalPrior:
         with pytest.raises(ValueError):
             EmpiricalPrior.from_atoms([1.0, 2.0], [1.0], n=2)
 
+    def test_from_vector_rejects_overflowing_squares(self):
+        with pytest.raises(ValueError, match="max"):
+            EmpiricalPrior.from_vector([1e200, 0.0])
+        with pytest.raises(ValueError, match="max"):
+            EmpiricalPrior.from_vector([1e154, 0.0])  # 2e308 overflows
+        assert np.isfinite(EmpiricalPrior.from_vector([1e153, 0.0]).mean_square)
+
 
 class TestSoftRisk:
     def test_frozen_oracle_values(self):

@@ -4,13 +4,18 @@ and the algebra of the estimator built on it.
 The strategies put magnitudes exactly on candidate levels and one ulp to
 either side of them, repeat values, and mix in zeros and magnitudes of 40
 and more, whose Gaussian tail underflows to 0.  Examples are derandomized
-so every run checks the same cases.
+so every run checks the same cases.  The brute-force and trace tests run a
+second time with the top-K candidate cuts forced at every n.
 """
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fdrthresh import selector
 from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.selector import (
     FdrConfig,
@@ -122,6 +127,178 @@ def test_trace_arrays_and_count(case, ratio):
     assert trace.k_hat == (hits[-1] + 1 if hits.size else 0)
     assert trace.xi1_hat == (xi1[trace.k_hat - 1] if trace.k_hat else np.inf)
     assert trace.xi2_hat == _brute_step_down(x, alpha2)
+
+
+# ---------------------------------------------------------------------------
+# top-K candidate cuts
+
+
+@contextmanager
+def _top_k_everywhere():
+    """Take the top-K path at every n and cut until a cut stops halving."""
+    with mock.patch.object(selector, "_TOPK_MIN_N", 1), mock.patch.object(
+        selector, "_TOPK_STOP", 0
+    ):
+        yield
+
+
+@contextmanager
+def _full_core():
+    with mock.patch.object(selector, "_TOPK_MIN_N", np.iinfo(np.int64).max):
+        yield
+
+
+def _top_k_run(test, *args):
+    with _top_k_everywhere():
+        test.hypothesis.inner_test(*args)
+
+
+@SETTINGS
+@given(observations())
+@example((np.zeros(7), 0.2))
+@example((np.array([0.0]), 0.2))
+@example((np.array([2.5]), 0.2))
+@example((np.full(5, 45.0), 0.1))
+@example(SUBNORMAL)
+@example(CLAMPED)
+def test_top_k_step_up_matches_brute_force(case):
+    _top_k_run(test_step_up_matches_brute_force, case)
+
+
+@SETTINGS
+@given(observations())
+@example((np.zeros(7), 0.1))
+@example((np.array([0.0]), 0.1))
+@example((np.array([2.5]), 0.1))
+@example((np.full(5, 45.0), 0.1))
+@example(SUBNORMAL)
+@example(CLAMPED)
+def test_top_k_step_down_matches_brute_force(case):
+    _top_k_run(test_step_down_matches_brute_force, case)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(observations(max_n=2000, alpha=st.floats(1e-4, 0.5)))
+def test_top_k_large_n_matches_brute_force(case):
+    _top_k_run(test_large_n_matches_brute_force, case)
+
+
+@SETTINGS
+@given(observations(), st.floats(0.01, 1.0))
+def test_top_k_trace_arrays_and_count(case, ratio):
+    _top_k_run(test_trace_arrays_and_count, case, ratio)
+
+
+def _alpha2_cases(alpha1, ratio):
+    """``alpha2`` equal to ``alpha1``, one ulp below it, and a fraction of it."""
+    return [alpha1, np.nextafter(alpha1, 0.0), alpha1 * ratio]
+
+
+def _assert_same_selection(x, alpha1, alpha2, top_k):
+    """The top-K path under ``top_k`` against the full core."""
+    config = FdrConfig(
+        alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2
+    )
+    with top_k():
+        got = selector._select_levels(x, alpha1, alpha2)
+        trace = select_lambda(x, config)
+    with _full_core():
+        want = selector._select_levels(x, alpha1, alpha2)
+        ref = select_lambda(x, config)
+    assert got[1:] == want[1:]
+    assert trace.to_dict() == ref.to_dict()
+    np.testing.assert_array_equal(trace.magnitudes, ref.magnitudes)
+
+
+@SETTINGS
+@given(observations(), st.floats(0.01, 1.0))
+@example((np.array([3.0, 1.7, 1.5, 0.2]), 0.2), 0.5)
+def test_top_k_matches_full_core(case, ratio):
+    x, alpha1 = case
+    for alpha2 in _alpha2_cases(alpha1, ratio):
+        if alpha2 > 0.0:
+            _assert_same_selection(x, alpha1, alpha2, _top_k_everywhere)
+
+
+def _exact_levels(x, alpha1, alpha2):
+    """Both levels from the full candidate and count arrays, vectorized."""
+    mags = np.sort(np.abs(x))[::-1]
+    n = mags.size
+    xi1 = candidate_levels(n, alpha1)
+    hits = _counts_at(mags, xi1) >= np.arange(1, n + 1)
+    up = xi1[hits].min() if hits.any() else np.inf
+    xi2 = candidate_levels(n, alpha2)
+    if mags[0] < xi2[0]:
+        return up, np.inf
+    halts = _counts_at(mags, np.append(xi2[1:], 0.0)) < np.arange(2, n + 2)
+    return up, xi2[halts].max()
+
+
+@st.composite
+def slow_cuts(draw):
+    """``(x, alpha)`` above the top-K cutoff with a run of magnitudes on, or
+    one ulp beside, consecutive levels, so that a cut can drop few of them."""
+    alpha = draw(st.one_of(st.sampled_from([0.05, 0.2, 0.5]), st.floats(1e-3, 0.9)))
+    n = draw(st.integers(selector._TOPK_MIN_N, 2 * selector._TOPK_MIN_N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = candidate_levels(n, alpha)
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.one_of(st.just(n), st.integers(start + 1, n)))
+    mags = np.abs(rng.standard_normal(n)) * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    run = levels[start:stop]
+    nudge = rng.integers(-1, 2, size=run.size)
+    mags[start:stop] = np.where(
+        nudge == 0, run, np.nextafter(run, np.where(nudge < 0, 0.0, np.inf))
+    )
+    # every magnitude one ulp below its level: K <- N(xi_K) falls by one
+    if draw(st.booleans()):
+        mags = np.nextafter(levels, 0.0)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    return rng.permutation(mags * signs), alpha
+
+
+@settings(SETTINGS, max_examples=25)
+@given(slow_cuts(), st.floats(0.01, 1.0))
+def test_top_k_above_cutoff(case, ratio):
+    x, alpha1 = case
+    for alpha2 in _alpha2_cases(alpha1, ratio):
+        _assert_same_selection(x, alpha1, alpha2, nullcontext)
+    up, down = _exact_levels(x, alpha1, alpha1)
+    assert step_up_level(x, alpha1) == up
+    assert step_down_level(x, alpha1) == down
+
+
+@SETTINGS
+@given(observations(), st.floats(0.01, 1.0))
+def test_step_down_beyond_the_prefix_falls_back(case, ratio):
+    # without the magnitude below the last cut the step-down scan may reach
+    # the end of the prefix, and selection must then use every magnitude
+    x, alpha1 = case
+    top = selector._top_magnitudes
+
+    def drop_floor(absx, alpha):
+        mags = top(absx, alpha)
+        return mags[:-1] if mags.size > 1 else mags
+
+    @contextmanager
+    def truncated():
+        with _top_k_everywhere(), mock.patch.object(selector, "_top_magnitudes", drop_floor):
+            yield
+
+    for alpha2 in _alpha2_cases(alpha1, ratio):
+        if alpha2 > 0.0:
+            _assert_same_selection(x, alpha1, alpha2, truncated)
+
+
+def test_alpha2_above_alpha1_uses_every_magnitude():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(2 * selector._TOPK_MIN_N)
+    x[:50] += 4.0
+    with mock.patch.object(selector, "_top_magnitudes", side_effect=AssertionError):
+        got = selector._select_levels(x, 0.1, 0.2)
+    with _full_core():
+        assert got[1:] == selector._select_levels(x, 0.1, 0.2)[1:]
+    assert got[3] == _exact_levels(x, 0.1, 0.2)[1]
 
 
 # ---------------------------------------------------------------------------

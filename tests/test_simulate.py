@@ -301,6 +301,14 @@ class TestExperiments:
         assert math.isnan(report.ratio)
         assert report.exact_total == 0.0
 
+    def test_overflowing_squares_raise(self):
+        # n * max|theta|^2 overflows: the exact totals would be inf and the
+        # regret -inf, so the experiments refuse the vector
+        with pytest.raises(ValueError, match="max"):
+            regret_experiment([1e200, 1e200] + [0.0] * 18, 4, seed=1)
+        with pytest.raises(ValueError, match="max"):
+            common_mean_experiment(20, 1e200, 4, seed=1)
+
     def test_regret_spikes_smoke(self):
         n = 256
         theta = SignalGenerator.spikes(16, 0.8 * math.sqrt(2 * math.log(n))).realize(n)

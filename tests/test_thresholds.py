@@ -34,6 +34,21 @@ def test_soft_points():
     np.testing.assert_array_equal(soft(x, 0.0), x)
 
 
+def test_soft_bits_match_formula():
+    # negatives below the level map to -0.0, as in sign(x) * (|x| - L)+
+    rng = np.random.default_rng(3)
+    x = np.concatenate((rng.standard_normal(1000) * 3, [-0.0, 0.0, -1.0, 1.0, -1e-300]))
+    for level in (0.0, 1.0, 2.5, 1e-300):
+        want = np.sign(x) * np.maximum(np.abs(x) - level, 0.0)
+        got = soft(x, level)
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(soft(-0.5, 1.0)) and isinstance(soft(-0.5, 1.0), float)
+    # the input is left as it was
+    y = x.copy()
+    soft(y, 1.0)
+    assert y.tobytes() == x.tobytes()
+
+
 def test_hard_points():
     assert hard(1.5, 1.0) == 1.5
     assert hard(-2.0, 1.0) == -2.0
