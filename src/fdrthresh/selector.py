@@ -50,6 +50,12 @@ confirmed exactly against ``m_(k) >= xi_k`` with ``xi_k`` computed by the
 same arithmetic as ``candidate_levels``, in one quantile call per rule.
 The full candidate and count arrays are built only when a ``SelectorTrace``
 is asked for them.
+
+The core runs row by row on a (B, m) block of sorted prefixes, one row per
+observation vector of the same length ``n``: one ``norm_cdf`` pass and, per
+rule, one quantile call for the undecided indices of every row.  The public
+functions are its one-row case; the Monte Carlo engine selects the levels of
+a whole block of draws at once.
 """
 
 from __future__ import annotations
@@ -265,69 +271,103 @@ def _counts_at(mags_desc: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return mags_desc.size - np.searchsorted(asc, levels, side="left")
 
 
-def _screen(tail, index, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _screen(tail, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices the p-value screen decides: (certain hits, certain misses).
 
-    ``tail[k-1]`` is ``Phi(-m_(k))`` and ``index`` holds 1, 2, ... as floats
-    for a prefix of the ``n`` sorted magnitudes; index k is a hit when
-    ``m_(k) >= xi_k``.  ``tail <= p (1 - rtol)`` with ``p = k / scale`` is
-    tested as ``tail * scale / (1 - rtol) <= k``, and likewise for misses.
-    Indices in neither mask need the exact comparison.
+    ``tail[b, k-1]`` is ``Phi(-m_(k))`` of row ``b`` for a prefix of the
+    ``n`` sorted magnitudes of each row; index k is a hit when
+    ``m_(k) >= xi_k``.  A hit is certain when
+    ``tail <= p (1 - rtol)`` with ``p = k / scale``, and a miss when
+    ``tail > p (1 + rtol)``; a few ulps of rounding in ``p (1 -/+ rtol)``
+    are far inside ``rtol``.  Indices in neither mask need the exact
+    comparison.
     """
     scale = 2.0 * n / alpha
     # only probabilities in [_SCREEN_MIN_P, _P_CLAMP) are screened; the
     # rest, a prefix and a suffix of the indices, are left undecided
     low = int(min(n, _SCREEN_MIN_P * scale + 1.0))
     high = max(low, int(min(n, _P_CLAMP * scale)) - 1)
-    hit = np.zeros(tail.size, dtype=bool)
-    miss = np.zeros(tail.size, dtype=bool)
-    t, k = tail[low:high], index[low:high]
-    hit[low:high] = t * (scale / (1.0 - _SCREEN_RTOL)) <= k
-    miss[low:high] = t * (scale / (1.0 + _SCREEN_RTOL)) > k
+    hit = np.zeros(tail.shape, dtype=bool)
+    miss = np.zeros(tail.shape, dtype=bool)
+    t = tail[:, low:high]
+    p = np.arange(1.0, tail.shape[1] + 1.0)[low:high] / scale
+    np.less_equal(t, p * (1.0 - _SCREEN_RTOL), out=hit[:, low:high])
+    np.greater(t, p * (1.0 + _SCREEN_RTOL), out=miss[:, low:high])
     return hit, miss
 
 
-def _step_up(mags, tail, index, n: int, alpha: float) -> tuple[int, float]:
-    """The largest k with ``m_(k) >= xi_k`` and its level; (0, +inf) if none.
+def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the True entries of a 2-d mask, row by row."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
-    ``mags`` is a prefix of the ``n`` sorted magnitudes that holds every hit.
+
+def _row_first(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of the positions ``at`` in each row that has one, and that row.
+
+    ``rows[at]`` must be sorted; pass ``at[::-1]`` for the last position.
     """
-    hit, miss = _screen(tail, index, n, alpha)
-    last = mags.size - int(np.argmax(hit[::-1])) if hit.any() else 0
+    r = rows[at]
+    lead = np.ones(r.size, dtype=bool)
+    lead[1:] = r[1:] != r[:-1]
+    return r[lead], at[lead]
+
+
+def _step_up(mags, tail, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the largest k with ``m_(k) >= xi_k`` and its level; (0, +inf) if none.
+
+    Each row of ``mags`` is a prefix of its ``n`` sorted magnitudes that
+    holds every hit.
+    """
+    hit, miss = _screen(tail, n, alpha)
+    count, size = mags.shape
+    last = np.where(hit.any(axis=1), size - np.argmax(hit[:, ::-1], axis=1), 0)
     # a certain hit at ``last``, certain misses above it except these
-    ks = np.flatnonzero(~miss[last:]) + (last + 1)
-    if last:
-        ks = np.concatenate(([last], ks))
-    levels = _levels_at(n, alpha, ks)
-    ok = np.flatnonzero(mags[ks - 1] >= levels)
-    if ok.size == 0:
-        return 0, math.inf
-    return int(ks[ok[-1]]), float(levels[ok[-1]])
+    rows, cols = _pairs(~miss)
+    keep = cols >= last[rows] - 1
+    rows, cols = rows[keep], cols[keep]
+    levels = _levels_at(n, alpha, cols + 1)
+    r, at = _row_first(rows, np.flatnonzero(mags[rows, cols] >= levels)[::-1])
+    k_hat = np.zeros(count, dtype=int)
+    k_hat[r] = cols[at] + 1
+    up = np.full(count, math.inf)
+    up[r] = levels[at]
+    return k_hat, up
 
 
-def _step_down(mags, tail, index, n: int, alpha: float) -> float | None:
-    """``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``.
+def _step_down(mags, tail, n: int, alpha: float) -> np.ndarray | None:
+    """Per row, ``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``.
 
-    ``k' = n + 1`` when there is none; +inf when ``m_(1) < xi_1``.  ``mags``
-    is a prefix of the ``n`` sorted magnitudes; None when it is shorter than
-    ``n`` and holds no such ``k'``.
+    ``k' = n + 1`` when there is none; +inf when ``m_(1) < xi_1``.  Each row
+    of ``mags`` is a prefix of its ``n`` sorted magnitudes; None when the
+    prefixes are shorter than ``n`` and a row with ``m_(1) >= xi_1`` holds
+    no such ``k'``.
     """
-    size = mags.size
-    hit, miss = _screen(tail, index, n, alpha)
-    later = miss[1:]
-    first = int(np.argmax(later)) + 2 if later.any() else size + 1
+    hit, miss = _screen(tail, n, alpha)
+    count, size = mags.shape
+    # the first certain miss after k = 1, or size + 1 when there is none
+    ends = np.ones((count, size), dtype=bool)
+    ends[:, :-1] = miss[:, 1:]
+    first = np.argmax(ends, axis=1) + 2
     # certain hits below ``first`` except these
-    unsure = np.flatnonzero(~(hit[1 : first - 1] | miss[1 : first - 1])) + 2
-    ks = np.unique(np.concatenate(([1, first - 1], unsure, unsure - 1)))
-    levels = _levels_at(n, alpha, ks)
-    hits = mags[ks - 1] >= levels
-    if not hits[0]:
-        return math.inf
-    misses = ks[1:][~hits[1:]]
-    stop = int(misses[0]) if misses.size else first
-    if stop > size and size < n:
+    rows, cols = _pairs(~(hit | miss))
+    keep = (cols >= 1) & (cols <= first[rows] - 2)
+    rows, cols = rows[keep], cols[keep]
+    need = np.zeros((count, size), dtype=bool)
+    need[rows, cols] = True
+    need[rows, cols - 1] = True
+    need[:, 0] = True
+    need[np.arange(count), first - 2] = True
+    rows, cols = _pairs(need)
+    levels = _levels_at(n, alpha, cols + 1)
+    hits = mags[rows, cols] >= levels
+    stop = first.copy()
+    r, at = _row_first(rows, np.flatnonzero(~hits & (cols > 0)))
+    stop[r] = cols[at] + 1
+    reached = hits[cols == 0]
+    if size < n and (reached & (stop > size)).any():
         return None
-    return float(levels[np.searchsorted(ks, stop - 1)])
+    at = np.searchsorted(rows * size + cols, np.arange(count) * size + stop - 2)
+    return np.where(reached, levels[at], math.inf)
 
 
 def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
@@ -353,16 +393,30 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     return np.append(top, pool[pool < cut].max())
 
 
-def _levels_from(mags, n: int, alpha1: float, alpha2: float) -> tuple[int, float, float | None]:
-    """Step-up count and level and step-down level from a sorted prefix."""
+def _levels_from(mags, n: int, alpha1: float, alpha2: float):
+    """Step-up counts and levels and step-down levels from sorted prefixes, per row."""
     tail = norm_cdf(-mags)
-    index = np.arange(1.0, mags.size + 1.0)
-    k_hat, up = _step_up(mags, tail, index, n, alpha1)
-    return k_hat, up, _step_down(mags, tail, index, n, alpha2)
+    k_hat, up = _step_up(mags, tail, n, alpha1)
+    return k_hat, up, _step_down(mags, tail, n, alpha2)
+
+
+def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
+    """The selection core, on each row of a (B, n) block of magnitudes.
+
+    Returns per row the step-up rejection count and level at slope
+    ``alpha1`` and the step-down level at slope ``alpha2``.  A one-row block
+    may take the top-K path; larger blocks sort every row in full.
+    """
+    n = absx.shape[1]
+    if absx.shape[0] == 1 and n >= _TOPK_MIN_N and alpha2 <= alpha1:
+        k_hat, up, down = _levels_from(_top_magnitudes(absx[0], alpha1)[None], n, alpha1, alpha2)
+        if down is not None:
+            return k_hat, up, down
+    return _levels_from(np.sort(absx, axis=1)[:, ::-1], n, alpha1, alpha2)
 
 
 def _select_levels(x, alpha1: float, alpha2: float) -> tuple[np.ndarray, int, float, float]:
-    """The selection core shared by every public entry point.
+    """The selection core for one observation vector, after validation.
 
     Returns ``|x|``, the step-up rejection count and level at slope
     ``alpha1``, and the step-down level at slope ``alpha2``.
@@ -371,13 +425,8 @@ def _select_levels(x, alpha1: float, alpha2: float) -> tuple[np.ndarray, int, fl
     _check_alpha(alpha1)
     _check_alpha(alpha2)
     absx = np.abs(arr)
-    n = absx.size
-    if n >= _TOPK_MIN_N and alpha2 <= alpha1:
-        k_hat, up, down = _levels_from(_top_magnitudes(absx, alpha1), n, alpha1, alpha2)
-        if down is not None:
-            return absx, k_hat, up, down
-    k_hat, up, down = _levels_from(np.sort(absx)[::-1], n, alpha1, alpha2)
-    return absx, k_hat, up, down
+    k_hat, up, down = _block_levels(absx[None], alpha1, alpha2)
+    return absx, int(k_hat[0]), float(up[0]), float(down[0])
 
 
 def step_up_level(x, alpha1: float) -> float:
@@ -452,16 +501,8 @@ class SelectorTrace:
         return json.dumps(self.to_dict())
 
 
-def select_lambda(x, config: FdrConfig) -> SelectorTrace:
-    """Run both selectors on ``x`` and pick the threshold level.
-
-    The selected interval is ``[sqrt(1+delta1) g1(up), sqrt(1+delta2) down]``
-    and ``lambda_hat`` sits at fraction ``config.interp`` of it.  When the
-    step-up level is +inf (nothing selected anywhere) the interval collapses
-    to +inf and the downstream estimate is identically zero.
-    """
-    abs_x, k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
-
+def _interval(xi1: float, xi2: float, config: FdrConfig) -> tuple[float, float, float]:
+    """The selected interval's ends and ``lambda_hat`` from the two levels."""
     lower = math.sqrt(1.0 + config.delta1) * config.g1(xi1)
     upper = math.sqrt(1.0 + config.delta2) * xi2
     w = config.interp
@@ -473,6 +514,19 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
         lam = upper
     else:
         lam = lower + w * (upper - lower)
+    return lower, upper, lam
+
+
+def select_lambda(x, config: FdrConfig) -> SelectorTrace:
+    """Run both selectors on ``x`` and pick the threshold level.
+
+    The selected interval is ``[sqrt(1+delta1) g1(up), sqrt(1+delta2) down]``
+    and ``lambda_hat`` sits at fraction ``config.interp`` of it.  When the
+    step-up level is +inf (nothing selected anywhere) the interval collapses
+    to +inf and the downstream estimate is identically zero.
+    """
+    abs_x, k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
+    lower, upper, lam = _interval(xi1, xi2, config)
     return SelectorTrace(
         xi1_hat=xi1,
         xi2_hat=xi2,
@@ -484,3 +538,9 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
         alpha2=config.alpha2,
         _abs_x=abs_x,
     )
+
+
+def _block_lambdas(x: np.ndarray, config: FdrConfig) -> np.ndarray:
+    """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n) block."""
+    _, up, down = _block_levels(np.abs(x), config.alpha1, config.alpha2)
+    return np.array([_interval(a, b, config)[2] for a, b in zip(up.tolist(), down.tolist())])

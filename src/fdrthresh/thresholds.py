@@ -26,7 +26,14 @@ __all__ = [
 ]
 
 
-def _check_level(level: float) -> float:
+def _check_level(level):
+    """A float level, or an array of levels such as a (B, 1) column of
+    per-row levels for a (B, n) block of observations."""
+    if np.ndim(level):
+        level = np.asarray(level, dtype=float)
+        if not (level >= 0.0).all():
+            raise ValueError("level must be >= 0")
+        return level
     level = float(level)
     if math.isnan(level) or level < 0.0:
         raise ValueError("level must be >= 0")
@@ -34,22 +41,27 @@ def _check_level(level: float) -> float:
 
 
 def soft(x, level: float):
-    """Soft threshold ``sign(x) * (|x| - level)+``; ``level = inf`` maps to 0."""
+    """Soft threshold ``sign(x) * (|x| - level)+``; ``level = inf`` maps to 0.
+
+    ``level`` may be an array that broadcasts to the shape of ``x``.
+    """
     level = _check_level(level)
     arr = np.asarray(x, dtype=float)
-    if math.isinf(level):
-        out = np.zeros_like(arr)
-    else:
-        # sign(x) * max(|x| - level, 0) in place, bitwise the same
-        out = np.abs(arr, out=np.empty_like(arr))
-        out -= level
-        np.maximum(out, 0.0, out=out)
-        out *= np.sign(arr)
+    # sign(x) * max(|x| - level, 0) in place, bitwise the same
+    out = np.abs(arr, out=np.empty_like(arr))
+    out -= level
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(arr)
+    # +0.0, not sign(x) * 0.0, at an infinite level
+    np.copyto(out, 0.0, where=np.isinf(level))
     return out if arr.ndim else float(out)
 
 
 def hard(x, level: float):
-    """Hard threshold ``x * 1{|x| > level}`` (strict inequality)."""
+    """Hard threshold ``x * 1{|x| > level}`` (strict inequality).
+
+    ``level`` may be an array that broadcasts against ``x``.
+    """
     level = _check_level(level)
     arr = np.asarray(x, dtype=float)
     out = np.where(np.abs(arr) > level, arr, 0.0)
@@ -71,11 +83,9 @@ def firm(x, level: float, slope: float):
     if not (1.0 < slope < 2.0):
         raise ValueError("slope must lie in (1, 2)")
     arr = np.asarray(x, dtype=float)
-    if math.isinf(level):
-        out = np.zeros_like(arr)
-    else:
-        a = np.abs(arr)
-        out = np.sign(arr) * np.minimum(a, slope * np.maximum(a - level, 0.0))
+    a = np.abs(arr)
+    out = np.sign(arr) * np.minimum(a, slope * np.maximum(a - level, 0.0))
+    out = np.where(np.isinf(level), 0.0, out)
     return out if arr.ndim else float(out)
 
 
@@ -138,7 +148,11 @@ class ThresholdFamily:
 
 
 def apply_family(x, level: float, family: ThresholdFamily):
-    """Apply ``family`` at ``level`` componentwise."""
+    """Apply ``family`` at ``level`` componentwise.
+
+    ``level`` may be an array that broadcasts to the shape of ``x``, such as
+    a (B, 1) column of levels for the rows of a (B, n) block.
+    """
     if family.kind == "soft":
         return soft(x, level)
     if family.kind == "hard":

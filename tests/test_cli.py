@@ -317,6 +317,28 @@ def test_experiment_concentration(tmp_path):
     assert run("experiment", "--config", hard, "--out", str(tmp_path / "o2")) == 2
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "kind = regret\nn = 64\nspike_count = 4\nspike_value = 3.0\nstrong = true\n",
+        "kind = minimax\nn = 200\np = 0.0\nradius = 0.025\n",
+    ],
+    ids=["regret", "minimax"],
+)
+def test_experiment_hard_family_opt_in(tmp_path, kind):
+    text = kind + "replicates = 10\nfamily = hard\n"
+    refused = write(tmp_path / "refused.cfg", text)
+    assert run("experiment", "--config", refused, "--out", str(tmp_path / "o1")) == 2
+    allowed = write(tmp_path / "allowed.cfg", text + "allow_hard = true\n")
+    out = tmp_path / "o2"
+    assert run("experiment", "--config", allowed, "--out", str(out)) == 0
+    rows = dict(
+        line.split(",", 1)
+        for line in (out / "experiment.csv").read_text().splitlines()[1:]
+    )
+    assert float(rows["mc_risk"]) > 0
+
+
 def test_experiment_runtime_failure_exit_3(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("simulated failure")

@@ -5,7 +5,8 @@ The strategies put magnitudes exactly on candidate levels and one ulp to
 either side of them, repeat values, and mix in zeros and magnitudes of 40
 and more, whose Gaussian tail underflows to 0.  Examples are derandomized
 so every run checks the same cases.  The brute-force and trace tests run a
-second time with the top-K candidate cuts forced at every n.
+second time with the top-K candidate cuts forced at every n, and blocks of
+rows are checked row by row.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -127,6 +128,62 @@ def test_trace_arrays_and_count(case, ratio):
     assert trace.k_hat == (hits[-1] + 1 if hits.size else 0)
     assert trace.xi1_hat == (xi1[trace.k_hat - 1] if trace.k_hat else np.inf)
     assert trace.xi2_hat == _brute_step_down(x, alpha2)
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+
+@st.composite
+def blocks(draw, max_n=40, max_rows=6):
+    """``(x, alpha1, alpha2)``: a (B, n) block of adversarial rows.
+
+    Rows mix magnitudes on, or one ulp beside, a candidate level of either
+    slope with ties, zeros and magnitudes of 38 and more; every block also
+    holds an all-zero row, which selects nothing, and a row of all hits.
+    """
+    alpha1 = draw(ALPHAS)
+    alpha2 = draw(st.sampled_from([alpha1, np.nextafter(alpha1, 0.0), 0.3 * alpha1]))
+    n = draw(st.integers(1, max_n))
+    levels = np.concatenate((candidate_levels(n, alpha1), candidate_levels(n, alpha2)))
+    index = st.integers(0, levels.size - 1)
+    piece = st.one_of(
+        st.floats(0.0, 8.0),
+        index.map(lambda k: levels[k]),
+        st.tuples(index, st.sampled_from([-np.inf, np.inf])).map(
+            lambda t: np.nextafter(levels[t[0]], t[1])
+        ),
+        st.just(0.0),
+        st.floats(38.0, 1e3),
+    )
+    row = st.one_of(
+        st.lists(piece, min_size=n, max_size=n).map(np.array),
+        # ties: a few values repeated along the row
+        st.lists(piece, min_size=1, max_size=3).map(lambda v: np.resize(np.array(v), n)),
+    )
+    rows = draw(st.lists(row, min_size=0, max_size=max_rows)) + [np.zeros(n), np.full(n, 1e3)]
+    order = draw(st.permutations(range(len(rows))))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return np.stack([rows[i] for i in order]) * np.array(signs), alpha1, alpha2
+
+
+@SETTINGS
+@given(blocks())
+@example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.2))
+@example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.1))
+def test_block_core_matches_rows_and_brute_force(case):
+    x, alpha1, alpha2 = case
+    k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2)
+    for row, k, u, d in zip(x, k_hat, up, down):
+        assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)[1:]
+        assert u == _brute_step_up(row, alpha1)
+        assert d == _brute_step_down(row, alpha2)
+    config = FdrConfig(
+        alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2,
+        delta1=0.1, delta2=0.3, interp=0.4,
+    )
+    lambdas = selector._block_lambdas(x, config)
+    assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Monte Carlo harness tests: determinism, oracle agreement, experiments."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fdrthresh import simulate
+from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk, optimal_levels
 from fdrthresh.selector import FdrConfig
 from fdrthresh.simulate import (
@@ -194,6 +196,66 @@ class TestOracleLossMin:
                 assert loss == pytest.approx(float(theta @ theta), rel=1e-12)
 
 
+def _reference_oracle(x, theta):
+    """The one-draw oracle with a stable sort, as a plain sequence of steps."""
+    order = np.argsort(np.abs(x), kind="stable")
+    mags = np.abs(x)[order]
+    signed_err = (np.copysign(1.0, x) * (x - theta))[order]
+    prefix_kill = np.concatenate([[0.0], np.cumsum((theta**2)[order])])
+    suf1 = np.cumsum(signed_err[::-1])[::-1]
+    suf2 = np.cumsum((signed_err**2)[::-1])[::-1]
+    total = float(prefix_kill[-1])
+    cnt = np.arange(x.size, 0, -1)
+    levels = np.clip(suf1 / cnt, np.concatenate([[0.0], mags[:-1]]), mags)
+    losses = prefix_kill[:-1] + suf2 - 2.0 * levels * suf1 + cnt * levels * levels
+    best = int(np.argmin(losses))
+    if losses[best] >= total - 1e-15 * max(1.0, total):
+        return math.inf, total
+    return float(levels[best]), float(losses[best])
+
+
+class TestOracleBlocks:
+    def _blocks(self, rng):
+        """Blocks of draws around one theta: tied rows (some rows only),
+        exact zeros, rows with x == theta, and an all-zero theta."""
+        for n in (1, 2, 7, 64, 333):
+            theta = np.where(rng.random(n) < 0.3, rng.uniform(-4, 4, size=n), 0.0)
+            for target in (theta, np.zeros(n)):
+                x = target + rng.standard_normal((9, n))
+                x[1] = np.round(x[1])
+                x[2] = np.round(x[2], 1)
+                x[3, ::2] = 0.0
+                x[4] = target
+                x[5, : n // 2] = target[: n // 2]
+                x[6] = 0.0
+                yield x, target
+
+    def test_block_matches_rows(self):
+        rng = np.random.default_rng(18)
+        tied_rows = 0
+        for x, theta in self._blocks(rng):
+            levels, losses = oracle_loss_min(x, theta)
+            assert levels.shape == losses.shape == (x.shape[0],)
+            for row, level, loss in zip(x, levels, losses):
+                one = oracle_loss_min(row, theta)
+                assert isinstance(one[0], float) and isinstance(one[1], float)
+                want = np.array(_reference_oracle(row, theta))
+                assert np.array(one).tobytes() == want.tobytes()
+                assert np.array([level, loss]).tobytes() == want.tobytes()
+                tied_rows += np.unique(np.abs(row)).size < row.size
+        assert tied_rows > 20
+
+    def test_block_validation(self):
+        with pytest.raises(ValueError):
+            oracle_loss_min(np.zeros((2, 3)), np.zeros(4))
+        with pytest.raises(ValueError):
+            oracle_loss_min(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            oracle_loss_min(np.zeros((1, 2, 3)), np.zeros(3))
+        with pytest.raises(ValueError):
+            oracle_loss_min(np.full((2, 3), np.nan), np.zeros(3))
+
+
 def _oracle_edge_cases(rng):
     """Tied magnitudes, n = 1, all-zero x, and x == theta on a subset."""
     cases = [(np.array([2.5]), np.array([1.0])), (np.array([-0.3]), np.array([0.0]))]
@@ -211,6 +273,74 @@ def _oracle_edge_cases(rng):
             (on_target, theta),
         ]
     return cases
+
+
+def _under_block_sizes(fn, n):
+    """``repr(fn())`` with blocks of one row, of the default size and of five rows."""
+    results = []
+    for budget in (1, simulate._BLOCK_ELEMENTS, 5 * n):
+        with mock.patch.object(simulate, "_BLOCK_ELEMENTS", budget):
+            results.append(repr(fn()))
+    return results
+
+
+class TestBlocks:
+    n = 40
+    theta = SignalGenerator.spikes(6, 3.0).realize(40)
+    families = [
+        ThresholdFamily("soft"),
+        ThresholdFamily("firm", firm_slope=1.7),
+        ThresholdFamily("interpolated", firm_slope=1.5, weight=0.3),
+        ThresholdFamily("hard"),
+    ]
+    config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05, interp=0.3)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda t: mc_mean(t, lambda x: (float(x @ x), float(np.max(x))), 17, seed=3),
+            lambda t: mc_mean(t, lambda x: float(np.sum(np.abs(x))), 18, seed=3, antithetic=True),
+            lambda t: mc_risk(t, lambda x: soft(x, 1.0), 17, seed=4),
+            lambda t: common_mean_experiment(t.size, 0.2, 17, seed=5),
+            lambda t: minimax_ball_experiment(t.size, 0.0, 0.1, 17, seed=6),
+            lambda t: concentration_check(t, 0.8, ThresholdFamily("firm"), 17, seed=7),
+        ],
+        ids=["mc_mean", "antithetic", "mc_risk", "common_mean", "minimax", "concentration"],
+    )
+    def test_block_size_does_not_change_results(self, run):
+        first, *others = _under_block_sizes(lambda: run(self.theta), self.n)
+        assert all(other == first for other in others)
+
+    @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
+    def test_regret_block_size_does_not_change_results(self, family):
+        for strong in (False, True):
+            run = lambda: regret_experiment(self.theta, 17, 8, self.config, family, strong=strong)
+            first, *others = _under_block_sizes(run, self.n)
+            assert all(other == first for other in others)
+
+    @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
+    def test_experiments_match_per_row_estimates(self, family):
+        # the block statistics against the one-vector estimator on each draw
+        draws = [
+            self.theta + simulate._replicate_rng(8, i).standard_normal(self.n) for i in range(17)
+        ]
+        adaptive, oracle = [], []
+        for x in draws:
+            est = fdr_threshold_estimate(x, family, self.config, allow_hard=True).estimate
+            adaptive.append(float((est - self.theta) @ (est - self.theta)))
+            oracle.append(oracle_loss_min(x, self.theta)[1])
+        report = regret_experiment(self.theta, 17, 8, self.config, family, strong=True)
+        for est, values in ((report.mc, adaptive), (report.oracle_mc, oracle)):
+            values = np.array(values)
+            assert est.mean == float(values.mean())
+            assert est.std_error == float(values.std(ddof=1) / math.sqrt(values.size))
+        minimax = minimax_ball_experiment(self.n, 0.0, 0.1, 17, 8, self.config, family)
+        lf = SignalGenerator.least_favorable(0.0, 0.1).realize(self.n)
+        want = mc_risk(
+            lf, lambda x: fdr_threshold_estimate(x, family, self.config, allow_hard=True).estimate,
+            17, 8, label=f"minimax:{SignalGenerator.least_favorable(0.0, 0.1).describe()}",
+        )
+        assert minimax.mc == want
 
 
 class TestSignalGenerator:

@@ -183,6 +183,24 @@ def test_apply_family_vector_examples():
     np.testing.assert_array_equal(got, [1.5, 4.0])
 
 
+def test_apply_family_per_row_levels():
+    # a (B, 1) column of levels thresholds each row of a block at its own
+    # level, bit for bit as the one-row call; an infinite level gives +0.0
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 300)) * 3
+    x[:, :4] = [-0.0, 0.0, -1.0, 1.0]
+    levels = np.array([[0.0], [1.0], [2.5], [np.inf], [1e-300]])
+    for fam in FAMILIES + [ThresholdFamily("hard")]:
+        got = apply_family(x, levels, fam)
+        for row, level, out in zip(x, levels[:, 0], got):
+            assert out.tobytes() == apply_family(row, level, fam).tobytes()
+    assert not np.signbit(soft(x, levels)[3]).any()
+    with pytest.raises(ValueError):
+        soft(x, np.array([[1.0], [np.nan], [1.0], [1.0], [1.0]]))
+    with pytest.raises(ValueError):
+        firm(x, -levels, 1.5)
+
+
 def _capped_quadratic_objective(x, level, gamma):
     """x -> argmin_m (x-m)^2/2 + pen(m) where pen ramps linearly at slope
     `level` and flattens at gamma*level^2/2 once |m| >= gamma*level."""
