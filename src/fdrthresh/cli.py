@@ -17,6 +17,7 @@ config validation failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -349,7 +350,7 @@ def _experiment_theta(cfg: dict) -> np.ndarray:
         theta = gen.realize(cfg["n"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    top = float(np.max(np.abs(theta)))
+    top = max(float(theta.max()), -float(theta.min()))  # NaN if theta holds one
     if not math.isfinite(theta.size * top * top):
         raise ConfigError(f"{kind} experiment: n * max|theta|^2 must be finite")
     return theta
@@ -440,7 +441,9 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="fdrthresh",
         description="Adaptive threshold estimation of Gaussian mean vectors",

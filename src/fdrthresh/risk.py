@@ -101,7 +101,7 @@ class EmpiricalPrior:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("theta must be a nonempty 1-d vector")
-        top = float(np.max(np.abs(theta)))
+        top = max(float(theta.max()), -float(theta.min()))  # NaN if theta holds one
         if not math.isfinite(theta.size * top * top):
             raise ValueError("theta: n * max|theta|^2 must be finite")
         values, counts = np.unique(theta, return_counts=True)

@@ -374,23 +374,28 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     """The largest entries of ``absx`` in decreasing order: every ``m_(k) >=
     xi_k`` at slope ``alpha``, then the next one.
 
-    The whole of ``absx``, sorted, when no cut drops anything.
+    The whole of ``absx``, sorted, when no cut drops anything.  The cuts
+    are counts over all of ``absx``: the levels only rise, so the set a cut
+    keeps is ``{absx >= level}``.  Only the set before the last cut that
+    dropped anything is gathered.
     """
     n = absx.size
-    cand, pool, cut = absx, None, 0.0
+    size, level, floor = n, 0.0, None
     while True:
-        level = float(_levels_at(n, alpha, np.array([cand.size]))[0]) * (1.0 - _TOPK_SLACK)
-        kept = cand[cand >= level]
-        if kept.size < cand.size:
-            pool, cut = cand, level
-        halved = 2 * kept.size <= cand.size
-        cand = kept
-        if not (halved and cand.size > _TOPK_STOP):
+        cut = max(level, float(_levels_at(n, alpha, np.array([size]))[0]) * (1.0 - _TOPK_SLACK))
+        count = int(np.count_nonzero(absx >= cut))
+        if count < size:
+            floor = level
+        level = cut
+        halved = 2 * count <= size
+        size = count
+        if not (halved and size > _TOPK_STOP):
             break
-    top = np.sort(cand)[::-1]
-    if pool is None:
-        return top
-    return np.append(top, pool[pool < cut].max())
+    if floor is None:
+        return np.sort(absx)[::-1]
+    pool = absx[absx >= floor] if floor > 0.0 else absx
+    below = pool < level
+    return np.append(np.sort(pool[~below])[::-1], pool[below].max())
 
 
 def _levels_from(mags, n: int, alpha1: float, alpha2: float):
@@ -540,7 +545,8 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     )
 
 
-def _block_lambdas(x: np.ndarray, config: FdrConfig) -> np.ndarray:
-    """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n) block."""
-    _, up, down = _block_levels(np.abs(x), config.alpha1, config.alpha2)
+def _block_lambdas(absx: np.ndarray, config: FdrConfig) -> np.ndarray:
+    """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n)
+    block, from the block's magnitudes ``absx``."""
+    _, up, down = _block_levels(absx, config.alpha1, config.alpha2)
     return np.array([_interval(a, b, config)[2] for a, b in zip(up.tolist(), down.tolist())])

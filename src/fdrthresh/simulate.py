@@ -15,6 +15,12 @@ pathwise oracle ``oracle_loss_min``, which takes a (B, n) block and returns
 arrays of per-row levels and losses.  Every per-row value equals what the
 same computation gives on that row alone, bit for bit; each row's squared
 loss is still its own dot product.
+
+A call reads each coordinate of a block a fixed few times, in buffers kept
+across its blocks: the draws are formed in place in one buffer, which the
+next block overwrites once the statistic has returned, ``|x|`` is computed
+once per block, and each threshold loss comes from the survivors
+``|x_i| > level`` alone (``_threshold_losses``), bit for bit the dense loss.
 """
 
 from __future__ import annotations
@@ -209,7 +215,7 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 def _fingerprint(theta: np.ndarray, **fields) -> str:
     """Short digest of a run's settings, with ``n`` and a digest of ``theta``."""
-    digest = hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()).hexdigest()[:16]
+    digest = hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8")).hexdigest()[:16]
     blob = json.dumps({**fields, "n": theta.size, "theta": digest}, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -218,9 +224,11 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antitheti
     """``statistic(theta + z)`` on blocks of draws, row ``i`` of ``z`` from stream ``i``.
 
     ``statistic`` maps a (B, n) block to B values, giving an (R,) array, or
-    to a (B, S) array, giving an (R, S) array.  With ``antithetic=True`` the
-    rows are the pair averages of the statistic at ``theta +/- z_j`` over
-    the first half of the streams.
+    to a (B, S) array, giving an (R, S) array.  Every block is drawn into one
+    buffer and ``theta + z`` is formed in place, so the next block overwrites
+    the one passed to ``statistic``.  With ``antithetic=True`` the rows are
+    the pair averages of the statistic at ``theta +/- z_j`` over the first
+    half of the streams, each formed in a new array.
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
@@ -229,15 +237,19 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antitheti
     if antithetic and replicates % 2:
         raise ValueError("antithetic pairing requires an even replicate count")
     count = replicates // 2 if antithetic else replicates
-    step = max(1, _BLOCK_ELEMENTS // theta.size)
+    step = min(count, max(1, _BLOCK_ELEMENTS // theta.size))
+    draws = np.empty((step, theta.size))
     parts = []
     for start in range(0, count, step):
-        z = np.empty((min(step, count - start), theta.size))
+        z = draws[: min(step, count - start)]
         for row, i in enumerate(range(start, start + z.shape[0])):
             _replicate_rng(seed, i).standard_normal(out=z[row])
-        part = np.asarray(statistic(theta + z), dtype=float)
         if antithetic:
+            part = np.asarray(statistic(theta + z), dtype=float)
             part = 0.5 * (part + np.asarray(statistic(theta - z), dtype=float))
+        else:
+            z += theta
+            part = np.asarray(statistic(z), dtype=float)
         parts.append(part)
     return np.concatenate(parts)
 
@@ -247,9 +259,49 @@ def _row_losses(theta: np.ndarray, estimates) -> np.ndarray:
     return np.array([float(d @ d) for d in estimates - theta])
 
 
+def _threshold_losses(theta: np.ndarray):
+    """A function ``(x, absx, lam, family) -> ||t(row, lam_row) - theta||^2`` per row.
+
+    ``x`` is a (B, n) block, ``absx`` its magnitudes and ``lam`` a (B,)
+    array of levels.  Every family maps ``|x_i| <= lam`` to a signed zero,
+    whose residual ``+-0 - theta_i`` squares to ``theta_i^2``, so the family
+    runs on the survivors ``|x_i| > lam`` alone.  Their residuals are
+    scattered into a buffer whose rows otherwise hold ``-theta``, each row's
+    loss is its own dot product, and the buffer is restored: the dot
+    product sees the values of the dense ``t(x, lam) - theta`` in the same
+    order.  The buffer is allocated at the first block and kept across the
+    blocks of a call.
+    """
+    resid = None
+
+    def losses(x, absx, lam, family):
+        nonlocal resid
+        count, n = x.shape
+        if resid is None:
+            resid = np.negative(theta, out=np.empty_like(x))
+        flat = resid[:count].reshape(-1)
+        at = np.flatnonzero(absx > lam[:, None])
+        rows, cols = np.divmod(at, n)
+        err = apply_family(x.take(at), lam[rows], family)
+        ths = theta.take(cols)
+        err -= ths
+        flat[at] = err
+        out = np.array([float(d @ d) for d in resid[:count]])
+        flat[at] = np.negative(ths, out=ths)
+        return out
+
+    return losses
+
+
 def _fdr_losses(theta: np.ndarray, family: ThresholdFamily, config: FdrConfig):
     """The block statistic: per row, the squared loss of ``family`` at the selected level."""
-    return lambda x: _row_losses(theta, apply_family(x, _block_lambdas(x, config)[:, None], family))
+    losses = _threshold_losses(theta)
+
+    def statistic(x):
+        absx = np.abs(x)
+        return losses(x, absx, _block_lambdas(absx, config), family)
+
+    return statistic
 
 
 def mc_mean(
@@ -270,17 +322,20 @@ def mc_mean(
     estimates sharing one fingerprint.
 
     The draws come in (B, n) blocks of ``max(1, 2**14 // n)`` rows (see the
-    module docstring), and ``statistic`` is called on each row of a block
-    in turn.  The package's experiments pass a private statistic of a whole
-    block instead, which may call ``oracle_loss_min`` on the block: it then
-    returns a (B,) array of levels and one of losses.
+    module docstring), and ``statistic`` is called on each row of a copy of
+    the block in turn, so it may keep its argument.  The package's
+    experiments pass a private statistic of a whole block instead: it reads
+    the block in the buffer that the next block reuses once the statistic
+    returns, and takes each threshold loss from the survivors only (see
+    ``_threshold_losses``).  It may call ``oracle_loss_min`` on the block,
+    which then returns a (B,) array of levels and one of losses.
     """
     theta = np.asarray(theta, dtype=float)
     seed = int(seed)
     if isinstance(statistic, _Block):
         block = statistic.fn
     else:
-        block = lambda x: [statistic(row) for row in x]
+        block = lambda x: [statistic(row) for row in x.copy()]
     samples = _samples(theta, block, replicates, seed, antithetic)
     fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=antithetic)
 
@@ -303,7 +358,11 @@ def mc_risk(
 ) -> McEstimate:
     """Monte Carlo total squared-error risk ``E ||estimate(X) - theta||^2``."""
     theta = np.asarray(theta, dtype=float)
-    loss = _Block(lambda x: _row_losses(theta, np.array([estimate_fn(row) for row in x], float)))
+
+    def loss(x: np.ndarray) -> float:
+        d = np.asarray(estimate_fn(x), dtype=float) - theta
+        return float(d @ d)
+
     return mc_mean(theta, loss, replicates, seed, antithetic=antithetic, label=label or "risk")
 
 
@@ -477,12 +536,16 @@ def common_mean_experiment(
     soft_fam = ThresholdFamily("soft")
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
 
+    loss = _threshold_losses(theta)
+
     def losses(x: np.ndarray) -> np.ndarray:
         # one selection serves both families; the comparator is the row mean
-        level = _block_lambdas(x, config)[:, None]
+        absx = np.abs(x)
+        level = _block_lambdas(absx, config)
         means = np.array([row.mean() for row in x])[:, None]
-        estimates = (apply_family(x, level, soft_fam), apply_family(x, level, firm_fam), means)
-        return np.column_stack([_row_losses(theta, est) for est in estimates])
+        return np.column_stack(
+            (loss(x, absx, level, soft_fam), loss(x, absx, level, firm_fam), _row_losses(theta, means))
+        )
 
     ests = mc_mean(theta, _Block(losses), replicates, seed, label="common_mean")
     labels = ("fdr_soft", "fdr_firm", "sample_mean")
@@ -566,7 +629,8 @@ def concentration_check(
     if math.isnan(level) or level < 0.0:
         raise ValueError("level must be >= 0")
 
-    scaled_loss = lambda x: np.sqrt(_row_losses(theta, apply_family(x, level, family)) / n)
+    loss = _threshold_losses(theta)
+    scaled_loss = lambda x: np.sqrt(loss(x, np.abs(x), np.full(x.shape[0], level), family) / n)
     samples = _samples(theta, scaled_loss, int(replicates), int(seed))
     var = float(samples.var(ddof=1))
     centered = samples - samples.mean()

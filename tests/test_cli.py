@@ -446,6 +446,39 @@ def test_bad_config_values_exit_2(tmp_path, command, text, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_parser_built_once_per_process(tmp_path, four_point, capsys):
+    # one process: a usage error, --version, then an estimate and an
+    # experiment whose outputs match those of fresh processes
+    from fdrthresh import cli
+
+    experiment = write(
+        tmp_path / "e.cfg",
+        "kind = regret\nn = 64\nspike_count = 4\nspike_value = 2.5\nreplicates = 20\nstrong = true\n",
+    )
+    commands = {
+        "estimate": ["estimate", "--config", four_point],
+        "experiment": ["experiment", "--config", experiment, "--seed", "4"],
+    }
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        run("experiment", "--config")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("--version")
+    assert exc.value.code == 0
+    assert "fdrthresh" in capsys.readouterr().out
+    for name, argv in commands.items():
+        assert run(*argv, "--out", str(tmp_path / "same" / name)) == 0
+        fresh = [*argv, "--out", str(tmp_path / "fresh" / name)]
+        code = f"from fdrthresh.cli import main; raise SystemExit(main({fresh!r}))"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        same = sorted((tmp_path / "same" / name).iterdir())
+        assert [p.name for p in same] == [p.name for p in sorted((tmp_path / "fresh" / name).iterdir())]
+        for path in same:
+            assert path.read_bytes() == (tmp_path / "fresh" / name / path.name).read_bytes()
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_console_script_version():
     proc = subprocess.run(
         [sys.executable, "-c", "from fdrthresh.cli import main; raise SystemExit(main(['--version']))"],

@@ -182,7 +182,7 @@ def test_block_core_matches_rows_and_brute_force(case):
         alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2,
         delta1=0.1, delta2=0.3, interp=0.4,
     )
-    lambdas = selector._block_lambdas(x, config)
+    lambdas = selector._block_lambdas(np.abs(x), config)
     assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
 
 
@@ -356,6 +356,74 @@ def test_alpha2_above_alpha1_uses_every_magnitude():
     with _full_core():
         assert got[1:] == selector._select_levels(x, 0.1, 0.2)[1:]
     assert got[3] == _exact_levels(x, 0.1, 0.2)[1]
+
+
+def _materializing_top_magnitudes(absx, alpha, cuts=None):
+    """The top-K cuts as first written, gathering the kept set at every cut;
+    each cut level is appended to ``cuts`` when given."""
+    n = absx.size
+    cand, pool, cut = absx, None, 0.0
+    while True:
+        level = float(selector._levels_at(n, alpha, np.array([cand.size]))[0]) * (
+            1.0 - selector._TOPK_SLACK
+        )
+        if cuts is not None:
+            cuts.append(level)
+        kept = cand[cand >= level]
+        if kept.size < cand.size:
+            pool, cut = cand, level
+        halved = 2 * kept.size <= cand.size
+        cand = kept
+        if not (halved and cand.size > selector._TOPK_STOP):
+            break
+    top = np.sort(cand)[::-1]
+    if pool is None:
+        return top
+    return np.append(top, pool[pool < cut].max())
+
+
+@st.composite
+def top_k_magnitudes(draw):
+    """``(|x|, alpha)`` above the top-K cutoff: noise, spikes, all zeros or
+    one repeated value, with entries moved onto each cut level and one ulp
+    below it.  The moves keep every cut's count, so the cuts stay put."""
+    n = draw(st.integers(selector._TOPK_MIN_N, selector._TOPK_MIN_N + 4096))
+    alpha = draw(st.one_of(st.sampled_from([0.05, 0.2, 0.6]), st.floats(1e-3, 0.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "spikes", "zeros", "flat"]))
+    if kind == "zeros":
+        return np.zeros(n), alpha
+    first = float(selector._levels_at(n, alpha, np.array([n]))[0]) * (1.0 - selector._TOPK_SLACK)
+    if kind == "flat":
+        value = draw(st.sampled_from([first, np.nextafter(first, 0.0), 0.5 * first, 2.0 * first]))
+        return np.full(n, value), alpha
+    mags = np.abs(rng.standard_normal(n)) * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if kind == "spikes":
+        count = draw(st.integers(1, 4000))
+        # spikes of a few exact values, so that they tie
+        mags[rng.choice(n, count, replace=False)] = rng.choice([3.0, 5.0, 45.0], size=count)
+    cuts = []
+    _materializing_top_magnitudes(mags, alpha, cuts)
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    for low, level, high in zip([0.0, *cuts], cuts, [*cuts[1:], np.inf]):
+        # entries in [level, high) onto the level, entries in [low, level) one ulp below it
+        for lo, hi, target in ((level, high, level), (low, level, np.nextafter(level, 0.0))):
+            band = np.flatnonzero((mags >= lo) & (mags < hi))
+            take = draw(st.integers(0, min(band.size, 5)))
+            mags[rng.choice(band, take, replace=False)] = target
+    return mags, alpha
+
+
+@settings(SETTINGS, max_examples=60)
+@given(top_k_magnitudes())
+@example((np.zeros(selector._TOPK_MIN_N), 0.2))
+def test_count_only_cuts_match_materializing_cuts(case):
+    absx, alpha = case
+    for stop in (selector._TOPK_STOP, 0):
+        with mock.patch.object(selector, "_TOPK_STOP", stop):
+            got = selector._top_magnitudes(absx, alpha)
+            want = _materializing_top_magnitudes(absx, alpha)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

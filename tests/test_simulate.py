@@ -9,7 +9,8 @@ import pytest
 from fdrthresh import simulate
 from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk, optimal_levels
-from fdrthresh.selector import FdrConfig
+from fdrthresh.cli import main as cli_main
+from fdrthresh.selector import FdrConfig, select_lambda
 from fdrthresh.simulate import (
     CommonMeanReport,
     ConcentrationReport,
@@ -341,6 +342,94 @@ class TestBlocks:
             17, 8, label=f"minimax:{SignalGenerator.least_favorable(0.0, 0.1).describe()}",
         )
         assert minimax.mc == want
+
+
+def _loss_block(rng, rows, theta):
+    """Draws around ``theta`` with per-row levels at 0, +inf, exactly at some
+    ``|x_i|`` and in between, plus exact zeros, ties at the level and
+    magnitudes one ulp to either side of it."""
+    n = theta.size
+    x = theta + rng.standard_normal((rows, n))
+    x[:, :3] = 0.0
+    lam = rng.uniform(0.0, 2.5, size=rows)
+    for r in range(rows):
+        pick = r % 4
+        if pick == 0:
+            lam[r] = 0.0
+        elif pick == 1:
+            lam[r] = math.inf
+        elif pick == 2:
+            lam[r] = abs(x[r, 5])
+        if math.isfinite(lam[r]):
+            x[r, 6:10] = lam[r] * np.array([1.0, -1.0, 1.0, -1.0])
+            x[r, 10:14] = np.nextafter(lam[r], [np.inf, 0.0, np.inf, 0.0]) * np.array([1.0, 1.0, -1.0, -1.0])
+        x[r, 14:16] = x[r, 16]
+    return x, lam
+
+
+class TestSurvivorLosses:
+    families = TestBlocks.families
+
+    @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_matches_dense_losses(self, family, rows):
+        rng = np.random.default_rng(31)
+        n = 41
+        spikes = np.where(rng.random(n) < 0.3, rng.uniform(-4.0, 4.0, size=n), 0.0)
+        for theta in (spikes, np.zeros(n), -np.abs(spikes) - 0.5):
+            losses = simulate._threshold_losses(theta)
+            # the residual buffer is restored between blocks, also for a smaller one
+            for size in (rows, rows, max(1, rows // 3)):
+                x, lam = _loss_block(rng, size, theta)
+                got = losses(x, np.abs(x), lam, family)
+                want = simulate._row_losses(theta, apply_family(x, lam[:, None], family))
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
+    def test_experiments_match_dense_losses(self, family):
+        # the experiment statistic against selection plus the dense loss, per row
+        theta = SignalGenerator.spikes(6, 3.0).realize(40)
+        x = theta + np.random.default_rng(32).standard_normal((16, 40))
+        x[3] = 0.0
+        config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05)
+        lam = np.array([select_lambda(row, config).lambda_hat for row in x])
+        want = simulate._row_losses(theta, apply_family(x, lam[:, None], family))
+        assert simulate._fdr_losses(theta, family, config)(x).tobytes() == want.tobytes()
+
+
+class TestReusedBuffers:
+    theta = np.array([0.5, -1.0, 0.0, 2.0, 0.25])
+
+    def _noise(self, seed, count):
+        return [simulate._replicate_rng(seed, i).standard_normal(self.theta.size) for i in range(count)]
+
+    def test_kept_arguments_hold_their_own_draws(self):
+        kept = []
+        keep = lambda x: kept.append(x) or float(x @ x)
+        with mock.patch.object(simulate, "_BLOCK_ELEMENTS", 2 * self.theta.size):
+            est = mc_mean(self.theta, keep, 7, seed=21)
+        draws = [self.theta + z for z in self._noise(21, 7)]
+        assert [x.tobytes() for x in kept] == [x.tobytes() for x in draws]
+        want = np.array([float(x @ x) for x in draws])
+        assert est.mean == float(want.mean())
+
+    def test_antithetic_pairs_unchanged(self):
+        stat = lambda x: float(np.max(x) + x @ x)
+        noise = self._noise(22, 4)
+        pairs = np.array([0.5 * (stat(self.theta + z) + stat(self.theta - z)) for z in noise])
+        for budget in (self.theta.size, 3 * self.theta.size, simulate._BLOCK_ELEMENTS):
+            with mock.patch.object(simulate, "_BLOCK_ELEMENTS", budget):
+                est = mc_mean(self.theta, stat, 8, seed=22, antithetic=True)
+            assert est.mean == float(pairs.mean())
+            assert est.std_error == float(pairs.std(ddof=1) / math.sqrt(pairs.size))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spike_still_refused(self, value, tmp_path):
+        with pytest.raises(ValueError, match="max"):
+            regret_experiment(SignalGenerator.spikes(2, value).realize(16), 4, seed=1)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"kind = regret\nn = 16\nreplicates = 4\nspike_count = 2\nspike_value = {value}\n")
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestSignalGenerator:
