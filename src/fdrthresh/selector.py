@@ -38,24 +38,24 @@ least halves, which bounds the steps by ``log2 n``; with the largest
 magnitude below the last cut appended, the kept set is a prefix of the
 sorted magnitudes that holds every step-up hit and, when
 ``alpha2 <= alpha1``, nearly always the first step-down miss.  Only that
-prefix is sorted and screened.  When the step-down scan still finds no miss before the end
-of a prefix shorter than ``n``, or ``alpha2 > alpha1``, every magnitude is
-sorted and screened instead.
+prefix is sorted and screened.  When the step-down scan still finds no
+miss before the end of a prefix shorter than ``n``, or ``alpha2 > alpha1``,
+every magnitude is sorted and screened instead.
 
-The screen works in p-value form, comparing the tail ``Phi(-m_(k))`` (one
-``norm_cdf`` pass shared by both rules) with ``alpha k / (2n)``.  Only
-indices whose tail lies within a relative ``1e-9`` of that probability are
-undecided by the screen; they, and the index whose level is returned, are
-confirmed exactly against ``m_(k) >= xi_k`` with ``xi_k`` computed by the
-same arithmetic as ``candidate_levels``, in one quantile call per rule.
-The full candidate and count arrays are built only when a ``SelectorTrace``
-is asked for them.
-
-The core runs row by row on a (B, m) block of sorted prefixes, one row per
-observation vector of the same length ``n``: one ``norm_cdf`` pass and, per
-rule, one quantile call for the undecided indices of every row.  The public
-functions are its one-row case; the Monte Carlo engine selects the levels of
-a whole block of draws at once.
+Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
+(B, m) block of sorted prefixes, one row per observation vector of the same
+length ``n``: ``k_hat`` is the last hit of the step-up mask and ``k'`` the
+first miss after k = 1 of the step-down mask.  The mask is built in p-value
+form, comparing the tail ``Phi(-m_(k))`` (one ``norm_cdf`` pass shared by
+both rules) with ``alpha k / (2n)``.  Only entries whose tail lies within a
+relative ``1e-9`` of that probability are undecided; every column undecided
+in some row is compared exactly against ``xi_k``, computed by the same
+arithmetic as ``candidate_levels``, in all rows.  That is one quantile call
+per rule, shared by the rows, and one more for the two returned levels.
+The full candidate and count arrays are built only when a
+``SelectorTrace`` is asked for them.  The public functions are the one-row
+case; the Monte Carlo engine selects the levels of a whole block of draws
+at once.
 """
 
 from __future__ import annotations
@@ -219,12 +219,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def _levels_at(n: int, alpha: float, ks: np.ndarray) -> np.ndarray:
+def _levels_at(n: int, alpha, ks: np.ndarray) -> np.ndarray:
     """Candidate levels ``xi_k`` at the 1-based integer indices ``ks``.
 
     The one place the levels are computed: ``candidate_levels`` evaluates
     it at every index and the selector at a few, so the two agree bit for
-    bit.
+    bit.  ``alpha`` may be an array matching ``ks``; the arithmetic is
+    elementwise, so each entry equals the scalar call.
     """
     p = alpha * ks / (2.0 * n)
     levels = np.where(p < 0.5, -norm_quantile(np.minimum(p, _P_CLAMP)), 0.0)
@@ -271,103 +272,29 @@ def _counts_at(mags_desc: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return mags_desc.size - np.searchsorted(asc, levels, side="left")
 
 
-def _screen(tail, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices the p-value screen decides: (certain hits, certain misses).
+def _hits(mags, tail, n: int, alpha: float) -> np.ndarray:
+    """The exact mask ``m_(k) >= xi_k`` of a (B, m) block of sorted prefixes.
 
-    ``tail[b, k-1]`` is ``Phi(-m_(k))`` of row ``b`` for a prefix of the
-    ``n`` sorted magnitudes of each row; index k is a hit when
-    ``m_(k) >= xi_k``.  A hit is certain when
-    ``tail <= p (1 - rtol)`` with ``p = k / scale``, and a miss when
-    ``tail > p (1 + rtol)``; a few ulps of rounding in ``p (1 -/+ rtol)``
-    are far inside ``rtol``.  Indices in neither mask need the exact
-    comparison.
+    ``tail`` is ``Phi(-mags)``.  An entry is a certain hit when
+    ``tail <= p (1 - rtol)`` and a certain miss when ``tail > p (1 + rtol)``,
+    with ``p = alpha k / (2n)``; a few ulps of rounding in ``p (1 -/+ rtol)``
+    are far inside ``rtol``.  Every column undecided in some row is compared
+    exactly in all rows.
     """
     scale = 2.0 * n / alpha
     # only probabilities in [_SCREEN_MIN_P, _P_CLAMP) are screened; the
-    # rest, a prefix and a suffix of the indices, are left undecided
+    # rest, a prefix and a suffix of the columns, are always compared exactly
     low = int(min(n, _SCREEN_MIN_P * scale + 1.0))
     high = max(low, int(min(n, _P_CLAMP * scale)) - 1)
-    hit = np.zeros(tail.shape, dtype=bool)
-    miss = np.zeros(tail.shape, dtype=bool)
+    hit = np.zeros(mags.shape, dtype=bool)
     t = tail[:, low:high]
-    p = np.arange(1.0, tail.shape[1] + 1.0)[low:high] / scale
+    p = np.arange(1.0, mags.shape[1] + 1.0)[low:high] / scale
     np.less_equal(t, p * (1.0 - _SCREEN_RTOL), out=hit[:, low:high])
-    np.greater(t, p * (1.0 + _SCREEN_RTOL), out=miss[:, low:high])
-    return hit, miss
-
-
-def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the True entries of a 2-d mask, row by row."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
-def _row_first(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first of the positions ``at`` in each row that has one, and that row.
-
-    ``rows[at]`` must be sorted; pass ``at[::-1]`` for the last position.
-    """
-    r = rows[at]
-    lead = np.ones(r.size, dtype=bool)
-    lead[1:] = r[1:] != r[:-1]
-    return r[lead], at[lead]
-
-
-def _step_up(mags, tail, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the largest k with ``m_(k) >= xi_k`` and its level; (0, +inf) if none.
-
-    Each row of ``mags`` is a prefix of its ``n`` sorted magnitudes that
-    holds every hit.
-    """
-    hit, miss = _screen(tail, n, alpha)
-    count, size = mags.shape
-    last = np.where(hit.any(axis=1), size - np.argmax(hit[:, ::-1], axis=1), 0)
-    # a certain hit at ``last``, certain misses above it except these
-    rows, cols = _pairs(~miss)
-    keep = cols >= last[rows] - 1
-    rows, cols = rows[keep], cols[keep]
-    levels = _levels_at(n, alpha, cols + 1)
-    r, at = _row_first(rows, np.flatnonzero(mags[rows, cols] >= levels)[::-1])
-    k_hat = np.zeros(count, dtype=int)
-    k_hat[r] = cols[at] + 1
-    up = np.full(count, math.inf)
-    up[r] = levels[at]
-    return k_hat, up
-
-
-def _step_down(mags, tail, n: int, alpha: float) -> np.ndarray | None:
-    """Per row, ``xi_{k'-1}`` at the first ``k' >= 2`` with ``m_(k') < xi_{k'}``.
-
-    ``k' = n + 1`` when there is none; +inf when ``m_(1) < xi_1``.  Each row
-    of ``mags`` is a prefix of its ``n`` sorted magnitudes; None when the
-    prefixes are shorter than ``n`` and a row with ``m_(1) >= xi_1`` holds
-    no such ``k'``.
-    """
-    hit, miss = _screen(tail, n, alpha)
-    count, size = mags.shape
-    # the first certain miss after k = 1, or size + 1 when there is none
-    ends = np.ones((count, size), dtype=bool)
-    ends[:, :-1] = miss[:, 1:]
-    first = np.argmax(ends, axis=1) + 2
-    # certain hits below ``first`` except these
-    rows, cols = _pairs(~(hit | miss))
-    keep = (cols >= 1) & (cols <= first[rows] - 2)
-    rows, cols = rows[keep], cols[keep]
-    need = np.zeros((count, size), dtype=bool)
-    need[rows, cols] = True
-    need[rows, cols - 1] = True
-    need[:, 0] = True
-    need[np.arange(count), first - 2] = True
-    rows, cols = _pairs(need)
-    levels = _levels_at(n, alpha, cols + 1)
-    hits = mags[rows, cols] >= levels
-    stop = first.copy()
-    r, at = _row_first(rows, np.flatnonzero(~hits & (cols > 0)))
-    stop[r] = cols[at] + 1
-    reached = hits[cols == 0]
-    if size < n and (reached & (stop > size)).any():
-        return None
-    at = np.searchsorted(rows * size + cols, np.arange(count) * size + stop - 2)
-    return np.where(reached, levels[at], math.inf)
+    exact = np.ones(mags.shape[1], dtype=bool)
+    exact[low:high] = ((t <= p * (1.0 + _SCREEN_RTOL)) > hit[:, low:high]).any(axis=0)
+    cols = np.flatnonzero(exact)
+    hit[:, cols] = mags[:, cols] >= _levels_at(n, alpha, cols + 1)
+    return hit
 
 
 def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
@@ -399,10 +326,27 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _levels_from(mags, n: int, alpha1: float, alpha2: float):
-    """Step-up counts and levels and step-down levels from sorted prefixes, per row."""
+    """Per row of sorted prefixes: ``k_hat`` (the last step-up hit) and
+    ``xi_{k_hat}`` at slope ``alpha1``, and ``xi_{k'-1}`` at slope ``alpha2``
+    for the first step-down miss ``k' >= 2`` (``m + 1`` without one).  A
+    level is +inf when its rule rejects nothing.  None when the prefixes are
+    shorter than ``n`` and a row that reaches ``xi_1`` has no such miss.
+    """
     tail = norm_cdf(-mags)
-    k_hat, up = _step_up(mags, tail, n, alpha1)
-    return k_hat, up, _step_down(mags, tail, n, alpha2)
+    count, size = mags.shape
+    up_hit = _hits(mags, tail, n, alpha1)
+    k_hat = np.where(up_hit.any(axis=1), size - np.argmax(up_hit[:, ::-1], axis=1), 0)
+    down_hit = _hits(mags, tail, n, alpha2)
+    ends = np.ones((count, size), dtype=bool)
+    np.logical_not(down_hit[:, 1:], out=ends[:, :-1])
+    stop = np.argmax(ends, axis=1) + 2
+    reached = down_hit[:, 0]
+    if size < n and (reached & (stop > size)).any():
+        return None
+    alphas = np.array([alpha1, alpha2]).repeat(count)
+    levels = _levels_at(n, alphas, np.concatenate((np.maximum(k_hat, 1), stop - 1)))
+    up = np.where(k_hat > 0, levels[:count], math.inf)
+    return k_hat, up, np.where(reached, levels[count:], math.inf)
 
 
 def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
@@ -414,9 +358,9 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
     """
     n = absx.shape[1]
     if absx.shape[0] == 1 and n >= _TOPK_MIN_N and alpha2 <= alpha1:
-        k_hat, up, down = _levels_from(_top_magnitudes(absx[0], alpha1)[None], n, alpha1, alpha2)
-        if down is not None:
-            return k_hat, up, down
+        levels = _levels_from(_top_magnitudes(absx[0], alpha1)[None], n, alpha1, alpha2)
+        if levels is not None:
+            return levels
     return _levels_from(np.sort(absx, axis=1)[:, ::-1], n, alpha1, alpha2)
 
 

@@ -13,6 +13,7 @@ from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -167,12 +168,23 @@ def blocks(draw, max_n=40, max_rows=6):
     return np.stack([rows[i] for i in order]) * np.array(signs), alpha1, alpha2
 
 
-@SETTINGS
-@given(blocks())
-@example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.2))
-@example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.1))
-def test_block_core_matches_rows_and_brute_force(case):
-    x, alpha1, alpha2 = case
+def _row_on_level(n, k, alpha, toward=None):
+    """``m_(k)`` on the k-th level at slope ``alpha``, or the next float
+    toward ``toward``, after ``k - 1`` magnitudes of 9 and before zeros."""
+    level = candidate_levels(n, alpha)[k - 1]
+    if toward is not None:
+        level = np.nextafter(level, toward)
+    return np.array([9.0] * (k - 1) + [level] + [0.0] * (n - k))
+
+
+def _block_on_level(alpha, toward=None):
+    """One row with ``m_(3)`` on, or one ulp beside, a level and three rows
+    far from every level, so column 3 is undecided in one row only."""
+    far = [np.zeros(6), np.full(6, 1e3), np.array([9.0] * 4 + [0.0] * 2)]
+    return np.stack([far[0], _row_on_level(6, 3, alpha, toward), *far[1:]]), 0.2, 0.1
+
+
+def _assert_block_matches_rows(x, alpha1, alpha2):
     k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2)
     for row, k, u, d in zip(x, k_hat, up, down):
         assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)[1:]
@@ -184,6 +196,34 @@ def test_block_core_matches_rows_and_brute_force(case):
     )
     lambdas = selector._block_lambdas(np.abs(x), config)
     assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
+
+
+@SETTINGS
+@given(blocks())
+@example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.2))
+@example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.1))
+@example(_block_on_level(0.2))
+@example(_block_on_level(0.2, 0.0))
+@example(_block_on_level(0.2, np.inf))
+@example(_block_on_level(0.1))
+@example(_block_on_level(0.1, 0.0))
+@example(_block_on_level(0.1, np.inf))
+def test_block_core_matches_rows_and_brute_force(case):
+    _assert_block_matches_rows(*case)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 10**6),
+    ALPHAS,
+    ALPHAS,
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=20),
+)
+def test_levels_at_array_alpha_matches_scalar_calls(n, alpha1, alpha2, ks):
+    ks = np.minimum(ks, n)
+    got = selector._levels_at(n, np.repeat([alpha1, alpha2], ks.size), np.concatenate((ks, ks)))
+    want = np.concatenate((selector._levels_at(n, alpha1, ks), selector._levels_at(n, alpha2, ks)))
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +248,13 @@ def _full_core():
 def _top_k_run(test, *args):
     with _top_k_everywhere():
         test.hypothesis.inner_test(*args)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.1])
+@pytest.mark.parametrize("toward", [None, 0.0, np.inf])
+def test_top_k_row_on_level(alpha, toward):
+    with _top_k_everywhere():
+        _assert_block_matches_rows(_row_on_level(40, 4, alpha, toward)[None], 0.2, 0.1)
 
 
 @SETTINGS

@@ -216,8 +216,9 @@ def _capped_quadratic_objective(x, level, gamma):
 
     span = abs(x) + gamma * level + 1.0
     grid = np.linspace(-span, span, 8001)
-    vals = [obj(m) for m in grid]
-    i = int(np.argmin(vals))
+    a = np.abs(grid)
+    pens = np.where(a < gamma * level, level * a - a * a / (2.0 * gamma), gamma * level * level / 2.0)
+    i = int(np.argmin(0.5 * (x - grid) ** 2 + pens))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
