@@ -8,7 +8,9 @@ Subcommands::
     fdrthresh experiment --config cfg [--out DIR] [--seed N] [--replicates N]
 
 Configs are flat ``key = value`` text files validated against a typed
-schema per subcommand; ``#`` starts a comment.  Every run writes the fully
+schema per subcommand; ``#`` starts a comment.  The selector keys of
+``estimate`` and ``experiment`` and their defaults are the fields of
+``FdrConfig`` (all but ``g1``).  Every run writes the fully
 resolved configuration next to its outputs, so rerunning with that file
 reproduces the outputs byte for byte.  Exit codes: 0 success, 2 input or
 config validation failure, 3 runtime failure.
@@ -17,6 +19,7 @@ config validation failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -92,13 +95,7 @@ class _Key:
 
 
 _SELECTOR_KEYS = {
-    "alpha1": _Key("float", 0.05),
-    "alpha2": _Key("float", 0.05),
-    "alpha1p": _Key("float", 0.1),
-    "alpha2p": _Key("float", 0.025),
-    "delta1": _Key("float", 0.0),
-    "delta2": _Key("float", 0.0),
-    "interp": _Key("float", 0.0),
+    f.name: _Key("float", f.default) for f in dataclasses.fields(FdrConfig) if f.name != "g1"
 }
 
 _FAMILY_KEYS = {
@@ -222,29 +219,17 @@ def _write_json(path: Path, cfg: dict, extra: dict) -> None:
 
 def _selector_config(cfg: dict) -> FdrConfig:
     try:
-        return FdrConfig(
-            alpha1=cfg["alpha1"],
-            alpha2=cfg["alpha2"],
-            alpha1p=cfg["alpha1p"],
-            alpha2p=cfg["alpha2p"],
-            delta1=cfg["delta1"],
-            delta2=cfg["delta2"],
-            interp=cfg["interp"],
-        )
+        return FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def _family(cfg: dict) -> ThresholdFamily:
+    """The configured family; ``hard`` only with ``allow_hard = true``."""
+    if cfg["family"] == "hard" and not cfg["allow_hard"]:
+        raise ConfigError("family = hard requires allow_hard = true")
     try:
-        kind = cfg["family"]
-        if kind == "firm":
-            return ThresholdFamily("firm", firm_slope=cfg["firm_slope"])
-        if kind == "interpolated":
-            return ThresholdFamily(
-                "interpolated", firm_slope=cfg["firm_slope"], weight=cfg["weight"]
-            )
-        return ThresholdFamily(kind)
+        return ThresholdFamily(cfg["family"], cfg["firm_slope"], cfg["weight"])
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -259,10 +244,8 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> None:
         raise ConfigError(str(exc))
     if not np.isfinite(x).all():
         raise ConfigError(f"input {cfg['input']}: every value must be finite")
-    family = _family(cfg)
     sel = _selector_config(cfg)
-    if family.kind == "hard" and not cfg["allow_hard"]:
-        raise ConfigError("family = hard requires allow_hard = true")
+    family = _family(cfg)
     report = fdr_threshold_estimate(x, family, sel, allow_hard=cfg["allow_hard"])
     rows = enumerate(zip(x.tolist(), report.estimate.tolist()))
     _write_csv(
@@ -366,77 +349,57 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     kind = cfg["kind"]
     sel = _selector_config(cfg)
     family = _family(cfg)
-    if family.kind == "hard" and not cfg["allow_hard"]:
-        raise ConfigError("family = hard requires allow_hard = true")
     if kind == "minimax" and not (0.0 < cfg["radius"] < math.inf and 0.0 <= cfg["p"] < 2.0):
         raise ConfigError("minimax experiment requires 0 < radius < inf and 0 <= p < 2")
     if kind == "concentration" and not cfg["level"] >= 0.0:
         raise ConfigError("concentration check requires level >= 0")
     theta = _experiment_theta(cfg)
-    rows: list[tuple[str, str]] = []
-    extra: dict = {"kind": kind}
     if kind == "regret":
         rep = regret_experiment(
             theta, cfg["replicates"], cfg["seed"], sel, family, strong=cfg["strong"]
         )
-        rows += [
-            ("mc_risk", repr(rep.mc.mean)),
-            ("mc_se", repr(rep.mc.std_error)),
-            ("exact_total", repr(rep.exact_total)),
-            ("regret", repr(rep.regret)),
-            ("ratio", repr(rep.ratio)),
-            ("degenerate", str(rep.degenerate).lower()),
-        ]
-        extra["fingerprint"] = rep.mc.config_fingerprint
+        results = {
+            "mc_risk": rep.mc.mean, "mc_se": rep.mc.std_error, "exact_total": rep.exact_total,
+            "regret": rep.regret, "ratio": rep.ratio, "degenerate": rep.degenerate,
+        }
         if rep.oracle_mc is not None:
-            rows += [
-                ("oracle_risk", repr(rep.oracle_mc.mean)),
-                ("oracle_se", repr(rep.oracle_mc.std_error)),
-                ("oracle_ratio", repr(rep.oracle_ratio)),
-            ]
+            results.update(
+                oracle_risk=rep.oracle_mc.mean,
+                oracle_se=rep.oracle_mc.std_error,
+                oracle_ratio=rep.oracle_ratio,
+            )
     elif kind == "common_mean":
         rep = common_mean_experiment(
             cfg["n"], cfg["mu"], cfg["replicates"], cfg["seed"], sel, cfg["firm_slope"]
         )
+        results = {}
         for label, mean, se in rep.rows:
-            rows += [(f"{label}_risk", repr(mean)), (f"{label}_se", repr(se))]
-        rows.append(("exact_total", repr(rep.exact_total)))
-        extra["fingerprint"] = rep.config_fingerprint
+            results.update({f"{label}_risk": mean, f"{label}_se": se})
+        results["exact_total"] = rep.exact_total
     elif kind == "minimax":
         rep = minimax_ball_experiment(
-            cfg["n"],
-            cfg["p"],
-            cfg["radius"],
-            cfg["replicates"],
-            cfg["seed"],
-            sel,
-            family,
+            cfg["n"], cfg["p"], cfg["radius"], cfg["replicates"], cfg["seed"], sel, family,
             weak=cfg["weak"],
         )
-        rows += [
-            ("mc_risk", repr(rep.mc.mean)),
-            ("mc_se", repr(rep.mc.std_error)),
-            ("benchmark", repr(rep.benchmark)),
-            ("ratio", repr(rep.ratio)),
-            ("level", repr(rep.level)),
-        ]
-        extra["fingerprint"] = rep.mc.config_fingerprint
+        results = {
+            "mc_risk": rep.mc.mean, "mc_se": rep.mc.std_error, "benchmark": rep.benchmark,
+            "ratio": rep.ratio, "level": rep.level,
+        }
     else:  # concentration
         if not family.is_smooth:
             raise ConfigError("concentration check requires a smooth family")
         rep = concentration_check(theta, cfg["level"], family, cfg["replicates"], cfg["seed"])
-        rows += [
-            ("variance", repr(rep.variance)),
-            ("bound", repr(rep.bound)),
-            ("se_variance", repr(rep.se_variance)),
-            ("passed", str(rep.passed).lower()),
-        ]
-        extra["fingerprint"] = rep.config_fingerprint
-    rows.append(("seed", str(cfg["seed"])))
-    _write_csv(
-        out_dir / "experiment.csv", "metric:str,value:str", (f"{k},{v}" for k, v in rows)
-    )
-    _write_json(out_dir / "experiment.json", cfg, {**extra, "results": dict(rows)})
+        results = {
+            "variance": rep.variance, "bound": rep.bound, "se_variance": rep.se_variance,
+            "passed": rep.passed,
+        }
+    results["seed"] = cfg["seed"]
+    rows = {k: _format_value(v) for k, v in results.items()}
+    _write_csv(out_dir / "experiment.csv", "metric:str,value:str", map(",".join, rows.items()))
+    # regret and minimax reports carry their fingerprint in their McEstimate
+    fingerprint = getattr(rep, "mc", rep).config_fingerprint
+    extra = {"kind": kind, "fingerprint": fingerprint, "results": rows}
+    _write_json(out_dir / "experiment.json", cfg, extra)
 
 
 # ---------------------------------------------------------------------------

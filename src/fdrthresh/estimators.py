@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selector as _selector
 from .selector import FdrConfig, SelectorTrace, select_lambda
-from .thresholds import ThresholdFamily, apply_family
+from .thresholds import ThresholdFamily, _check_level, _check_observations, apply_family
 
 __all__ = [
     "EstimateReport",
@@ -103,9 +102,7 @@ def fixed_threshold_estimate(
     x, family: ThresholdFamily, level: float
 ) -> EstimateReport:
     """Threshold ``x`` at a fixed level (possibly +inf for the zero fit)."""
-    level = float(level)
-    if math.isnan(level) or level < 0.0:
-        raise ValueError("level must be >= 0")
+    level = _check_level(float(level))
     est = apply_family(np.asarray(x, dtype=float), level, family)
     return EstimateReport(
         estimate=np.asarray(est, dtype=float),
@@ -122,7 +119,7 @@ def sample_mean_estimate(x) -> EstimateReport:
     The classical comparator when all means are believed equal; its total
     squared-error risk is exactly 1 regardless of the common value.
     """
-    arr = _selector._check_observations(x)
+    arr = _check_observations(x)
     est = np.full(arr.shape, float(arr.mean()))
     return EstimateReport(
         estimate=est,

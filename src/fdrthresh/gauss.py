@@ -55,9 +55,7 @@ def norm_cdf(x):
 
     Infinite inputs map to exact 0.0 / 1.0.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("x must not contain NaN")
+    arr = _as_float_array(x, "x")
     out = 0.5 * _sp.erfc(-arr / _SQRT2)
     return out if arr.ndim else float(out)
 
@@ -98,9 +96,7 @@ def truncated_moments(a):
     Returns the triple ``(m0, m1, m2)``.  ``a`` may be an extended real:
     -inf gives (1, 0, 1) and +inf gives (0, 0, 0).  Vectorized in ``a``.
     """
-    arr = np.asarray(a, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("a must not contain NaN")
+    arr = _as_float_array(a, "a")
     m0 = norm_cdf(-arr)
     finite = np.isfinite(arr)
     a_fin = np.where(finite, arr, 0.0)

@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gauss import _bisect, norm_cdf, norm_pdf
+from .gauss import _as_float_array, _bisect, norm_cdf, norm_pdf
+from .thresholds import _check_level
 
 __all__ = [
     "EmpiricalPrior",
@@ -134,13 +135,8 @@ def soft_risk(mu, level):
     Broadcasts over array arguments.  ``level = +inf`` (the zero estimator)
     gives ``mu^2``; ``level = 0`` (the identity) gives 1.
     """
-    mu_arr = np.asarray(mu, dtype=float)
-    lev_arr = np.asarray(level, dtype=float)
-    if np.isnan(mu_arr).any():
-        raise ValueError("mu must not contain NaN")
-    if np.isnan(lev_arr).any() or (lev_arr < 0.0).any():
-        raise ValueError("level must be >= 0")
-    mu_b, lev_b = np.broadcast_arrays(mu_arr, lev_arr)
+    mu_arr = _as_float_array(mu, "mu")
+    mu_b, lev_b = np.broadcast_arrays(mu_arr, _check_level(level))
     finite = np.isfinite(lev_b)
     lev_f = np.where(finite, lev_b, 1.0)
     upper = norm_cdf(-lev_f - mu_b)  # Phi(-(L + mu)), shared with q(L + mu)
@@ -162,9 +158,7 @@ def bayes_soft_risk(prior: EmpiricalPrior, level):
 
 def clipped_second_moment(prior: EmpiricalPrior, level):
     """``E_G min(theta^2, level^2)``; exact ``E_G theta^2`` at ``level = inf``."""
-    lev = np.asarray(level, dtype=float)
-    if np.isnan(lev).any() or (lev < 0.0).any():
-        raise ValueError("level must be >= 0")
+    lev = np.asarray(_check_level(level))
     clipped = np.minimum(prior.atoms[:, None] ** 2, np.atleast_1d(lev)[None, :] ** 2)
     mixed = prior.weights @ clipped
     return float(mixed[0]) if lev.ndim == 0 else mixed
@@ -348,9 +342,7 @@ def smooth_risk_bound(prior: EmpiricalPrior, level: float, c0: float) -> float:
     """
     if not (c0 >= 1.0):
         raise ValueError("c0 must be >= 1")
-    level = float(level)
-    if math.isnan(level) or level < 0.0:
-        raise ValueError("level must be >= 0")
+    level = _check_level(float(level))
     if math.isinf(level):
         return prior.mean_square
     widened = math.sqrt(level * level + 2.0)
@@ -366,6 +358,16 @@ class DiagnosticConstants:
     tau2_star: float
     nu1_star: float
     nu2_star: float
+
+
+def _check_decay(c1: float, c2: float, m0: float) -> None:
+    """The exponents of a level transform's risk-decay certificate."""
+    if not (0.0 < c1 <= 2.0):
+        raise ValueError("c1 must lie in (0, 2]")
+    if abs(c2) > m0:
+        raise ValueError("|c2| must not exceed m0")
+    if c1 == 2.0 and c2 > 0.0:
+        raise ValueError("c2 must be <= 0 when c1 = 2")
 
 
 def _log_plus(x: float) -> float:
@@ -406,12 +408,7 @@ def diagnostic_constants(
         raise ValueError("n must be >= 2")
     if not (0.0 <= delta1 <= delta2):
         raise ValueError("need 0 <= delta1 <= delta2")
-    if not (0.0 < c1 <= 2.0):
-        raise ValueError("c1 must lie in (0, 2]")
-    if abs(c2) > m0:
-        raise ValueError("|c2| must not exceed m0")
-    if c1 == 2.0 and c2 > 0.0:
-        raise ValueError("c2 must be <= 0 when c1 = 2")
+    _check_decay(c1, c2, m0)
     if not (eta_star > 0.0):
         raise ValueError("eta_star must be positive")
     # equality of nominal and population rates is allowed here (it just

@@ -51,7 +51,8 @@ both rules) with ``alpha k / (2n)``.  Only entries whose tail lies within a
 relative ``1e-9`` of that probability are undecided; every column undecided
 in some row is compared exactly against ``xi_k``, computed by the same
 arithmetic as ``candidate_levels``, in all rows.  That is one quantile call
-per rule, shared by the rows, and one more for the two returned levels.
+per rule, shared by the rows (one in all when ``alpha2 == alpha1``, since
+both rules then read the same mask), and one more for the returned levels.
 The full candidate and count arrays are built only when a
 ``SelectorTrace`` is asked for them.  The public functions are the one-row
 case; the Monte Carlo engine selects the levels of a whole block of draws
@@ -68,7 +69,8 @@ from typing import Callable
 import numpy as np
 
 from .gauss import norm_cdf, norm_quantile
-from .risk import soft_risk
+from .risk import _check_decay, soft_risk
+from .thresholds import _check_observations
 
 __all__ = [
     "G1Transform",
@@ -130,12 +132,7 @@ class G1Transform:
         c2: float = 0.0,
         m0: float = 4.0,
     ) -> None:
-        if not (0.0 < c1 <= 2.0):
-            raise ValueError("c1 must lie in (0, 2]")
-        if abs(c2) > m0:
-            raise ValueError("|c2| must not exceed m0")
-        if c1 == 2.0 and c2 > 0.0:
-            raise ValueError("c2 must be <= 0 when c1 = 2")
+        _check_decay(c1, c2, m0)
         self.fn = fn
         self.c1 = float(c1)
         self.c2 = float(c2)
@@ -255,15 +252,6 @@ def exceed_count(x, t: float) -> int:
     return int(np.count_nonzero(np.abs(arr) >= t))
 
 
-def _check_observations(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("x must be a nonempty 1-d vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("x must be finite")
-    return arr
-
-
 def _counts_at(mags_desc: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """N(levels[j]) for each j, from magnitudes sorted in decreasing order."""
     # count of entries >= t equals the insertion index of t into the
@@ -336,7 +324,7 @@ def _levels_from(mags, n: int, alpha1: float, alpha2: float):
     count, size = mags.shape
     up_hit = _hits(mags, tail, n, alpha1)
     k_hat = np.where(up_hit.any(axis=1), size - np.argmax(up_hit[:, ::-1], axis=1), 0)
-    down_hit = _hits(mags, tail, n, alpha2)
+    down_hit = up_hit if alpha2 == alpha1 else _hits(mags, tail, n, alpha2)
     ends = np.ones((count, size), dtype=bool)
     np.logical_not(down_hit[:, 1:], out=ends[:, :-1])
     stop = np.argmax(ends, axis=1) + 2

@@ -35,7 +35,7 @@ import numpy as np
 
 from .risk import EmpiricalPrior, optimal_levels
 from .selector import FdrConfig, _block_lambdas
-from .thresholds import ThresholdFamily, apply_family
+from .thresholds import ThresholdFamily, _check_level, apply_family
 
 __all__ = [
     "SignalGenerator",
@@ -100,7 +100,8 @@ class SignalGenerator:
                                strong balls put floor(n radius^p / level^p)
                                spikes at `level` (floor(n radius) for p=0);
                                weak balls use the capped ordered profile
-                               min(radius (n/k)^(1/p), level).
+                               min(radius (n/k)^(1/p), level);
+                               level, minimax_level by default, lies in (0, inf).
     """
 
     kind: str
@@ -130,10 +131,12 @@ class SignalGenerator:
     def least_favorable(
         cls, p: float, radius: float, weak: bool = False, level: float | None = None
     ) -> "SignalGenerator":
-        if p < 0.0 or radius <= 0.0:
+        if not (p >= 0.0 and radius > 0.0):
             raise ValueError("need p >= 0 and radius > 0")
         if weak and p == 0.0:
             raise ValueError("weak balls require p > 0")
+        if level is not None and not 0.0 < level < math.inf:
+            raise ValueError("level must lie in (0, inf)")
         return cls("least_favorable", p=float(p), radius=float(radius), weak=weak, level=level)
 
     def realize(self, n: int) -> np.ndarray:
@@ -153,22 +156,13 @@ class SignalGenerator:
             lam = self.level if self.level is not None else minimax_level(n, self.p, self.radius)
             if self.weak:
                 k = np.arange(1, n + 1)
-                theta = np.minimum(self.radius * (n / k) ** (1.0 / self.p), lam)
-                if not (theta <= self.radius * (n / k) ** (1.0 / self.p) * (1 + 1e-12)).all():
-                    raise ValueError("signal leaves the weak lp ball")
-                return theta
+                return np.minimum(self.radius * (n / k) ** (1.0 / self.p), lam)
             if self.p == 0.0:
                 m = min(int(math.floor(n * self.radius)), n)
             else:
                 m = min(int(math.floor(n * self.radius**self.p / lam**self.p)), n)
             theta = np.zeros(n)
             theta[:m] = lam
-            if self.p > 0.0:
-                inside = np.mean(np.abs(theta) ** self.p) <= self.radius**self.p * (1 + 1e-12)
-            else:
-                inside = np.count_nonzero(theta) <= n * self.radius * (1 + 1e-12)
-            if not inside:
-                raise ValueError("signal leaves the lp ball")
             return theta
         raise ValueError(f"unknown signal kind: {self.kind!r}")
 
@@ -625,9 +619,7 @@ def concentration_check(
         raise ValueError("concentration bound requires a smooth family")
     theta = np.asarray(theta, dtype=float)
     n = theta.size
-    level = float(level)
-    if math.isnan(level) or level < 0.0:
-        raise ValueError("level must be >= 0")
+    level = _check_level(float(level))
 
     loss = _threshold_losses(theta)
     scaled_loss = lambda x: np.sqrt(loss(x, np.abs(x), np.full(x.shape[0], level), family) / n)

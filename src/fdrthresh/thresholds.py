@@ -40,6 +40,16 @@ def _check_level(level):
     return level
 
 
+def _check_observations(x) -> np.ndarray:
+    """``x`` as a nonempty, finite 1-d float vector."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("x must be a nonempty 1-d vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("x must be finite")
+    return arr
+
+
 def soft(x, level: float):
     """Soft threshold ``sign(x) * (|x| - level)+``; ``level = inf`` maps to 0.
 
@@ -188,11 +198,7 @@ def plse_local_minima(x, penalty_levels) -> list[PenalizedFit]:
     is the k-th largest absolute observation and out-of-range conditions
     are vacuous (k = 0 and k = n).  Returned in increasing support order.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("x must be a nonempty 1-d vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("x must be finite")
+    arr = _check_observations(x)
     levels = np.asarray(penalty_levels, dtype=float)
     if levels.shape != arr.shape:
         raise ValueError("penalty_levels must have the same length as x")

@@ -95,6 +95,8 @@ def test_estimate_hard_needs_opt_in(tmp_path, four_point):
         lambda text: "\n".join(l for l in text.splitlines() if not l.startswith("input")),
         lambda text: text + "this line has no assignment\n",
         lambda text: text.replace("alpha1p = 0.4", "alpha1p = 0.1"),  # bad chain
+        lambda text: text.replace("family = soft", "family = firm") + "firm_slope = 2.5\n",
+        lambda text: text.replace("family = soft", "family = interpolated") + "weight = 2\n",
     ],
 )
 def test_estimate_config_validation_exit_2(tmp_path, four_point, mutate, capsys):
@@ -433,6 +435,9 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_EXPERIMENT, "kind = minimax\np = 2.5\nradius = 0.1\n"),
         (_EXPERIMENT, "kind = minimax\np = 0\nweak = true\nradius = 0.1\n"),
         (_EXPERIMENT, "kind = minimax\np = 1\nradius = nan\n"),
+        (_EXPERIMENT, "kind = regret\nfamily = firm\nfirm_slope = 2.5\n"),
+        (_EXPERIMENT, "kind = regret\nfamily = interpolated\nweight = 2\n"),
+        (_EXPERIMENT, "kind = regret\nalpha1p = 0.04\n"),
         (_CURVE, "functional = surrogate_risk\nb0 = nan\n"),
         (_CURVE, "level_max = inf\n"),
         (("fdr-curve", "atoms = 0, 3\n"), "level_max = inf\n"),

@@ -474,9 +474,12 @@ class TestSignalGenerator:
         assert np.all(ordered <= cap * (1 + 1e-12))
         lam = minimax_level(n, p, radius)
         assert np.all(ordered <= lam + 1e-12)
-        # the membership check raises, and survives python -O
-        with pytest.raises(ValueError):
-            SignalGenerator.least_favorable(p, radius, weak=True, level=math.nan).realize(n)
+        # a spike level outside (0, inf) is rejected when the generator is
+        # built, for weak and strong balls alike, and the check survives python -O
+        for weak in (True, False):
+            for level in (math.nan, 0.0, -1.0, math.inf):
+                with pytest.raises(ValueError, match=r"level must lie in \(0, inf\)"):
+                    SignalGenerator.least_favorable(p, radius, weak=weak, level=level)
 
     def test_describe(self):
         assert SignalGenerator.zero().describe()
