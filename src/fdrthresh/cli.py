@@ -12,8 +12,11 @@ schema per subcommand; ``#`` starts a comment.  The selector keys of
 ``estimate`` and ``experiment`` and their defaults are the fields of
 ``FdrConfig`` (all but ``g1``).  Every run writes the fully
 resolved configuration next to its outputs, so rerunning with that file
-reproduces the outputs byte for byte.  Exit codes: 0 success, 2 input or
-config validation failure, 3 runtime failure.
+reproduces the outputs byte for byte.  The CLI itself checks only the
+config syntax, the input file, the curve grid and the ``allow_hard``
+opt-in; every other rule on a value is the library's, with its message.
+Exit codes: 0 success; 2 for any ``ValueError``, whether from the config,
+the input file or a library argument check; 3 for any other failure.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _resolve_config(command: str, path: str, overrides: dict) -> dict:
     schema = _SCHEMAS[command]
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     raw = _parse_config_text(text, path)
     unknown = set(raw) - set(schema)
@@ -217,21 +220,11 @@ def _write_json(path: Path, cfg: dict, extra: dict) -> None:
     path.write_text(json.dumps({**meta, **extra}, indent=2, sort_keys=True) + "\n")
 
 
-def _selector_config(cfg: dict) -> FdrConfig:
-    try:
-        return FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _family(cfg: dict) -> ThresholdFamily:
     """The configured family; ``hard`` only with ``allow_hard = true``."""
     if cfg["family"] == "hard" and not cfg["allow_hard"]:
         raise ConfigError("family = hard requires allow_hard = true")
-    try:
-        return ThresholdFamily(cfg["family"], cfg["firm_slope"], cfg["weight"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return ThresholdFamily(cfg["family"], cfg["firm_slope"], cfg["weight"])
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +233,11 @@ def _family(cfg: dict) -> ThresholdFamily:
 def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     try:
         x = read_vector(cfg["input"])
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ConfigError(str(exc))
     if not np.isfinite(x).all():
         raise ConfigError(f"input {cfg['input']}: every value must be finite")
-    sel = _selector_config(cfg)
+    sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
     family = _family(cfg)
     report = fdr_threshold_estimate(x, family, sel, allow_hard=cfg["allow_hard"])
     rows = enumerate(zip(x.tolist(), report.estimate.tolist()))
@@ -256,18 +249,9 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     _write_json(out_dir / "estimate.json", cfg, report.to_dict())
 
 
-def _build_prior(cfg: dict) -> EmpiricalPrior:
-    atoms = np.asarray(cfg["atoms"], dtype=float)
-    weights = np.asarray(cfg["weights"], dtype=float) if cfg["weights"] else None
-    n = cfg["n"] if cfg["n"] > 0 else None
-    try:
-        return EmpiricalPrior.from_atoms(atoms, weights, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = None) -> None:
-    prior = _build_prior(cfg)
+    # n = 0 (the default) sizes the prior by its atoms
+    prior = EmpiricalPrior.from_atoms(cfg["atoms"], cfg["weights"] or None, cfg["n"] or None)
     functional = functional or cfg.get("functional", "bayes_risk")
     level_max = cfg["level_max"]
     if level_max <= 0.0:
@@ -284,11 +268,8 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
         if math.isfinite(opt.level_exact):
             vlines.append((opt.level_exact, "optimal"))
     elif functional == "surrogate_risk":
-        b0 = cfg.get("b0", 4.0)
-        if not b0 >= 4.0:
-            raise ConfigError("b0 must be >= 4")
-        values = surrogate_risk(prior, levels, b0)
-        opt = optimal_levels(prior, b0=b0, level_max=level_max)
+        values = surrogate_risk(prior, levels, cfg["b0"])
+        opt = optimal_levels(prior, b0=cfg["b0"], level_max=level_max)
         if math.isfinite(opt.level_surrogate):
             vlines.append((opt.level_surrogate, "optimal"))
     else:
@@ -309,51 +290,16 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
             },
         )
     elif fmt == "svg":
-        svg = svg_line_chart(
-            [(functional, levels, values)],
-            title=functional,
-            xlabel="level",
-            ylabel="value",
-            vlines=vlines,
-        )
+        svg = svg_line_chart(functional, levels, values, vlines)
         (out_dir / "curve.svg").write_text(svg + "\n")
 
 
-def _experiment_theta(cfg: dict) -> np.ndarray:
-    kind = cfg["kind"]
-    try:
-        if kind == "common_mean":
-            gen = SignalGenerator.common_mean(cfg["mu"])
-        elif kind == "minimax":
-            gen = SignalGenerator.least_favorable(cfg["p"], cfg["radius"], weak=cfg["weak"])
-        elif cfg["spike_count"] > 0:
-            gen = SignalGenerator.spikes(cfg["spike_count"], cfg["spike_value"])
-        else:
-            gen = SignalGenerator.zero()
-        theta = gen.realize(cfg["n"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    top = max(float(theta.max()), -float(theta.min()))  # NaN if theta holds one
-    if not math.isfinite(theta.size * top * top):
-        raise ConfigError(f"{kind} experiment: n * max|theta|^2 must be finite")
-    return theta
-
-
 def cmd_experiment(cfg: dict, out_dir: Path) -> None:
-    if cfg["n"] < 1:
-        raise ConfigError("n must be >= 1")
-    if cfg["replicates"] < 2:
-        raise ConfigError("replicates must be >= 2")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be >= 0")
     kind = cfg["kind"]
-    sel = _selector_config(cfg)
+    sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
     family = _family(cfg)
-    if kind == "minimax" and not (0.0 < cfg["radius"] < math.inf and 0.0 <= cfg["p"] < 2.0):
-        raise ConfigError("minimax experiment requires 0 < radius < inf and 0 <= p < 2")
-    if kind == "concentration" and not cfg["level"] >= 0.0:
-        raise ConfigError("concentration check requires level >= 0")
-    theta = _experiment_theta(cfg)
+    if kind in ("regret", "concentration"):
+        theta = SignalGenerator.spikes(cfg["spike_count"], cfg["spike_value"]).realize(cfg["n"])
     if kind == "regret":
         rep = regret_experiment(
             theta, cfg["replicates"], cfg["seed"], sel, family, strong=cfg["strong"]
@@ -386,8 +332,6 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
             "ratio": rep.ratio, "level": rep.level,
         }
     else:  # concentration
-        if not family.is_smooth:
-            raise ConfigError("concentration check requires a smooth family")
         rep = concentration_check(theta, cfg["level"], family, cfg["replicates"], cfg["seed"])
         results = {
             "variance": rep.variance, "bound": rep.bound, "se_variance": rep.se_variance,
@@ -422,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--replicates", type=int, help="override config replicates")
         elif name in ("risk-curve", "fdr-curve"):
             p.add_argument(
-                "--format", choices=("csv", "json", "svg"), default="csv", help="curve output format"
+                "--format", choices=("csv", "json", "svg"), default="csv", help="output format"
             )
     return parser
 
@@ -443,7 +387,7 @@ def main(argv=None) -> int:
         else:
             cmd_experiment(cfg, out_dir)
         _write_resolved(cfg, out_dir)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError or a library argument check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -57,7 +57,8 @@ class EmpiricalPrior:
     ``atoms`` are the distinct support points, ``weights`` their
     probabilities (summing to one), and ``n`` the number of coordinates the
     prior summarizes (used for default level ranges; ``len(atoms)`` when
-    not given).
+    not given).  A prior whose ``n * max|atom|^2`` is not finite is
+    rejected: its mean square and every risk total would not be finite.
     """
 
     atoms: np.ndarray
@@ -69,8 +70,6 @@ class EmpiricalPrior:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.ndim != 1 or atoms.size == 0:
             raise ValueError("atoms must be a nonempty 1-d vector")
-        if not np.isfinite(atoms).all():
-            raise ValueError("atoms must be finite")
         if weights.shape != atoms.shape:
             raise ValueError("weights must match atoms in length")
         if (weights < 0.0).any() or not np.isfinite(weights).all():
@@ -82,6 +81,9 @@ class EmpiricalPrior:
         object.__setattr__(self, "weights", weights / total)
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        top = float(np.abs(atoms).max())  # NaN or inf when an atom is not finite
+        if not math.isfinite(self.n * top * top):
+            raise ValueError("n * max|theta|^2 must be finite")
 
     @classmethod
     def from_atoms(cls, atoms, weights=None, n: int | None = None) -> "EmpiricalPrior":
@@ -94,17 +96,10 @@ class EmpiricalPrior:
 
     @classmethod
     def from_vector(cls, theta) -> "EmpiricalPrior":
-        """Empirical distribution of the entries of a mean vector.
-
-        Rejects a vector whose ``n * max|theta|^2`` overflows: its mean
-        square and every risk total would be infinite.
-        """
+        """Empirical distribution of the entries of a mean vector."""
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("theta must be a nonempty 1-d vector")
-        top = max(float(theta.max()), -float(theta.min()))  # NaN if theta holds one
-        if not math.isfinite(theta.size * top * top):
-            raise ValueError("theta: n * max|theta|^2 must be finite")
         values, counts = np.unique(theta, return_counts=True)
         return cls(values, counts / theta.size, theta.size)
 

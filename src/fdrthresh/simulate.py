@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,6 +57,14 @@ __all__ = [
 ]
 
 
+def _check_ball(p: float, radius: float, weak: bool = False) -> None:
+    """The l_p ball of a least-favorable signal: ``p >= 0``, a finite positive radius."""
+    if not (p >= 0.0 and 0.0 < radius < math.inf):
+        raise ValueError("need p >= 0 and 0 < radius < inf")
+    if weak and p == 0.0:
+        raise ValueError("weak balls require p > 0")
+
+
 def minimax_level(n: int, p: float, radius: float) -> float:
     """Calibrated threshold level ``1 v sqrt(2 log(n ^ radius^(-p')))``.
 
@@ -65,26 +74,35 @@ def minimax_level(n: int, p: float, radius: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p < 0.0 or radius <= 0.0:
-        raise ValueError("need p >= 0 and radius > 0")
+    _check_ball(p, radius)
     pp = p if p > 0.0 else 1.0
-    inner = min(float(n), radius**-pp)
-    return max(1.0, math.sqrt(2.0 * max(0.0, math.log(inner))))
+    try:
+        inner = min(float(n), radius**-pp)
+    except OverflowError:  # radius^(-p') lies past the float range, far above n
+        inner = float(n)
+    return max(1.0, math.sqrt(2.0 * math.log(max(inner, 1.0))))
 
 
 def minimax_benchmark(n: int, p: float, radius: float, weak: bool = False) -> float:
     """Leading-order minimax risk over the ball: ``M n radius^p' level^(2-p)``.
 
     ``M = 1`` for strong balls and ``2/(2-p)`` for weak balls (``p < 2``).
+    A benchmark that overflows or falls below the smallest normal float is
+    rejected: the risk ratio against it would be meaningless.
     """
     if not (0.0 <= p < 2.0):
         raise ValueError("benchmark requires 0 <= p < 2")
-    if weak and p == 0.0:
-        raise ValueError("weak balls require p > 0")
+    _check_ball(p, radius, weak)
     lam = minimax_level(n, p, radius)
     mult = 1.0 if not weak else 2.0 / (2.0 - p)
     pp = p if p > 0.0 else 1.0
-    return mult * n * radius**pp * lam ** (2.0 - p)
+    try:
+        bench = mult * n * radius**pp * lam ** (2.0 - p)
+    except OverflowError:
+        bench = math.inf
+    if not sys.float_info.min <= bench < math.inf:
+        raise ValueError("benchmark must be a finite normal float: radius is out of range for n")
+    return bench
 
 
 @dataclass(frozen=True)
@@ -131,10 +149,7 @@ class SignalGenerator:
     def least_favorable(
         cls, p: float, radius: float, weak: bool = False, level: float | None = None
     ) -> "SignalGenerator":
-        if not (p >= 0.0 and radius > 0.0):
-            raise ValueError("need p >= 0 and radius > 0")
-        if weak and p == 0.0:
-            raise ValueError("weak balls require p > 0")
+        _check_ball(p, radius, weak)
         if level is not None and not 0.0 < level < math.inf:
             raise ValueError("level must lie in (0, inf)")
         return cls("least_favorable", p=float(p), radius=float(radius), weak=weak, level=level)
@@ -228,6 +243,8 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antitheti
         raise ValueError("theta must be a nonempty 1-d vector")
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must be >= 0 and < 2**128")
     if antithetic and replicates % 2:
         raise ValueError("antithetic pairing requires an even replicate count")
     count = replicates // 2 if antithetic else replicates
@@ -523,12 +540,11 @@ def common_mean_experiment(
     The sample-mean comparator has total risk exactly 1; thresholding wins
     whenever the common mean is small against ``1/sqrt(n)``.
     """
-    theta = np.full(int(n), float(mu))
-    prior = EmpiricalPrior.from_vector(theta)
-    exact_total = optimal_levels(prior).risk_exact * n
-
     soft_fam = ThresholdFamily("soft")
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
+    theta = SignalGenerator.common_mean(mu).realize(int(n))
+    prior = EmpiricalPrior.from_vector(theta)
+    exact_total = optimal_levels(prior).risk_exact * n
 
     loss = _threshold_losses(theta)
 
@@ -579,11 +595,11 @@ def minimax_ball_experiment(
 
     A hard ``family`` runs as given, as in ``regret_experiment``.
     """
+    bench = minimax_benchmark(int(n), p, radius, weak=weak)
     gen = SignalGenerator.least_favorable(p, radius, weak=weak)
     theta = gen.realize(int(n))
     loss = _Block(_fdr_losses(theta, family, config))
     mc = mc_mean(theta, loss, replicates, seed, label=f"minimax:{gen.describe()}")
-    bench = minimax_benchmark(int(n), p, radius, weak=weak)
     return MinimaxReport(
         int(n), float(p), float(radius), weak, minimax_level(int(n), p, radius), mc, bench, mc.mean / bench
     )
@@ -613,12 +629,12 @@ def concentration_check(
     The scaled loss is a ``slope/sqrt(n)``-Lipschitz function of the noise,
     so Gaussian concentration bounds its variance by ``4 slope^2 / n``; the
     check passes when the sample variance is within three standard errors
-    of that bound.  Requires a smooth family.
+    of that bound.  Requires a smooth family and a finite ``n * max|theta|^2``.
     """
     if not family.is_smooth:
         raise ValueError("concentration bound requires a smooth family")
     theta = np.asarray(theta, dtype=float)
-    n = theta.size
+    n = EmpiricalPrior.from_vector(theta).n  # the prior owns the n * max|theta|^2 rule
     level = _check_level(float(level))
 
     loss = _threshold_losses(theta)

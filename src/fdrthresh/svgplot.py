@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape
 
 __all__ = ["svg_line_chart"]
 
-_PALETTE = ("#1f6fb2", "#d1495b", "#3d8f5f", "#8a5fb0", "#c98a2b", "#4f4f4f")
+_COLOR = "#1f6fb2"
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -38,31 +38,17 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def svg_line_chart(
-    series,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    vlines=(),
-    width: int = 720,
-    height: int = 480,
-) -> str:
-    """Render ``series = [(label, xs, ys), ...]`` as an SVG document string.
+def svg_line_chart(label: str, xs, ys, vlines=()) -> str:
+    """Render the curve ``ys`` against ``xs``, titled and keyed ``label``, as SVG text.
 
-    Non-finite points are dropped.  ``vlines`` is a sequence of
-    ``(x, label)`` pairs drawn as dashed vertical markers.
+    The axes read ``level`` and ``value``.  Non-finite points are dropped.
+    ``vlines`` is a sequence of ``(x, text)`` pairs drawn as dashed
+    vertical markers.
     """
-    pts = []
-    for _, xs, ys in series:
-        pts.extend(
-            (float(x), float(y))
-            for x, y in zip(xs, ys)
-            if math.isfinite(float(x)) and math.isfinite(float(y))
-        )
+    pts = [p for p in zip(map(float, xs), map(float, ys)) if all(map(math.isfinite, p))]
     if not pts:
         raise ValueError("nothing to plot: no finite points")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
+    xs_all, ys_all = zip(*pts)
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -72,6 +58,7 @@ def svg_line_chart(
     pad_y = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad_y, y1 + pad_y
 
+    width, height = 720, 480
     left, right, top, bottom = 64, 16, 36, 48
     pw, ph = width - left - right, height - top - bottom
 
@@ -85,46 +72,27 @@ def svg_line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{escape(label)}</text>',
+        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
-        )
-    # axes and ticks
-    out.append(
-        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" '
-        f'fill="none" stroke="#333"/>'
-    )
     for t in _ticks(x0, x1):
-        out.append(
+        out += [
             f'<line x1="{px(t):.1f}" y1="{top + ph}" x2="{px(t):.1f}" '
-            f'y2="{top + ph + 4}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{px(t):.1f}" y="{top + ph + 16}" '
-            f'text-anchor="middle">{_fmt(t)}</text>'
-        )
+            f'y2="{top + ph + 4}" stroke="#333"/>',
+            f'<text x="{px(t):.1f}" y="{top + ph + 16}" text-anchor="middle">{_fmt(t)}</text>',
+        ]
     for t in _ticks(y0, y1):
-        out.append(
-            f'<line x1="{left - 4}" y1="{py(t):.1f}" x2="{left}" '
-            f'y2="{py(t):.1f}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{left - 6}" y="{py(t) + 4:.1f}" '
-            f'text-anchor="end">{_fmt(t)}</text>'
-        )
-    if xlabel:
-        out.append(
-            f'<text x="{left + pw / 2:.1f}" y="{height - 8}" '
-            f'text-anchor="middle">{escape(xlabel)}</text>'
-        )
-    if ylabel:
-        out.append(
-            f'<text x="14" y="{top + ph / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {top + ph / 2:.1f})">{escape(ylabel)}</text>'
-        )
-    for x, label in vlines:
+        out += [
+            f'<line x1="{left - 4}" y1="{py(t):.1f}" x2="{left}" y2="{py(t):.1f}" stroke="#333"/>',
+            f'<text x="{left - 6}" y="{py(t) + 4:.1f}" text-anchor="end">{_fmt(t)}</text>',
+        ]
+    out += [
+        f'<text x="{left + pw / 2:.1f}" y="{height - 8}" text-anchor="middle">level</text>',
+        f'<text x="14" y="{top + ph / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {top + ph / 2:.1f})">value</text>',
+    ]
+    for x, text in vlines:
         x = float(x)
         if not math.isfinite(x) or not (x0 <= x <= x1):
             continue
@@ -132,36 +100,17 @@ def svg_line_chart(
             f'<line x1="{px(x):.1f}" y1="{top}" x2="{px(x):.1f}" '
             f'y2="{top + ph}" stroke="#888" stroke-dasharray="4 3"/>'
         )
-        if label:
+        if text:
             out.append(
-                f'<text x="{px(x) + 3:.1f}" y="{top + 12}" '
-                f'fill="#555">{escape(str(label))}</text>'
+                f'<text x="{px(x) + 3:.1f}" y="{top + 12}" fill="#555">{escape(text)}</text>'
             )
-    for idx, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        coords = [
-            f"{px(float(x)):.2f},{py(float(y)):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(float(x)) and math.isfinite(float(y))
-        ]
-        if coords:
-            out.append(
-                f'<polyline points="{" ".join(coords)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-    # legend
-    ly = top + 10
-    for idx, (label, _, _) in enumerate(series):
-        if not label:
-            continue
-        color = _PALETTE[idx % len(_PALETTE)]
-        out.append(
-            f'<line x1="{left + pw - 130}" y1="{ly}" x2="{left + pw - 110}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{left + pw - 104}" y="{ly + 4}">{escape(str(label))}</text>'
-        )
-        ly += 16
-    out.append("</svg>")
+    coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+    ly = top + 10  # the legend's one entry
+    out += [
+        f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" stroke-width="1.5"/>',
+        f'<line x1="{left + pw - 130}" y1="{ly}" x2="{left + pw - 110}" '
+        f'y2="{ly}" stroke="{_COLOR}" stroke-width="2"/>',
+        f'<text x="{left + pw - 104}" y="{ly + 4}">{escape(label)}</text>',
+        "</svg>",
+    ]
     return "\n".join(out)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, artifacts, reproducibility."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -204,6 +205,28 @@ def test_risk_curve_svg_and_json(tmp_path, curve_cfg):
     assert payload["functional"] == "bayes_risk"
     assert len(payload["levels"]) == len(payload["values"]) == 64
     assert "package_version" in payload
+
+
+_CURVE_SVG_SHA256 = {
+    "bayes_risk": "e4bb70ab27ed787f2331704d3672897f2c4e9fb4cf5712df2e91cb1df890783e",
+    "surrogate_risk": "dba7d1edcfc712b776eed844b39a1968764a4afb9bc31bad473c92b2e8f84727",
+    "fdr_curve": "c5ab8fd7871a43d3674dfe570f8ee8104d8a75eb84b03aef5ba3e43d6651d184",
+}
+
+
+@pytest.mark.parametrize("functional", list(_CURVE_SVG_SHA256))
+def test_curve_svg_bytes_pinned(tmp_path, curve_cfg, functional):
+    # both risk curves draw the optimal-level marker; the fdr curve draws none
+    command, cfg = "fdr-curve", curve_cfg
+    if functional != "fdr_curve":
+        command = "risk-curve"
+        text = (tmp_path / "curve.cfg").read_text()
+        cfg = write(tmp_path / "f.cfg", f"{text}functional = {functional}\n")
+    out = tmp_path / "svg"
+    assert run(command, "--config", cfg, "--out", str(out), "--format", "svg") == 0
+    data = (out / "curve.svg").read_bytes()
+    assert (b">optimal</text>" in data) == (functional != "fdr_curve")
+    assert hashlib.sha256(data).hexdigest() == _CURVE_SVG_SHA256[functional]
 
 
 def test_fdr_curve_monotone(tmp_path, curve_cfg):
@@ -441,13 +464,22 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_CURVE, "functional = surrogate_risk\nb0 = nan\n"),
         (_CURVE, "level_max = inf\n"),
         (("fdr-curve", "atoms = 0, 3\n"), "level_max = inf\n"),
+        # library argument checks that a thin front end passes on as exit 2
+        (_EXPERIMENT, "kind = common_mean\nfirm_slope = 2.5\n"),
+        (_EXPERIMENT, f"kind = regret\nseed = {2**128 + 1}\n"),
+        pytest.param(_EXPERIMENT, "kind = regret\n# \udcff\n", id="experiment-non-utf8"),
+        (_EXPERIMENT, "kind = regret\nspike_count = -1\n"),
+        (_CURVE, "n = -5\n"),
+        (_EXPERIMENT, "kind = minimax\nradius = 1e-320\n"),
+        (("risk-curve", ""), "atoms = 1e200\n"),
     ],
     ids=lambda v: v[0] if isinstance(v, tuple) else v.strip().replace("\n", ","),
 )
 def test_bad_config_values_exit_2(tmp_path, command, text, capsys):
     name, base = command
-    cfg = write(tmp_path / "c.cfg", base + text)
-    assert run(name, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    # a lone surrogate is written as the single byte it escapes, which is not UTF-8
+    (tmp_path / "c.cfg").write_bytes((base + text).encode("utf-8", "surrogateescape"))
+    assert run(name, "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -14,15 +14,30 @@ from fdrthresh.risk import (
     diagnostic_constants,
     smooth_risk_bound,
     soft_risk,
+    surrogate_risk,
 )
 from fdrthresh.selector import FdrConfig, G1Transform, select_lambda, step_down_level, step_up_level
-from fdrthresh.simulate import SignalGenerator, concentration_check
+from fdrthresh.simulate import (
+    SignalGenerator,
+    common_mean_experiment,
+    concentration_check,
+    mc_mean,
+    minimax_ball_experiment,
+    minimax_benchmark,
+    minimax_level,
+    regret_experiment,
+)
 from fdrthresh.thresholds import ThresholdFamily, plse_local_minima
 
 SOFT = ThresholdFamily("soft")
 PRIOR = EmpiricalPrior.from_atoms([0.0, 2.0])
 X = np.array([0.5, -3.0, 1.0])
 LEVEL = "level must be >= 0"
+BALL = "need p >= 0 and 0 < radius < inf"
+BENCHMARK = "benchmark must be a finite normal float: radius is out of range for n"
+ENERGY = "n * max|theta|^2 must be finite"
+SEED = "seed must be >= 0 and < 2**128"
+HARD = ThresholdFamily("hard")
 NONEMPTY = "x must be a nonempty 1-d vector"
 FINITE = "x must be finite"
 DIAGNOSTIC = dict(
@@ -77,14 +92,78 @@ CASES = {
     ),
     # least-favorable signals: the ball and the spike level
     "least-favorable-nan-radius": (
-        lambda: SignalGenerator.least_favorable(1.0, math.nan, weak=True),
-        ValueError,
-        "need p >= 0 and radius > 0",
+        lambda: SignalGenerator.least_favorable(1.0, math.nan, weak=True), ValueError, BALL
     ),
     "least-favorable-nan-p": (
-        lambda: SignalGenerator.least_favorable(math.nan, 0.1),
+        lambda: SignalGenerator.least_favorable(math.nan, 0.1), ValueError, BALL
+    ),
+    "least-favorable-inf-radius": (
+        lambda: SignalGenerator.least_favorable(1.0, math.inf), ValueError, BALL
+    ),
+    "least-favorable-weak-p0": (
+        lambda: SignalGenerator.least_favorable(0.0, 0.1, weak=True),
         ValueError,
-        "need p >= 0 and radius > 0",
+        "weak balls require p > 0",
+    ),
+    "minimax-level-nan-radius": (lambda: minimax_level(100, 1.0, math.nan), ValueError, BALL),
+    "minimax-level-inf-radius": (lambda: minimax_level(100, 1.0, math.inf), ValueError, BALL),
+    "minimax-level-zero-radius": (lambda: minimax_level(100, 0.0, 0.0), ValueError, BALL),
+    "minimax-level-n0": (lambda: minimax_level(0, 0.0, 0.1), ValueError, "n must be >= 1"),
+    "benchmark-nan-radius": (lambda: minimax_benchmark(100, 1.0, math.nan), ValueError, BALL),
+    "benchmark-p2": (
+        lambda: minimax_benchmark(100, 2.0, 0.1), ValueError, "benchmark requires 0 <= p < 2"
+    ),
+    "benchmark-weak-p0": (
+        lambda: minimax_benchmark(100, 0.0, 0.1, weak=True), ValueError, "weak balls require p > 0"
+    ),
+    # a benchmark past the float range: the radius^p' factor underflows or overflows
+    "benchmark-subnormal": (lambda: minimax_benchmark(10, 1.0, 1e-320), ValueError, BENCHMARK),
+    "benchmark-underflow": (lambda: minimax_benchmark(10, 1.5, 1e-300), ValueError, BENCHMARK),
+    "benchmark-overflow": (lambda: minimax_benchmark(10, 1.5, 1e300), ValueError, BENCHMARK),
+    "ball-experiment-inf-radius": (
+        lambda: minimax_ball_experiment(20, 1.0, math.inf, 4, 1), ValueError, BALL
+    ),
+    # spike signals
+    "spikes-negative-count": (
+        lambda: SignalGenerator.spikes(-1, 1.0), ValueError, "count must be >= 0"
+    ),
+    "spikes-n0": (lambda: SignalGenerator.spikes(0, 1.0).realize(0), ValueError, "n must be >= 1"),
+    "common-mean-n0": (lambda: common_mean_experiment(0, 0.0, 4, 1), ValueError, "n must be >= 1"),
+    # n * max|theta|^2 overflows: the mean square and every risk total are infinite
+    "prior-atoms-energy": (lambda: EmpiricalPrior.from_atoms([1e200]), ValueError, ENERGY),
+    "prior-n-energy": (lambda: EmpiricalPrior.from_atoms([1e150], n=10**10), ValueError, ENERGY),
+    "prior-direct-energy": (
+        lambda: EmpiricalPrior(np.array([1e200]), np.array([1.0]), 1), ValueError, ENERGY
+    ),
+    "prior-vector-energy": (lambda: EmpiricalPrior.from_vector([1e200, 0.0]), ValueError, ENERGY),
+    "prior-nan-atom": (lambda: EmpiricalPrior.from_atoms([0.0, math.nan]), ValueError, ENERGY),
+    "prior-inf-theta": (lambda: EmpiricalPrior.from_vector([math.inf, 0.0]), ValueError, ENERGY),
+    "prior-negative-n": (
+        lambda: EmpiricalPrior.from_atoms([0.0, 3.0], n=-5), ValueError, "n must be >= 1"
+    ),
+    "regret-energy": (lambda: regret_experiment([1e200, 0.0], 4, 1), ValueError, ENERGY),
+    "common-mean-energy": (lambda: common_mean_experiment(20, 1e200, 4, 1), ValueError, ENERGY),
+    "concentration-energy": (
+        lambda: concentration_check([1e200, 0.0], 1.0, SOFT, 4, 1), ValueError, ENERGY
+    ),
+    # the Monte Carlo engine: replicates and the Philox key
+    "mc-one-replicate": (lambda: mc_mean(X, np.sum, 1, 1), ValueError, "replicates must be >= 2"),
+    "mc-negative-seed": (lambda: mc_mean(X, np.sum, 4, -1), ValueError, SEED),
+    "mc-seed-2-128": (lambda: mc_mean(X, np.sum, 4, 2**128), ValueError, SEED),
+    "concentration-seed": (lambda: concentration_check(X, 1.0, SOFT, 4, -1), ValueError, SEED),
+    # family and surrogate arguments of the experiments and curves
+    "concentration-hard": (
+        lambda: concentration_check(X, 1.0, HARD, 4, 1),
+        ValueError,
+        "concentration bound requires a smooth family",
+    ),
+    "common-mean-firm-slope": (
+        lambda: common_mean_experiment(20, 0.0, 4, 1, firm_slope=2.5),
+        ValueError,
+        "firm_slope must lie in (1, 2)",
+    ),
+    "surrogate-b0-nan": (
+        lambda: surrogate_risk(PRIOR, 1.0, math.nan), ValueError, "b0 must be >= 4"
     ),
     "least-favorable-zero-level": (
         lambda: SignalGenerator.least_favorable(1.0, 0.1, level=0.0),

@@ -504,6 +504,32 @@ class TestMinimaxFormula:
         # dense balls put the calibrated level at its floor
         assert minimax_level(10, 1.0, 10.0) == 1.0
 
+    def test_level_past_the_float_range(self):
+        # radius^(-p') overflows (a level capped at n) or underflows to 0 (the floor)
+        assert minimax_level(10, 1.0, 1e-320) == math.sqrt(2.0 * math.log(10.0))
+        assert minimax_level(10, 0.0, 1e-320) == math.sqrt(2.0 * math.log(10.0))
+        assert minimax_level(10, 1.5, 1e300) == 1.0
+
+    def test_level_matches_the_closed_form(self):
+        # bit for bit the direct formula wherever radius^(-p') is a float
+        for n in (1, 2, 10, 1000, 10**6):
+            for p in (0.0, 0.3, 1.0, 1.5, 1.99, 3.0):
+                for radius in (1e-300, 1e-12, 1e-3, 0.05, 0.5, 1.0, 7.0, 1e12):
+                    pp = p if p > 0.0 else 1.0
+                    try:
+                        inner = min(float(n), radius**-pp)
+                    except OverflowError:
+                        continue
+                    want = max(1.0, math.sqrt(2.0 * max(0.0, math.log(inner))))
+                    assert minimax_level(n, p, radius) == want
+
+    def test_ball_experiment_checks_the_benchmark_first(self):
+        with mock.patch.object(simulate, "mc_mean", side_effect=AssertionError("replicates ran")):
+            with pytest.raises(ValueError, match="benchmark requires"):
+                minimax_ball_experiment(20, 2.5, 0.1, 4, seed=1)
+            with pytest.raises(ValueError, match="benchmark must be"):
+                minimax_ball_experiment(20, 1.0, 1e-320, 4, seed=1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             minimax_benchmark(100, 2.0, 0.1)
