@@ -16,7 +16,8 @@ reproduces the outputs byte for byte.  The CLI itself checks only the
 config syntax, the input file, the curve grid and the ``allow_hard``
 opt-in; every other rule on a value is the library's, with its message.
 Exit codes: 0 success; 2 for any ``ValueError``, whether from the config,
-the input file or a library argument check; 3 for any other failure.
+the input file or a library argument check; 3 for any other failure.  The
+CLI has no error type of its own: its checks raise ``ValueError`` too.
 """
 
 from __future__ import annotations
@@ -51,11 +52,7 @@ from .simulate import (
 from .svgplot import svg_line_chart
 from .thresholds import ThresholdFamily
 
-__all__ = ["main", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or input file: maps to exit code 2."""
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +86,9 @@ class _Key:
             else:
                 value = raw
         except ValueError:
-            raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {self.kind}")
+            raise ValueError(f"config key {name!r}: cannot parse {raw!r} as {self.kind}")
         if self.choices is not None and value not in self.choices:
-            raise ConfigError(
+            raise ValueError(
                 f"config key {name!r}: {value!r} not one of {sorted(self.choices)}"
             )
         return value
@@ -159,14 +156,14 @@ def _parse_config_text(text: str, path: str) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
     return raw
 
@@ -176,17 +173,17 @@ def _resolve_config(command: str, path: str, overrides: dict) -> dict:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     raw = _parse_config_text(text, path)
     unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
     cfg = {}
     for name, key in schema.items():
         if name in raw:
             cfg[name] = key.parse(name, raw[name])
-        elif key.required and name not in overrides:
-            raise ConfigError(f"missing required config key {name!r}")
+        elif key.required:
+            raise ValueError(f"missing required config key {name!r}")
         else:
             cfg[name] = key.default
     for name, value in overrides.items():
@@ -223,7 +220,7 @@ def _write_json(path: Path, cfg: dict, extra: dict) -> None:
 def _family(cfg: dict) -> ThresholdFamily:
     """The configured family; ``hard`` only with ``allow_hard = true``."""
     if cfg["family"] == "hard" and not cfg["allow_hard"]:
-        raise ConfigError("family = hard requires allow_hard = true")
+        raise ValueError("family = hard requires allow_hard = true")
     return ThresholdFamily(cfg["family"], cfg["firm_slope"], cfg["weight"])
 
 
@@ -234,9 +231,9 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     try:
         x = read_vector(cfg["input"])
     except OSError as exc:
-        raise ConfigError(str(exc))
+        raise ValueError(str(exc))
     if not np.isfinite(x).all():
-        raise ConfigError(f"input {cfg['input']}: every value must be finite")
+        raise ValueError(f"input {cfg['input']}: every value must be finite")
     sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
     family = _family(cfg)
     report = fdr_threshold_estimate(x, family, sel, allow_hard=cfg["allow_hard"])
@@ -253,13 +250,11 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
     # n = 0 (the default) sizes the prior by its atoms
     prior = EmpiricalPrior.from_atoms(cfg["atoms"], cfg["weights"] or None, cfg["n"] or None)
     functional = functional or cfg.get("functional", "bayes_risk")
-    level_max = cfg["level_max"]
-    if level_max <= 0.0:
-        level_max = math.sqrt(2.0 * math.log(max(prior.n, 2))) + 4.0
+    level_max = cfg["level_max"] if cfg["level_max"] > 0.0 else prior.default_level_max
     if not (cfg["level_min"] >= 0.0 and level_max > cfg["level_min"] and math.isfinite(level_max)):
-        raise ConfigError("need 0 <= level_min < level_max < inf")
+        raise ValueError("need 0 <= level_min < level_max < inf")
     if cfg["points"] < 2:
-        raise ConfigError("points must be >= 2")
+        raise ValueError("points must be >= 2")
     levels = np.linspace(cfg["level_min"], level_max, cfg["points"])
     vlines = []
     if functional == "bayes_risk":
@@ -387,7 +382,7 @@ def main(argv=None) -> int:
         else:
             cmd_experiment(cfg, out_dir)
         _write_resolved(cfg, out_dir)
-    except ValueError as exc:  # ConfigError or a library argument check
+    except ValueError as exc:  # a config, input-file or library argument check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -149,7 +149,10 @@ def read_vector(path) -> np.ndarray:
                 f"(header says {count} values, file has {(len(raw) - 16) // 8})"
             )
         return np.frombuffer(raw[16:], dtype="<f8").astype(float)
-    lines = [line.partition("#")[0].strip() for line in raw.decode("utf-8").splitlines()]
+    try:  # the decoded text stays a temporary: only the stripped lines outlive it
+        lines = [line.partition("#")[0].strip() for line in raw.decode("utf-8").splitlines()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     try:
         values = np.fromiter(map(float, filter(None, lines)), dtype=float)
     except ValueError:

@@ -112,6 +112,12 @@ class EmpiricalPrior:
         return float(np.max(np.abs(self.atoms)))
 
     @property
+    def default_level_max(self) -> float:
+        """``sqrt(2 log max(n, 2)) + 4``: the default top of every level range,
+        above every risk minimizer at 1e-12 tolerance."""
+        return math.sqrt(2.0 * math.log(max(self.n, 2))) + 4.0
+
+    @property
     def is_degenerate(self) -> bool:
         """True when all mass sits at zero (no signal)."""
         return bool(np.all((self.atoms == 0.0) | (self.weights == 0.0)))
@@ -143,20 +149,22 @@ def soft_risk(mu, level):
     return out
 
 
+def _mix(prior: EmpiricalPrior, per_atom, t):
+    """``E_G per_atom(theta, t)``: ``per_atom`` on the atoms-by-levels grid,
+    averaged with the prior weights; a float for a scalar ``t``."""
+    t = np.asarray(t, dtype=float)
+    mixed = prior.weights @ per_atom(prior.atoms[:, None], np.atleast_1d(t)[None, :])
+    return float(mixed[0]) if t.ndim == 0 else mixed
+
+
 def bayes_soft_risk(prior: EmpiricalPrior, level):
     """Average soft-threshold risk ``E_G R(theta, level)``."""
-    lev = np.asarray(level, dtype=float)
-    vals = soft_risk(prior.atoms[:, None], np.atleast_1d(lev)[None, :])
-    mixed = prior.weights @ np.atleast_2d(vals)
-    return float(mixed[0]) if lev.ndim == 0 else mixed
+    return _mix(prior, soft_risk, level)
 
 
 def clipped_second_moment(prior: EmpiricalPrior, level):
     """``E_G min(theta^2, level^2)``; exact ``E_G theta^2`` at ``level = inf``."""
-    lev = np.asarray(_check_level(level))
-    clipped = np.minimum(prior.atoms[:, None] ** 2, np.atleast_1d(lev)[None, :] ** 2)
-    mixed = prior.weights @ clipped
-    return float(mixed[0]) if lev.ndim == 0 else mixed
+    return _mix(prior, lambda th, lev: np.minimum(th**2, lev**2), _check_level(level))
 
 
 def surrogate_risk(prior: EmpiricalPrior, level, b0: float = 4.0):
@@ -167,10 +175,8 @@ def surrogate_risk(prior: EmpiricalPrior, level, b0: float = 4.0):
     """
     if not (b0 >= 4.0):
         raise ValueError("b0 must be >= 4")
-    lev = np.asarray(level, dtype=float)
-    tail = np.where(np.isfinite(lev), norm_cdf(-np.where(np.isfinite(lev), lev, 1.0)), 0.0)
-    out = clipped_second_moment(prior, level) + b0 * tail
-    return float(out) if lev.ndim == 0 else out
+    # the level is checked first; norm_cdf(-inf) is exactly 0
+    return clipped_second_moment(prior, level) + b0 * norm_cdf(-np.asarray(level, dtype=float))
 
 
 def default_surrogate_constant(alpha2p: float, c0: float = 1.0) -> float:
@@ -191,11 +197,7 @@ def rejection_prob(prior: EmpiricalPrior, t):
     t_arr = np.asarray(t, dtype=float)
     if np.isnan(t_arr).any() or (t_arr < 0.0).any():
         raise ValueError("t must be >= 0")
-    th = prior.atoms[:, None]
-    tt = np.atleast_1d(t_arr)[None, :]
-    vals = norm_cdf(th - tt) + norm_cdf(-th - tt)
-    mixed = prior.weights @ vals
-    return float(mixed[0]) if t_arr.ndim == 0 else mixed
+    return _mix(prior, lambda th, tt: norm_cdf(th - tt) + norm_cdf(-th - tt), t_arr)
 
 
 def fdr_curve(prior: EmpiricalPrior, t):
@@ -205,10 +207,7 @@ def fdr_curve(prior: EmpiricalPrior, t):
     strictly to 0; for the degenerate prior it is identically 1.
     """
     t_arr = np.asarray(t, dtype=float)
-    num = 2.0 * norm_cdf(-np.atleast_1d(t_arr))
-    den = np.atleast_1d(rejection_prob(prior, t_arr))
-    out = num / den
-    return float(out[0]) if t_arr.ndim == 0 else out
+    return 2.0 * norm_cdf(-t_arr) / rejection_prob(prior, t_arr)
 
 
 def population_fdr_levels(prior: EmpiricalPrior, alpha1p: float, alpha2p: float):
@@ -316,10 +315,10 @@ def optimal_levels(
     Newton solve on the closed-form slope in the best bracket (bisection when the
     curvature is not positive or a step leaves it), keeps the grid value when lower,
     and compares with the infinite-level limit, the prior mean square.  The default
-    ``level_max = sqrt(2 log n) + 4`` covers every minimizer at 1e-12 tolerance.
+    ``level_max`` is ``prior.default_level_max``.
     """
     if level_max is None:
-        level_max = math.sqrt(2.0 * math.log(max(prior.n, 2))) + 4.0
+        level_max = prior.default_level_max
     if not (level_max > 0.0) or not math.isfinite(level_max):
         raise ValueError("level_max must be positive and finite")
     if not (b0 >= 4.0):

@@ -53,8 +53,9 @@ in some row is compared exactly against ``xi_k``, computed by the same
 arithmetic as ``candidate_levels``, in all rows.  That is one quantile call
 per rule, shared by the rows (one in all when ``alpha2 == alpha1``, since
 both rules then read the same mask), and one more for the returned levels.
-The full candidate and count arrays are built only when a
-``SelectorTrace`` is asked for them.  The public functions are the one-row
+A ``SelectorTrace`` keeps ``n``, not ``x``, and builds the candidate arrays
+only when asked; ``exceed_count(x, levels)`` gives the counts at any array
+of levels from one sort.  The public functions are the one-row
 case; the Monte Carlo engine selects the levels of a whole block of draws
 at once.
 """
@@ -68,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gauss import norm_cdf, norm_quantile
+from .gauss import _as_float_array, norm_cdf, norm_quantile
 from .risk import _check_decay, soft_risk
 from .thresholds import _check_observations
 
@@ -242,22 +243,17 @@ def candidate_levels(n: int, alpha: float) -> np.ndarray:
     return _levels_at(n, alpha, np.arange(1, n + 1))
 
 
-def exceed_count(x, t: float) -> int:
-    """Number of observations with ``|x_i| >= t`` (ties count; N(inf) = 0)."""
-    arr = np.asarray(x, dtype=float)
-    if math.isnan(t):
-        raise ValueError("t must not be NaN")
-    if math.isinf(t):
-        return 0
-    return int(np.count_nonzero(np.abs(arr) >= t))
+def exceed_count(x, t):
+    """``N(t)``, the number of observations with ``|x_i| >= t`` (ties count).
 
-
-def _counts_at(mags_desc: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """N(levels[j]) for each j, from magnitudes sorted in decreasing order."""
-    # count of entries >= t equals the insertion index of t into the
-    # ascending array of magnitudes from the right, flipped:
-    asc = mags_desc[::-1]
-    return mags_desc.size - np.searchsorted(asc, levels, side="left")
+    ``t`` may be a level or an array of levels: one sort of ``|x|`` and a
+    ``searchsorted`` give every count.  An ``int`` for a scalar ``t``;
+    ``N(inf) = 0`` and ``N(-inf) = x.size``.  NaN in ``x`` or ``t`` is rejected.
+    """
+    levels = _as_float_array(t, "t")
+    mags = np.sort(np.abs(_as_float_array(x, "x")), axis=None)
+    counts = mags.size - np.searchsorted(mags, levels, side="left")
+    return int(counts) if levels.ndim == 0 else counts
 
 
 def _hits(mags, tail, n: int, alpha: float) -> np.ndarray:
@@ -352,18 +348,17 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
     return _levels_from(np.sort(absx, axis=1)[:, ::-1], n, alpha1, alpha2)
 
 
-def _select_levels(x, alpha1: float, alpha2: float) -> tuple[np.ndarray, int, float, float]:
+def _select_levels(x, alpha1: float, alpha2: float) -> tuple[int, float, float]:
     """The selection core for one observation vector, after validation.
 
-    Returns ``|x|``, the step-up rejection count and level at slope
-    ``alpha1``, and the step-down level at slope ``alpha2``.
+    Returns the step-up rejection count and level at slope ``alpha1`` and
+    the step-down level at slope ``alpha2``.
     """
     arr = _check_observations(x)
     _check_alpha(alpha1)
     _check_alpha(alpha2)
-    absx = np.abs(arr)
-    k_hat, up, down = _block_levels(absx[None], alpha1, alpha2)
-    return absx, int(k_hat[0]), float(up[0]), float(down[0])
+    k_hat, up, down = _block_levels(np.abs(arr)[None], alpha1, alpha2)
+    return int(k_hat[0]), float(up[0]), float(down[0])
 
 
 def step_up_level(x, alpha1: float) -> float:
@@ -374,7 +369,7 @@ def step_up_level(x, alpha1: float) -> float:
     ``alpha1``: magnitudes at or above the returned level are exactly the
     rejected coordinates.
     """
-    return _select_levels(x, alpha1, alpha1)[2]
+    return _select_levels(x, alpha1, alpha1)[1]
 
 
 def step_down_level(x, alpha2: float) -> float:
@@ -384,7 +379,7 @@ def step_down_level(x, alpha2: float) -> float:
     qualifies once anything qualifies at all; the result is +inf exactly
     when no magnitude reaches the first candidate level.
     """
-    return _select_levels(x, alpha2, alpha2)[3]
+    return _select_levels(x, alpha2, alpha2)[2]
 
 
 @dataclass(frozen=True)
@@ -392,9 +387,9 @@ class SelectorTrace:
     """Record of one level selection, serializable for diagnostics.
 
     Holds the selected levels, the step-up rejection count ``k_hat`` and
-    ``|x|``.  ``magnitudes`` (``|x|`` sorted in decreasing order), the
-    candidate arrays and ``exceed_counts`` (``exceed_counts[k-1]`` is the
-    count at the k-th step-up candidate) are computed on each access.
+    the length ``n`` of ``x``.  The candidate arrays are computed on each
+    access; ``exceed_count(x, trace.xi1_candidates)`` gives the counts at
+    the step-up candidates.
     """
 
     xi1_hat: float
@@ -405,23 +400,15 @@ class SelectorTrace:
     k_hat: int
     alpha1: float
     alpha2: float
-    _abs_x: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.sort(self._abs_x)[::-1]
+    n: int
 
     @property
     def xi1_candidates(self) -> np.ndarray:
-        return candidate_levels(self._abs_x.size, self.alpha1)
+        return candidate_levels(self.n, self.alpha1)
 
     @property
     def xi2_candidates(self) -> np.ndarray:
-        return candidate_levels(self._abs_x.size, self.alpha2)
-
-    @property
-    def exceed_counts(self) -> np.ndarray:
-        return _counts_at(self.magnitudes, self.xi1_candidates)
+        return candidate_levels(self.n, self.alpha2)
 
     def to_dict(self) -> dict:
         """The scalar summary; the arrays stay available as properties."""
@@ -462,7 +449,7 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     step-up level is +inf (nothing selected anywhere) the interval collapses
     to +inf and the downstream estimate is identically zero.
     """
-    abs_x, k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
+    k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
     lower, upper, lam = _interval(xi1, xi2, config)
     return SelectorTrace(
         xi1_hat=xi1,
@@ -473,7 +460,7 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
         k_hat=k_hat,
         alpha1=config.alpha1,
         alpha2=config.alpha2,
-        _abs_x=abs_x,
+        n=len(x),
     )
 
 

@@ -172,10 +172,11 @@ class SignalGenerator:
             if self.weak:
                 k = np.arange(1, n + 1)
                 return np.minimum(self.radius * (n / k) ** (1.0 / self.p), lam)
-            if self.p == 0.0:
-                m = min(int(math.floor(n * self.radius)), n)
-            else:
-                m = min(int(math.floor(n * self.radius**self.p / lam**self.p)), n)
+            pp = self.p if self.p > 0.0 else 1.0
+            try:  # floor(n radius) for p = 0, where lam**p is 1
+                m = min(math.floor(n * self.radius**pp / lam**self.p), n)
+            except OverflowError:  # a power or the count lies past the float range
+                m = n if self.radius >= lam else int(n * (self.radius / lam) ** self.p)
             theta = np.zeros(n)
             theta[:m] = lam
             return theta

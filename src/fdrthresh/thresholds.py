@@ -146,9 +146,6 @@ class ThresholdFamily:
             return max(1.0, self.firm_slope)
         return math.inf
 
-    def apply(self, x, level: float):
-        return apply_family(x, level, self)
-
     def describe(self) -> str:
         if self.kind == "firm":
             return f"firm(slope={self.firm_slope:g})"

@@ -9,13 +9,11 @@ import math
 import time
 
 import numpy as np
-from scipy import integrate
 
 from fdrthresh.gauss import (
     critical_tail_level,
     exp_gauss_moment,
     norm_cdf,
-    norm_pdf,
     norm_quantile,
 )
 from fdrthresh.risk import soft_risk
@@ -34,51 +32,13 @@ from fdrthresh.simulate import (
     regret_experiment,
 )
 from fdrthresh.thresholds import ThresholdFamily
+from test_risk import quad_soft_risk
+from test_selector import _brute_step_down, _brute_step_up
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-# ---------------------------------------------------------------------------
-# oracles shared by several criteria
-
-
-def quad_soft_risk(mu: float, lam: float) -> float:
-    """Adaptive-quadrature soft-threshold risk, independent of the package."""
-    dead = integrate.quad(
-        lambda z: mu * mu * norm_pdf(z), -lam - mu, lam - mu,
-        epsabs=1e-13, epsrel=1e-13,
-    )[0]
-    above = integrate.quad(
-        lambda z: (z - lam) ** 2 * norm_pdf(z), lam - mu, np.inf,
-        epsabs=1e-13, epsrel=1e-13,
-    )[0]
-    below = integrate.quad(
-        lambda z: (z + lam) ** 2 * norm_pdf(z), -np.inf, -lam - mu,
-        epsabs=1e-13, epsrel=1e-13,
-    )[0]
-    return dead + above + below
-
-
-def brute_step_up(x, alpha):
-    n = x.size
-    mags = np.abs(x)
-    xi = candidate_levels(n, alpha)
-    hits = [xi[k] for k in range(n) if np.sum(mags >= xi[k]) >= k + 1]
-    return min(hits) if hits else np.inf
-
-
-def brute_step_down(x, alpha):
-    n = x.size
-    mags = np.abs(x)
-    xi = candidate_levels(n, alpha)
-    if np.sum(mags >= xi[0]) < 1:
-        return np.inf
-    nxt = np.append(xi[1:], 0.0)
-    hits = [xi[k] for k in range(n) if np.sum(mags >= nxt[k]) < k + 2]
-    return max(hits) if hits else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +83,7 @@ def test_03_selector_brute_force_equivalence():
         a2 = float(rng.uniform(0.01, a1))
         up = step_up_level(x, a1)
         down = step_down_level(x, a2)
-        if up != brute_step_up(x, a1) or down != brute_step_down(x, a2):
+        if up != _brute_step_up(x, a1) or down != _brute_step_down(x, a2):
             mismatches += 1
         if not up <= down:
             order_violations += 1

@@ -113,6 +113,14 @@ def test_estimate_missing_files_exit_2(tmp_path):
     assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
+def test_estimate_non_utf8_input_exit_2(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    data.write_bytes(b"1.0\n\xff2.0\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {data}\n")
+    assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {data}: ")
+
+
 # awkward values for ``repr``: signed zero, the smallest subnormal, tiny and
 # huge magnitudes, a sum that does not round to one digit, integral floats
 AWKWARD = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 3.0, -2.0, 1e22, -1.7, 0.2]
@@ -251,6 +259,38 @@ def test_risk_curve_bad_geometry(tmp_path):
 
 # ---------------------------------------------------------------------------
 # experiments
+
+# one small config per experiment kind, and the SHA-256 of experiment.csv then
+# experiment.json for seeds 1, 2 and 3 in turn; the hashes were taken before the
+# refactor that gave N(t) and the prior average one owner each, which kept every byte
+_EXPERIMENT_CFG = {
+    "regret": "kind = regret\nn = 64\nspike_count = 4\nspike_value = 3.0\nreplicates = 20\n",
+    "regret_strong": "kind = regret\nn = 64\nspike_count = 4\nspike_value = 3.0\n"
+    "replicates = 20\nstrong = true\n",
+    "common_mean": "kind = common_mean\nn = 32\nmu = 0.5\nreplicates = 20\n",
+    "minimax": "kind = minimax\nn = 64\np = 1\nradius = 0.05\nreplicates = 20\n",
+    "concentration": "kind = concentration\nn = 64\nspike_count = 4\nspike_value = 2.5\n"
+    "level = 1.8\nreplicates = 20\n",
+}
+_EXPERIMENT_SHA256 = {
+    "regret": "9c23c5595ad8b02f6e66b5183af7675b531aa8f961529ea104d6770044080fc6",
+    "regret_strong": "214e2b9e10f08729de27d5571a00cb28a91db7e3e0649e2a540bf68177e108f5",
+    "common_mean": "1ce5e197acc142893438fe4fd998fad89b20529e1904e5cd21016dfdfb03e2a0",
+    "minimax": "0243c6bb3c2d518f3d44f52dd544e70293d891a70f12a7ff3f5c1dd37a3ddad2",
+    "concentration": "97c65c900c6e8cad5cf9ecc493412e912a800b27f210508fb527c84c19910d52",
+}
+
+
+@pytest.mark.parametrize("kind", list(_EXPERIMENT_SHA256))
+def test_experiment_bytes_pinned(tmp_path, kind):
+    cfg = write(tmp_path / "e.cfg", _EXPERIMENT_CFG[kind])
+    digest = hashlib.sha256()
+    for seed in ("1", "2", "3"):
+        out = tmp_path / seed
+        assert run("experiment", "--config", cfg, "--out", str(out), "--seed", seed) == 0
+        for name in ("experiment.csv", "experiment.json"):
+            digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == _EXPERIMENT_SHA256[kind]
 
 
 def test_experiment_regret_reproducible(tmp_path):

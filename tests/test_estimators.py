@@ -208,6 +208,14 @@ class TestVectorFiles:
         with pytest.raises(ValueError, match=r":2:"):
             read_vector(path)
 
+    def test_non_utf8_text_names_the_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1.0\n\xff2.0\n")
+        with pytest.raises(ValueError) as got:
+            read_vector(path)
+        assert str(got.value).startswith(f"{path}: ")
+        assert "0xff" in str(got.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n")

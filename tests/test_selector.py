@@ -68,8 +68,18 @@ def test_exceed_count():
     assert exceed_count(X4, 0.0) == 4
     assert exceed_count(X4, 10.0) == 0
     assert exceed_count(X4, np.inf) == 0
+    assert exceed_count(X4, -np.inf) == 4
+    assert isinstance(exceed_count(X4, 1.6), int)
     # ties count: the indicator is inclusive
     assert exceed_count(np.array([2.0, -2.0, 1.0]), 2.0) == 2
+    levels = np.array([np.inf, 3.0, 2.0, 1.5, 0.0, -np.inf])
+    np.testing.assert_array_equal(exceed_count(X4, levels), [0, 1, 1, 3, 4, 4])
+    with pytest.raises(ValueError, match="t must not contain NaN"):
+        exceed_count(X4, np.nan)
+    with pytest.raises(ValueError, match="t must not contain NaN"):
+        exceed_count(X4, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="x must not contain NaN"):
+        exceed_count(np.array([1.0, np.nan]), 0.5)
 
 
 def test_step_up_fixture():
@@ -104,6 +114,12 @@ def test_step_up_finite_while_step_down_infinite():
     assert math.isfinite(up)
     assert down == np.inf
     assert up <= down
+
+
+def _brute_counts(x, levels):
+    """N(t) at each level, by comparing every magnitude with it."""
+    mags = np.abs(x)
+    return [int(np.count_nonzero(mags >= t)) for t in levels]
 
 
 def _brute_step_up(x, alpha):
@@ -230,7 +246,9 @@ class TestSelectLambda:
         assert trace.xi1_hat == pytest.approx(1.4395314709384563, rel=1e-12)
         assert trace.xi2_hat == pytest.approx(2.2414027276049456, rel=1e-12)
         assert trace.lambda_hat == trace.lower == trace.xi1_hat
-        assert trace.exceed_counts.shape == (4,)
+        assert trace.n == 4
+        counts = exceed_count(X4, trace.xi1_candidates)
+        np.testing.assert_array_equal(counts, _brute_counts(X4, trace.xi1_candidates))
 
     def test_four_point_upper_endpoint(self):
         config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05,

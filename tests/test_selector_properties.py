@@ -21,14 +21,14 @@ from fdrthresh import selector
 from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.selector import (
     FdrConfig,
-    _counts_at,
     candidate_levels,
+    exceed_count,
     select_lambda,
     step_down_level,
     step_up_level,
 )
 from fdrthresh.thresholds import ThresholdFamily
-from test_selector import _brute_step_down, _brute_step_up
+from test_selector import _brute_counts, _brute_step_down, _brute_step_up
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -120,10 +120,9 @@ def test_trace_arrays_and_count(case, ratio):
     xi1 = candidate_levels(n, alpha1)
     np.testing.assert_array_equal(trace.xi1_candidates, xi1)
     np.testing.assert_array_equal(trace.xi2_candidates, candidate_levels(n, alpha2))
-    np.testing.assert_array_equal(trace.magnitudes, np.sort(np.abs(x))[::-1])
-    counts = _counts_at(trace.magnitudes, xi1)
-    np.testing.assert_array_equal(trace.exceed_counts, counts)
-    np.testing.assert_array_equal(counts, [np.sum(np.abs(x) >= t) for t in xi1])
+    assert trace.n == n
+    counts = exceed_count(x, trace.xi1_candidates)
+    np.testing.assert_array_equal(counts, _brute_counts(x, xi1))
     # k_hat is the step-up rejection count
     hits = np.flatnonzero(counts >= np.arange(1, n + 1))
     assert trace.k_hat == (hits[-1] + 1 if hits.size else 0)
@@ -187,7 +186,7 @@ def _block_on_level(alpha, toward=None):
 def _assert_block_matches_rows(x, alpha1, alpha2):
     k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2)
     for row, k, u, d in zip(x, k_hat, up, down):
-        assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)[1:]
+        assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)
         assert u == _brute_step_up(row, alpha1)
         assert d == _brute_step_down(row, alpha2)
     config = FdrConfig(
@@ -298,8 +297,9 @@ def _alpha2_cases(alpha1, ratio):
     return [alpha1, np.nextafter(alpha1, 0.0), alpha1 * ratio]
 
 
-def _assert_same_selection(x, alpha1, alpha2, top_k):
-    """The top-K path under ``top_k`` against the full core."""
+def _assert_same_selection(x, alpha1, alpha2, top_k, counts):
+    """The top-K path under ``top_k`` against the full core; ``counts`` is the
+    brute count at the step-up candidates, the same for every ``alpha2``."""
     config = FdrConfig(
         alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2
     )
@@ -309,9 +309,9 @@ def _assert_same_selection(x, alpha1, alpha2, top_k):
     with _full_core():
         want = selector._select_levels(x, alpha1, alpha2)
         ref = select_lambda(x, config)
-    assert got[1:] == want[1:]
-    assert trace.to_dict() == ref.to_dict()
-    np.testing.assert_array_equal(trace.magnitudes, ref.magnitudes)
+    assert got == want
+    assert trace == ref
+    np.testing.assert_array_equal(exceed_count(x, trace.xi1_candidates), counts)
 
 
 @SETTINGS
@@ -319,22 +319,22 @@ def _assert_same_selection(x, alpha1, alpha2, top_k):
 @example((np.array([3.0, 1.7, 1.5, 0.2]), 0.2), 0.5)
 def test_top_k_matches_full_core(case, ratio):
     x, alpha1 = case
+    counts = _brute_counts(x, candidate_levels(x.size, alpha1))
     for alpha2 in _alpha2_cases(alpha1, ratio):
         if alpha2 > 0.0:
-            _assert_same_selection(x, alpha1, alpha2, _top_k_everywhere)
+            _assert_same_selection(x, alpha1, alpha2, _top_k_everywhere, counts)
 
 
 def _exact_levels(x, alpha1, alpha2):
     """Both levels from the full candidate and count arrays, vectorized."""
-    mags = np.sort(np.abs(x))[::-1]
-    n = mags.size
+    n = x.size
     xi1 = candidate_levels(n, alpha1)
-    hits = _counts_at(mags, xi1) >= np.arange(1, n + 1)
+    hits = exceed_count(x, xi1) >= np.arange(1, n + 1)
     up = xi1[hits].min() if hits.any() else np.inf
     xi2 = candidate_levels(n, alpha2)
-    if mags[0] < xi2[0]:
+    if np.abs(x).max() < xi2[0]:
         return up, np.inf
-    halts = _counts_at(mags, np.append(xi2[1:], 0.0)) < np.arange(2, n + 2)
+    halts = exceed_count(x, np.append(xi2[1:], 0.0)) < np.arange(2, n + 2)
     return up, xi2[halts].max()
 
 
@@ -365,8 +365,9 @@ def slow_cuts(draw):
 @given(slow_cuts(), st.floats(0.01, 1.0))
 def test_top_k_above_cutoff(case, ratio):
     x, alpha1 = case
+    counts = _brute_counts(x, candidate_levels(x.size, alpha1))
     for alpha2 in _alpha2_cases(alpha1, ratio):
-        _assert_same_selection(x, alpha1, alpha2, nullcontext)
+        _assert_same_selection(x, alpha1, alpha2, nullcontext, counts)
     up, down = _exact_levels(x, alpha1, alpha1)
     assert step_up_level(x, alpha1) == up
     assert step_down_level(x, alpha1) == down
@@ -389,9 +390,10 @@ def test_step_down_beyond_the_prefix_falls_back(case, ratio):
         with _top_k_everywhere(), mock.patch.object(selector, "_top_magnitudes", drop_floor):
             yield
 
+    counts = _brute_counts(x, candidate_levels(x.size, alpha1))
     for alpha2 in _alpha2_cases(alpha1, ratio):
         if alpha2 > 0.0:
-            _assert_same_selection(x, alpha1, alpha2, truncated)
+            _assert_same_selection(x, alpha1, alpha2, truncated, counts)
 
 
 def test_alpha2_above_alpha1_uses_every_magnitude():
@@ -401,8 +403,8 @@ def test_alpha2_above_alpha1_uses_every_magnitude():
     with mock.patch.object(selector, "_top_magnitudes", side_effect=AssertionError):
         got = selector._select_levels(x, 0.1, 0.2)
     with _full_core():
-        assert got[1:] == selector._select_levels(x, 0.1, 0.2)[1:]
-    assert got[3] == _exact_levels(x, 0.1, 0.2)[1]
+        assert got == selector._select_levels(x, 0.1, 0.2)
+    assert got[2] == _exact_levels(x, 0.1, 0.2)[1]
 
 
 def _materializing_top_magnitudes(absx, alpha, cuts=None):

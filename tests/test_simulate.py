@@ -481,6 +481,16 @@ class TestSignalGenerator:
                 with pytest.raises(ValueError, match=r"level must lie in \(0, inf\)"):
                     SignalGenerator.least_favorable(p, radius, weak=weak, level=level)
 
+    def test_least_favorable_count_past_the_float_range(self):
+        # n radius^p / level^p overflows: every coordinate is a spike
+        theta = SignalGenerator.least_favorable(1.5, 1e300).realize(10)
+        np.testing.assert_array_equal(theta, np.full(10, minimax_level(10, 1.5, 1e300)))
+        theta = SignalGenerator.least_favorable(0.0, 1e308).realize(10)
+        np.testing.assert_array_equal(theta, np.ones(10))
+        # level^p overflows alone: the ball holds fewer spikes than one
+        theta = SignalGenerator.least_favorable(1.5, 1.0, level=1e300).realize(10)
+        np.testing.assert_array_equal(theta, np.zeros(10))
+
     def test_describe(self):
         assert SignalGenerator.zero().describe()
         assert "spikes" in SignalGenerator.spikes(2, 1.0).describe()
