@@ -12,7 +12,10 @@ schema per subcommand; ``#`` starts a comment.  The selector keys of
 ``estimate`` and ``experiment`` and their defaults are the fields of
 ``FdrConfig`` (all but ``g1``).  Every run writes the fully
 resolved configuration next to its outputs, so rerunning with that file
-reproduces the outputs byte for byte.  The CLI itself checks only the
+reproduces the outputs byte for byte.  Every output is rewritten in place:
+an existing file is overwritten from its start and then cut to the new
+length, without truncating it to zero first, so a killed run can leave a
+torn file, as a truncating rewrite can.  The CLI itself checks only the
 config syntax, the input file, the curve grid and the ``allow_hard``
 opt-in; every other rule on a value is the library's, with its message.
 Exit codes: 0 success; 2 for any ``ValueError``, whether from the config,
@@ -27,6 +30,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -202,19 +206,33 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _rewrite(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` over its old bytes, in place.
+
+    The file is opened (or created) without truncation, written from its
+    start in the default text mode and encoding of ``open(path, "w")``, and
+    then cut at the end of the new text.  On ext4, truncating a file to
+    zero (or renaming over it) and closing it forces a flush of its data;
+    an in-place rewrite does not.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_resolved(cfg: dict, out_dir: Path) -> None:
     lines = [f"{k} = {_format_value(cfg[k])}" for k in sorted(cfg)]
-    (out_dir / "resolved.cfg").write_text("\n".join(lines) + "\n")
+    _rewrite(out_dir / "resolved.cfg", "\n".join(lines) + "\n")
 
 
 def _write_csv(path: Path, schema: str, lines) -> None:
     """Write already formatted ``lines`` under a schema comment."""
-    path.write_text("\n".join([f"# schema: {schema}", *lines]) + "\n")
+    _rewrite(path, "\n".join([f"# schema: {schema}", *lines]) + "\n")
 
 
 def _write_json(path: Path, cfg: dict, extra: dict) -> None:
     meta = {"package_version": __version__, "config": {k: cfg[k] for k in sorted(cfg)}}
-    path.write_text(json.dumps({**meta, **extra}, indent=2, sort_keys=True) + "\n")
+    _rewrite(path, json.dumps({**meta, **extra}, indent=2, sort_keys=True) + "\n")
 
 
 def _family(cfg: dict) -> ThresholdFamily:
@@ -286,7 +304,7 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
         )
     elif fmt == "svg":
         svg = svg_line_chart(functional, levels, values, vlines)
-        (out_dir / "curve.svg").write_text(svg + "\n")
+        _rewrite(out_dir / "curve.svg", svg + "\n")
 
 
 def cmd_experiment(cfg: dict, out_dir: Path) -> None:

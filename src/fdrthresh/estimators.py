@@ -84,7 +84,11 @@ def fdr_threshold_estimate(
         raise ValueError("scale must be a positive finite number")
     arr = np.asarray(x, dtype=float)
     if scale != 1.0:
-        arr = arr / scale
+        with np.errstate(over="ignore"):
+            scaled = arr / scale
+        if np.isinf(scaled).any() and np.isfinite(arr).all():
+            raise ValueError(f"x / scale overflows the float range at scale = {scale!r}")
+        arr = scaled
     trace = select_lambda(arr, config)
     est = apply_family(arr, trace.lambda_hat, family)
     if scale != 1.0:

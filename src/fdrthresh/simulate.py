@@ -4,8 +4,13 @@ Noise replication is counter-based: replicate ``i`` always draws from a
 Philox stream keyed by the root seed with block counter ``i << 192``, so
 results are bit-reproducible for a given (seed, config) regardless of
 block sizes or evaluation order, and distinct replicates can never share
-stream state.  Each replicate is drawn once: an experiment that compares
-several statistics evaluates all of them on that one draw.
+stream state.  Each thread keeps one ``Philox`` and re-keys it per
+replicate by assigning its state (key and counter, with an empty output
+buffer), which draws exactly what a new ``Philox`` at that key and counter
+would, without building one; no generator is shared across threads.  The
+replicate count and the seed must be integers.  Each replicate is drawn
+once: an experiment that compares several statistics evaluates all of
+them on that one draw.
 
 Replicates are drawn and evaluated in (B, n) blocks, row ``i`` of the run
 from stream ``i``, with ``B = max(1, 2**14 // n)``: 16 rows at n = 1024 and
@@ -28,7 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -219,8 +226,34 @@ class _Block:
     fn: Callable[[np.ndarray], np.ndarray]
 
 
+_streams = threading.local()
+
+
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+    """The stream of ``Philox(key=seed, counter=index << 192)``, on this thread's one generator.
+
+    The generator is re-keyed by the next call in the same thread, so draw
+    from it before asking for another stream.
+    """
+    try:
+        rng, state = _streams.philox
+    except AttributeError:  # a new Philox's state: an empty buffer, no cached 32 bits
+        rng = np.random.Generator(np.random.Philox(key=0))
+        state = rng.bit_generator.state
+        _streams.philox = rng, state
+    words = state["state"]
+    words["key"][:] = (seed & (2**64 - 1), seed >> 64)
+    words["counter"][3] = index
+    rng.bit_generator.state = state
+    return rng
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy integers included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _fingerprint(theta: np.ndarray, **fields) -> str:
@@ -242,6 +275,7 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antitheti
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
+    replicates, seed = _integer("replicates", replicates), _integer("seed", seed)
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     if not 0 <= seed < 2**128:
@@ -343,12 +377,12 @@ def mc_mean(
     which then returns a (B,) array of levels and one of losses.
     """
     theta = np.asarray(theta, dtype=float)
-    seed = int(seed)
     if isinstance(statistic, _Block):
         block = statistic.fn
     else:
         block = lambda x: [statistic(row) for row in x.copy()]
     samples = _samples(theta, block, replicates, seed, antithetic)
+    replicates, seed = int(replicates), int(seed)  # integers: _samples has checked them
     fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=antithetic)
 
     def summary(column: np.ndarray) -> McEstimate:
@@ -640,7 +674,7 @@ def concentration_check(
 
     loss = _threshold_losses(theta)
     scaled_loss = lambda x: np.sqrt(loss(x, np.abs(x), np.full(x.shape[0], level), family) / n)
-    samples = _samples(theta, scaled_loss, int(replicates), int(seed))
+    samples = _samples(theta, scaled_loss, replicates, seed)
     var = float(samples.var(ddof=1))
     centered = samples - samples.mean()
     m4 = float(np.mean(centered**4))

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -554,6 +556,69 @@ def test_parser_built_once_per_process(tmp_path, four_point, capsys):
         for path in same:
             assert path.read_bytes() == (tmp_path / "fresh" / name / path.name).read_bytes()
     assert cli._build_parser.cache_info().misses == 1
+
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+_REGRET_CFG = _EXPERIMENT_CFG["regret"]
+
+
+def test_outputs_rewritten_in_place_match_fresh_runs(tmp_path, four_point, curve_cfg):
+    # stale files of the same names, alternately shorter and longer than the new
+    # ones, are overwritten exactly; the experiment runs strong regret first, then
+    # plain regret, so its files also get shorter between the two runs
+    strong = write(tmp_path / "strong.cfg", _REGRET_CFG + "strong = true\n")
+    plain = write(tmp_path / "plain.cfg", _REGRET_CFG)
+    cases = {
+        "estimate": [["estimate", "--config", four_point]],
+        "experiment": [["experiment", "--config", strong], ["experiment", "--config", plain]],
+        "risk-curve": [["risk-curve", "--config", curve_cfg, "--format", "svg"]],
+    }
+    for name, runs in cases.items():
+        fresh, reused = tmp_path / "fresh" / name, tmp_path / "reused" / name
+        assert run(*runs[-1], "--out", str(fresh)) == 0
+        outputs = sorted(fresh.iterdir())
+        assert len(outputs) == 3
+        reused.mkdir(parents=True)
+        for i, path in enumerate(outputs):
+            size = path.stat().st_size
+            (reused / path.name).write_bytes(b"#" * (3 * size if i % 2 else size // 2))
+        for argv in runs:
+            assert run(*argv, "--out", str(reused)) == 0
+        assert sorted(p.name for p in reused.iterdir()) == [p.name for p in outputs]
+        for path in outputs:
+            assert (reused / path.name).read_bytes() == path.read_bytes(), (name, path.name)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_output_files_get_the_write_text_mode(tmp_path, four_point, umask):
+    old = os.umask(umask)
+    try:
+        (tmp_path / "reference").write_text("x")
+        assert run("estimate", "--config", four_point, "--out", str(tmp_path / "out")) == 0
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    for path in (tmp_path / "out").iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == want, path.name
+
+
+def test_outputs_opened_without_truncation(tmp_path, four_point, curve_cfg, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    out = str(tmp_path / "out")
+    assert run("estimate", "--config", four_point, "--out", out) == 0
+    assert run("risk-curve", "--config", curve_cfg, "--out", out, "--format", "svg") == 0
+    assert len(flags) == 6
+    assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_console_script_version():

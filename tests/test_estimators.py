@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,18 @@ def test_scale_standardizes_and_maps_back():
     with pytest.raises(ValueError):
         fdr_threshold_estimate(x, scale=np.inf)
 
+
+
+def test_scale_overflow_names_x_over_scale():
+    # finite x over a subnormal scale overflows; the error says so, with no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"x / scale overflows"):
+            fdr_threshold_estimate(np.array([1.0, 2.0]), scale=1e-320)
+        with pytest.raises(ValueError, match="x must be finite"):
+            fdr_threshold_estimate(np.array([1.0, np.inf]), scale=1e-320)
+        tiny = fdr_threshold_estimate(np.array([1e-300, 2e-300]), scale=1e-300)
+    assert tiny.level == fdr_threshold_estimate(np.array([1.0, 2.0])).level
 
 def test_fixed_threshold_estimate():
     x = np.array([2.0, -0.4, 1.1])

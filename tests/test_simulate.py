@@ -1,6 +1,8 @@
 """Monte Carlo harness tests: determinism, oracle agreement, experiments."""
 
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -430,6 +432,96 @@ class TestReusedBuffers:
         cfg = tmp_path / "e.cfg"
         cfg.write_text(f"kind = regret\nn = 16\nreplicates = 4\nspike_count = 2\nspike_value = {value}\n")
         assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+
+def _fresh_rng(seed, index):
+    return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+
+
+def _draws(rng):
+    """A state snapshot, then draws through normals, doubles and 32- and 64-bit integers."""
+    state = rng.bit_generator.state
+    return (
+        state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+        state["buffer_pos"], state["has_uint32"], rng.standard_normal(37).tobytes(),
+        rng.random(5).tobytes(), rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
+        rng.integers(0, 2**63, 3).tobytes(),
+    )
+
+
+_SEEDS = (0, 2**64 - 1, 2**64, 2**128 - 1)
+_INDICES = (0, 1, 2**32, 2**63)
+
+
+class TestReplicateStreams:
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_equals_a_fresh_philox(self, seed):
+        for index in _INDICES:
+            assert _draws(simulate._replicate_rng(seed, index)) == _draws(_fresh_rng(seed, index))
+
+    def test_two_seeds_interleaved(self):
+        # after a partly used stream (a cached 32-bit half, a part-read buffer),
+        # the next re-key starts as a new Philox would
+        pairs = [(seed, index) for index in _INDICES for seed in (2**64, 7)]
+        for seed, index in pairs + pairs[::-1]:
+            assert _draws(simulate._replicate_rng(seed, index)) == _draws(_fresh_rng(seed, index))
+
+    def test_threads_keep_their_own_streams(self):
+        theta = SignalGenerator.spikes(4, 3.0).realize(64)
+        seeds = (5, 6)
+        want = {seed: regret_experiment(theta, 200, seed, strong=True) for seed in seeds}
+        got = {seed: [] for seed in seeds}
+        start = threading.Barrier(len(seeds))
+
+        def work(seed):
+            start.wait()
+            for _ in range(4):
+                got[seed].append(regret_experiment(theta, 200, seed, strong=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            assert got[seed] == [want[seed]] * 4
+
+
+class TestIntegerCounts:
+    theta = SignalGenerator.spikes(2, 3.0).realize(16)
+    soft = ThresholdFamily("soft")
+
+    @pytest.mark.parametrize(
+        "replicates, seed, name",
+        [(4.5, 1, "replicates"), (np.float64(4.0), 1, "replicates"), (4, 1.5, "seed"), (4, 2.0, "seed")],
+    )
+    def test_fractional_replicates_or_seed_raise(self, replicates, seed, name):
+        calls = (
+            lambda: mc_mean(self.theta, lambda x: float(x @ x), replicates, seed),
+            lambda: mc_risk(self.theta, lambda x: x, replicates, seed),
+            lambda: regret_experiment(self.theta, replicates, seed),
+            lambda: common_mean_experiment(16, 0.1, replicates, seed),
+            lambda: minimax_ball_experiment(16, 0.0, 0.1, replicates, seed),
+            lambda: concentration_check(self.theta, 1.0, self.soft, replicates, seed),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                call()
+
+    def test_numpy_integers_accepted(self):
+        plain = regret_experiment(self.theta, 4, 7)
+        numpy = regret_experiment(self.theta, np.int64(4), np.uint64(7))
+        assert (numpy.mc.replicates, numpy.mc.seed) == (4, 7)
+        assert type(numpy.mc.replicates) is type(numpy.mc.seed) is int
+        assert (numpy.mc.mean, numpy.mc.config_fingerprint) == (plain.mc.mean, plain.mc.config_fingerprint)
+        report = concentration_check(self.theta, 1.0, self.soft, np.int32(4), np.int16(7))
+        assert report == concentration_check(self.theta, 1.0, self.soft, 4, 7)
 
 
 class TestSignalGenerator:
