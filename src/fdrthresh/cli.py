@@ -14,8 +14,10 @@ schema per subcommand; ``#`` starts a comment.  The selector keys of
 resolved configuration next to its outputs, so rerunning with that file
 reproduces the outputs byte for byte.  Every output is rewritten in place:
 an existing file is overwritten from its start and then cut to the new
-length, without truncating it to zero first, so a killed run can leave a
-torn file, as a truncating rewrite can.  The CLI itself checks only the
+length, without truncating it to zero first.  CSV rows are formatted and
+written a fixed-size batch at a time, so the whole text of a file is never
+held in memory.  A killed run can leave a torn file, as a truncating
+rewrite can.  The CLI itself checks only the
 config syntax, the input file, the curve grid and the ``allow_hard``
 opt-in; every other rule on a value is the library's, with its message.
 Exit codes: 0 success; 2 for any ``ValueError``, whether from the config,
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -206,33 +209,44 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _rewrite(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` over its old bytes, in place.
+# CSV lines formatted, joined and written at a time
+_BATCH = 2**14
+
+
+def _rewrite(path: Path, pieces) -> None:
+    """Write the text ``pieces`` to ``path`` one after another, in place.
 
     The file is opened (or created) without truncation, written from its
     start in the default text mode and encoding of ``open(path, "w")``, and
     then cut at the end of the new text.  On ext4, truncating a file to
     zero (or renaming over it) and closing it forces a flush of its data;
-    an in-place rewrite does not.
+    an in-place rewrite does not.  ``pieces`` is consumed lazily, so a
+    caller can form each piece only when it is due to be written.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
         fh.truncate()
 
 
 def _write_resolved(cfg: dict, out_dir: Path) -> None:
-    lines = [f"{k} = {_format_value(cfg[k])}" for k in sorted(cfg)]
-    _rewrite(out_dir / "resolved.cfg", "\n".join(lines) + "\n")
+    _rewrite(out_dir / "resolved.cfg", (f"{k} = {_format_value(cfg[k])}\n" for k in sorted(cfg)))
 
 
 def _write_csv(path: Path, schema: str, lines) -> None:
-    """Write already formatted ``lines`` under a schema comment."""
-    _rewrite(path, "\n".join([f"# schema: {schema}", *lines]) + "\n")
+    """Write already formatted ``lines`` under a schema comment.
+
+    The lines are joined and written ``_BATCH`` at a time, so the whole
+    text of the file is never held at once.
+    """
+    lines = iter(lines)
+    batches = iter(lambda: list(itertools.islice(lines, _BATCH)), [])
+    pieces = itertools.chain([f"# schema: {schema}\n"], ("\n".join(b) + "\n" for b in batches))
+    _rewrite(path, pieces)
 
 
 def _write_json(path: Path, cfg: dict, extra: dict) -> None:
     meta = {"package_version": __version__, "config": {k: cfg[k] for k in sorted(cfg)}}
-    _rewrite(path, json.dumps({**meta, **extra}, indent=2, sort_keys=True) + "\n")
+    _rewrite(path, (json.dumps({**meta, **extra}, indent=2, sort_keys=True), "\n"))
 
 
 def _family(cfg: dict) -> ThresholdFamily:
@@ -255,12 +269,15 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
     family = _family(cfg)
     report = fdr_threshold_estimate(x, family, sel, allow_hard=cfg["allow_hard"])
-    rows = enumerate(zip(x.tolist(), report.estimate.tolist()))
-    _write_csv(
-        out_dir / "estimate.csv",
-        "index:int,observation:float,estimate:float",
-        (f"{i},{a!r},{b!r}" for i, (a, b) in rows),
+    est = report.estimate
+    rows = (  # from one batch's ``tolist()`` slices at a time, never the whole vector's
+        f"{i},{a!r},{b!r}"
+        for start in range(0, x.size, _BATCH)
+        for i, (a, b) in enumerate(
+            zip(x[start:start + _BATCH].tolist(), est[start:start + _BATCH].tolist()), start
+        )
     )
+    _write_csv(out_dir / "estimate.csv", "index:int,observation:float,estimate:float", rows)
     _write_json(out_dir / "estimate.json", cfg, report.to_dict())
 
 
@@ -304,7 +321,7 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
         )
     elif fmt == "svg":
         svg = svg_line_chart(functional, levels, values, vlines)
-        _rewrite(out_dir / "curve.svg", svg + "\n")
+        _rewrite(out_dir / "curve.svg", (svg, "\n"))
 
 
 def cmd_experiment(cfg: dict, out_dir: Path) -> None:

@@ -152,23 +152,24 @@ def read_vector(path) -> np.ndarray:
                 f"{path}: binary vector length mismatch "
                 f"(header says {count} values, file has {(len(raw) - 16) // 8})"
             )
-        return np.frombuffer(raw[16:], dtype="<f8").astype(float)
-    try:  # the decoded text stays a temporary: only the stripped lines outlive it
-        lines = [line.partition("#")[0].strip() for line in raw.decode("utf-8").splitlines()]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    try:
-        values = np.fromiter(map(float, filter(None, lines)), dtype=float)
-    except ValueError:
-        # find the offending line for the message
-        for lineno, text in enumerate(lines, start=1):
-            if not text:
-                continue
-            try:
-                float(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
-        raise
+        values = np.frombuffer(raw[16:], dtype="<f8").astype(float)
+    else:
+        try:  # the decoded text stays a temporary: only the stripped lines outlive it
+            lines = [line.partition("#")[0].strip() for line in raw.decode("utf-8").splitlines()]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        try:
+            values = np.fromiter(map(float, filter(None, lines)), dtype=float)
+        except ValueError:
+            # find the offending line for the message
+            for lineno, text in enumerate(lines, start=1):
+                if not text:
+                    continue
+                try:
+                    float(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from exc
+            raise
     if values.size == 0:
         raise ValueError(f"{path}: no values found")
     return values

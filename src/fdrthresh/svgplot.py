@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["svg_line_chart"]
 
 _COLOR = "#1f6fb2"
+
+
+def _escape(text: str) -> str:
+    """What ``xml.sax.saxutils.escape`` returns, without importing it.
+
+    That import loads ``urllib.request``, ``http.client`` and ``ssl``.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -73,7 +80,7 @@ def svg_line_chart(label: str, xs, ys, vlines=()) -> str:
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="14">{escape(label)}</text>',
+        f'font-size="14">{_escape(label)}</text>',
         f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     for t in _ticks(x0, x1):
@@ -102,7 +109,7 @@ def svg_line_chart(label: str, xs, ys, vlines=()) -> str:
         )
         if text:
             out.append(
-                f'<text x="{px(x) + 3:.1f}" y="{top + 12}" fill="#555">{escape(text)}</text>'
+                f'<text x="{px(x) + 3:.1f}" y="{top + 12}" fill="#555">{_escape(text)}</text>'
             )
     coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
     ly = top + 10  # the legend's one entry
@@ -110,7 +117,7 @@ def svg_line_chart(label: str, xs, ys, vlines=()) -> str:
         f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" stroke-width="1.5"/>',
         f'<line x1="{left + pw - 130}" y1="{ly}" x2="{left + pw - 110}" '
         f'y2="{ly}" stroke="{_COLOR}" stroke-width="2"/>',
-        f'<text x="{left + pw - 104}" y="{ly + 4}">{escape(label)}</text>',
+        f'<text x="{left + pw - 104}" y="{ly + 4}">{_escape(label)}</text>',
         "</svg>",
     ]
     return "\n".join(out)

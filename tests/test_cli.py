@@ -7,13 +7,14 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from fdrthresh.cli import main
-from fdrthresh.estimators import fdr_threshold_estimate, read_vector
+from fdrthresh.cli import _BATCH, main
+from fdrthresh.estimators import fdr_threshold_estimate, read_vector, write_vector_binary
 from fdrthresh.selector import FdrConfig
 from fdrthresh.thresholds import ThresholdFamily, soft
 
@@ -108,11 +109,15 @@ def test_estimate_config_validation_exit_2(tmp_path, four_point, mutate, capsys)
     assert "error:" in capsys.readouterr().err
 
 
-def test_estimate_missing_files_exit_2(tmp_path):
+def test_estimate_missing_files_exit_2(tmp_path, capsys):
     assert run("estimate", "--config", str(tmp_path / "nope.cfg")) == 2
-    empty_vec = write(tmp_path / "empty.csv", "# nothing here\n")
-    cfg = write(tmp_path / "c.cfg", f"input = {empty_vec}\n")
-    assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    # an empty text file and an empty binary file fail by one rule
+    write_vector_binary(tmp_path / "empty.bin", [])
+    for empty_vec in (write(tmp_path / "empty.csv", "# nothing here\n"), tmp_path / "empty.bin"):
+        cfg = write(tmp_path / "c.cfg", f"input = {empty_vec}\n")
+        capsys.readouterr()
+        assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {empty_vec}: no values found\n"
 
 
 def test_estimate_non_utf8_input_exit_2(tmp_path, capsys):
@@ -128,12 +133,26 @@ def test_estimate_non_utf8_input_exit_2(tmp_path, capsys):
 AWKWARD = [-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 3.0, -2.0, 1e22, -1.7, 0.2]
 
 
+def _cycled(n):
+    """``n`` values cycling through ``AWKWARD`` and ``0.0``, so both signed zeros recur."""
+    pool = [*AWKWARD, 0.0]
+    return [pool[i % len(pool)] for i in range(n)]
+
+
+# the lengths around the CSV writer's batch size, n = 1 included
+_BATCH_SIZES = [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]
+
+
 @pytest.mark.parametrize(
-    "values",
-    [AWKWARD, [v for v in AWKWARD if abs(v) < 2.5]],  # the second selects nothing
-    ids=["finite-level", "inf-level"],
+    "values, inf_level",
+    [
+        (AWKWARD, False),
+        ([v for v in AWKWARD if abs(v) < 2.5], True),  # selects nothing
+        *[(_cycled(n), n == 1) for n in _BATCH_SIZES],
+    ],
+    ids=["finite-level", "inf-level", *[f"n={n}" for n in _BATCH_SIZES]],
 )
-def test_estimate_csv_matches_row_by_row_repr(tmp_path, values):
+def test_estimate_csv_matches_row_by_row_repr(tmp_path, values, inf_level):
     data = write(tmp_path / "x.csv", "".join(f"{v!r}\n" for v in values))
     cfg = write(
         tmp_path / "c.cfg",
@@ -144,11 +163,12 @@ def test_estimate_csv_matches_row_by_row_repr(tmp_path, values):
     x = read_vector(data)
     config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05)
     report = fdr_threshold_estimate(x, ThresholdFamily("soft"), config)
-    assert math.isinf(report.level) == (len(values) < len(AWKWARD))
+    assert math.isinf(report.level) == inf_level
     rows = [(i, repr(float(x[i])), repr(float(report.estimate[i]))) for i in range(x.size)]
     lines = ["# schema: index:int,observation:float,estimate:float"]
     lines.extend(",".join(str(c) for c in row) for row in rows)
-    assert (out / "estimate.csv").read_text() == "\n".join(lines) + "\n"
+    # compared line by line: a failing diff of two multi-batch texts takes minutes
+    assert (out / "estimate.csv").read_text().split("\n") == [*lines, ""]
 
 
 def test_estimate_json_is_a_summary(tmp_path):
@@ -164,6 +184,24 @@ def test_estimate_json_is_a_summary(tmp_path):
     assert report["n"] == 100_000
     assert report["trace"]["k_hat"] > 0
     assert report["trace"]["lambda_hat"] == report["level"]
+
+
+def test_estimate_traced_peak_is_below_64_bytes_a_row(tmp_path):
+    # a binary input, so the reader holds no text and the peak is the writer's;
+    # holding the whole CSV text and a list of all its rows took 167 bytes a row
+    n = 2**17
+    x = np.random.default_rng(8).standard_normal(n)
+    x[: n // 100] += 4.0
+    write_vector_binary(tmp_path / "x.bin", x)
+    cfg = write(tmp_path / "c.cfg", f"input = {tmp_path / 'x.bin'}\n")
+    del x
+    tracemalloc.start()
+    try:
+        assert run("estimate", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, f"{peak / n:.1f} bytes a row"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -237,6 +275,22 @@ def test_curve_svg_bytes_pinned(tmp_path, curve_cfg, functional):
     data = (out / "curve.svg").read_bytes()
     assert (b">optimal</text>" in data) == (functional != "fdr_curve")
     assert hashlib.sha256(data).hexdigest() == _CURVE_SVG_SHA256[functional]
+
+
+def test_svg_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    from fdrthresh.svgplot import _escape
+
+    for text in ["a & b < c > d", "\"double\" & 'single' <q>", "&amp;&lt;>><<&", "plain", ""]:
+        assert _escape(text) == escape(text)
+
+
+def test_cli_import_leaves_out_xml_sax():
+    code = "import sys, fdrthresh.cli; print('xml.sax' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_fdr_curve_monotone(tmp_path, curve_cfg):
@@ -568,11 +622,18 @@ _REGRET_CFG = _EXPERIMENT_CFG["regret"]
 def test_outputs_rewritten_in_place_match_fresh_runs(tmp_path, four_point, curve_cfg):
     # stale files of the same names, alternately shorter and longer than the new
     # ones, are overwritten exactly; the experiment runs strong regret first, then
-    # plain regret, so its files also get shorter between the two runs
+    # plain regret, so its files also get shorter between the two runs, and so does
+    # the multi-batch estimate.csv, after an estimate of a longer input
     strong = write(tmp_path / "strong.cfg", _REGRET_CFG + "strong = true\n")
     plain = write(tmp_path / "plain.cfg", _REGRET_CFG)
+    batches = {}
+    for n in (2 * _BATCH + 1, 3 * _BATCH):
+        data = write(tmp_path / f"x{n}.csv", "".join(f"{v!r}\n" for v in _cycled(n)))
+        batches[n] = ["estimate", "--config", write(tmp_path / f"x{n}.cfg", f"input = {data}\n")]
     cases = {
         "estimate": [["estimate", "--config", four_point]],
+        "estimate-batches": [batches[2 * _BATCH + 1]],
+        "estimate-batches-after-longer": [batches[3 * _BATCH], batches[2 * _BATCH + 1]],
         "experiment": [["experiment", "--config", strong], ["experiment", "--config", plain]],
         "risk-curve": [["risk-curve", "--config", curve_cfg, "--format", "svg"]],
     }

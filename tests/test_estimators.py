@@ -230,10 +230,14 @@ class TestVectorFiles:
         assert "0xff" in str(got.value)
 
     def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("# nothing here\n")
-        with pytest.raises(ValueError, match="no values"):
-            read_vector(path)
+        # an empty binary file fails by the rule and message of an empty text file
+        text, binary = tmp_path / "empty.csv", tmp_path / "empty.bin"
+        text.write_text("# nothing here\n")
+        write_vector_binary(binary, [])
+        for path in (text, binary):
+            with pytest.raises(ValueError) as got:
+                read_vector(path)
+            assert str(got.value) == f"{path}: no values found"
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "trunc.bin"
