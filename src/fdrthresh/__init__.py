@@ -10,12 +10,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .estimators import (
-    EstimateReport,
-    fdr_threshold_estimate,
-    fixed_threshold_estimate,
-    sample_mean_estimate,
-)
+from .estimators import EstimateReport, fdr_threshold_estimate
 from .risk import EmpiricalPrior, OptimalLevels, optimal_levels
 from .selector import FdrConfig, SelectorTrace, select_lambda
 from .thresholds import ThresholdFamily
@@ -29,8 +24,6 @@ __all__ = [
     "SelectorTrace",
     "ThresholdFamily",
     "fdr_threshold_estimate",
-    "fixed_threshold_estimate",
     "optimal_levels",
-    "sample_mean_estimate",
     "select_lambda",
 ]

@@ -10,9 +10,9 @@ Subcommands::
 Configs are flat ``key = value`` text files validated against a typed
 schema per subcommand; ``#`` starts a comment.  The selector keys of
 ``estimate`` and ``experiment`` and their defaults are the fields of
-``FdrConfig`` (all but ``g1``).  Every run writes the fully
-resolved configuration next to its outputs, so rerunning with that file
-reproduces the outputs byte for byte.  Every output is rewritten in place:
+``FdrConfig``.  Every run writes the fully resolved configuration next to
+its outputs, so rerunning with that file reproduces the outputs byte for
+byte.  Every output is rewritten in place:
 an existing file is overwritten from its start and then cut to the new
 length, without truncating it to zero first.  CSV rows are formatted and
 written a fixed-size batch at a time, so the whole text of a file is never
@@ -101,9 +101,7 @@ class _Key:
         return value
 
 
-_SELECTOR_KEYS = {
-    f.name: _Key("float", f.default) for f in dataclasses.fields(FdrConfig) if f.name != "g1"
-}
+_SELECTOR_KEYS = {f.name: _Key("float", f.default) for f in dataclasses.fields(FdrConfig)}
 
 _FAMILY_KEYS = {
     "family": _Key("str", "soft", choices={"soft", "hard", "firm", "interpolated"}),

@@ -7,7 +7,6 @@ risk guarantees, so it must be requested explicitly and the report flags it.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -16,13 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .selector import FdrConfig, SelectorTrace, select_lambda
-from .thresholds import ThresholdFamily, _check_level, _check_observations, apply_family
+from .thresholds import ThresholdFamily, apply_family
 
 __all__ = [
     "EstimateReport",
     "fdr_threshold_estimate",
-    "fixed_threshold_estimate",
-    "sample_mean_estimate",
     "read_vector",
     "write_vector_binary",
     "VECTOR_MAGIC",
@@ -40,7 +37,7 @@ class EstimateReport:
     estimate: np.ndarray
     level: float
     family: ThresholdFamily
-    trace: SelectorTrace | None
+    trace: SelectorTrace
     outside_theory: bool = False
 
     def to_dict(self) -> dict:
@@ -50,11 +47,8 @@ class EstimateReport:
             "level": self.level,
             "family": self.family.describe(),
             "outside_theory": self.outside_theory,
-            "trace": self.trace.to_dict() if self.trace is not None else None,
+            "trace": self.trace.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def fdr_threshold_estimate(
@@ -102,38 +96,6 @@ def fdr_threshold_estimate(
     )
 
 
-def fixed_threshold_estimate(
-    x, family: ThresholdFamily, level: float
-) -> EstimateReport:
-    """Threshold ``x`` at a fixed level (possibly +inf for the zero fit)."""
-    level = _check_level(float(level))
-    est = apply_family(np.asarray(x, dtype=float), level, family)
-    return EstimateReport(
-        estimate=np.asarray(est, dtype=float),
-        level=level,
-        family=family,
-        trace=None,
-        outside_theory=(family.kind == "hard"),
-    )
-
-
-def sample_mean_estimate(x) -> EstimateReport:
-    """Estimate every coordinate by the grand sample mean.
-
-    The classical comparator when all means are believed equal; its total
-    squared-error risk is exactly 1 regardless of the common value.
-    """
-    arr = _check_observations(x)
-    est = np.full(arr.shape, float(arr.mean()))
-    return EstimateReport(
-        estimate=est,
-        level=math.nan,
-        family=ThresholdFamily("soft"),
-        trace=None,
-        outside_theory=False,
-    )
-
-
 def read_vector(path) -> np.ndarray:
     """Read an observation vector from CSV (one value per line) or binary.
 
@@ -152,7 +114,7 @@ def read_vector(path) -> np.ndarray:
                 f"{path}: binary vector length mismatch "
                 f"(header says {count} values, file has {(len(raw) - 16) // 8})"
             )
-        values = np.frombuffer(raw[16:], dtype="<f8").astype(float)
+        values = np.frombuffer(raw, dtype="<f8", offset=16).astype(float)
     else:
         try:  # the decoded text stays a temporary: only the stripped lines outlive it
             lines = [line.partition("#")[0].strip() for line in raw.decode("utf-8").splitlines()]

@@ -34,15 +34,11 @@ __all__ = [
     "bayes_soft_risk",
     "clipped_second_moment",
     "surrogate_risk",
-    "default_surrogate_constant",
     "rejection_prob",
     "fdr_curve",
     "population_fdr_levels",
     "OptimalLevels",
     "optimal_levels",
-    "smooth_risk_bound",
-    "DiagnosticConstants",
-    "diagnostic_constants",
 ]
 
 # Numerator 2*Phi(-t) underflows past ~38.6; the curve-crossing search never
@@ -106,10 +102,6 @@ class EmpiricalPrior:
     @property
     def mean_square(self) -> float:
         return float(np.dot(self.weights, self.atoms**2))
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.atoms)))
 
     @property
     def default_level_max(self) -> float:
@@ -177,19 +169,6 @@ def surrogate_risk(prior: EmpiricalPrior, level, b0: float = 4.0):
         raise ValueError("b0 must be >= 4")
     # the level is checked first; norm_cdf(-inf) is exactly 0
     return clipped_second_moment(prior, level) + b0 * norm_cdf(-np.asarray(level, dtype=float))
-
-
-def default_surrogate_constant(alpha2p: float, c0: float = 1.0) -> float:
-    """Recommended tail weight ``max(8 / alpha2p, 2 c0^2)``.
-
-    ``alpha2p`` is the population step-down rate and ``c0`` the smooth-family
-    risk constant (1 for soft thresholding).  Always >= 4.
-    """
-    if not (0.0 < alpha2p < 1.0):
-        raise ValueError("alpha2p must lie in (0, 1)")
-    if not (c0 >= 1.0):
-        raise ValueError("c0 must be >= 1")
-    return max(8.0 / alpha2p, 2.0 * c0 * c0)
 
 
 def rejection_prob(prior: EmpiricalPrior, t):
@@ -325,108 +304,3 @@ def optimal_levels(
         raise ValueError("b0 must be >= 4")
     lam, eta = _minimize_level(prior, bayes_soft_risk, _exact_slope, level_max)
     return OptimalLevels(lam, eta, float(b0), prior, float(level_max))
-
-
-def smooth_risk_bound(prior: EmpiricalPrior, level: float, c0: float) -> float:
-    """Risk envelope for any sandwiched Lipschitz threshold family.
-
-    ``clipped_second_moment(prior, sqrt(level^2 + 2)) + c0^2 * soft_risk(0, level)``
-    with ``c0 = slope / (2 - slope) >= 1``.  Valid for every family whose
-    rule is sandwiched between soft and hard and is ``slope``-Lipschitz.
-    """
-    if not (c0 >= 1.0):
-        raise ValueError("c0 must be >= 1")
-    level = _check_level(float(level))
-    if math.isinf(level):
-        return prior.mean_square
-    widened = math.sqrt(level * level + 2.0)
-    return float(clipped_second_moment(prior, widened) + c0 * c0 * soft_risk(0.0, level))
-
-
-@dataclass(frozen=True)
-class DiagnosticConstants:
-    """Finite-sample constants entering the adaptive-risk error terms."""
-
-    l2n: float
-    tau1_star: float
-    tau2_star: float
-    nu1_star: float
-    nu2_star: float
-
-
-def _check_decay(c1: float, c2: float, m0: float) -> None:
-    """The exponents of a level transform's risk-decay certificate."""
-    if not (0.0 < c1 <= 2.0):
-        raise ValueError("c1 must lie in (0, 2]")
-    if abs(c2) > m0:
-        raise ValueError("|c2| must not exceed m0")
-    if c1 == 2.0 and c2 > 0.0:
-        raise ValueError("c2 must be <= 0 when c1 = 2")
-
-
-def _log_plus(x: float) -> float:
-    return max(1.0, math.log(x))
-
-
-def diagnostic_constants(
-    n: int,
-    delta1: float,
-    delta2: float,
-    c1: float,
-    c2: float,
-    eta_star: float,
-    alpha1: float,
-    alpha1p: float,
-    alpha2: float,
-    alpha2p: float,
-    m0: float = 4.0,
-) -> DiagnosticConstants:
-    """Evaluate the error-term constants for a given selector configuration.
-
-    ``eta_star`` is the surrogate optimal risk (per coordinate) of the
-    target mean vector; ``c1``, ``c2`` describe the level transform's decay
-    certificate (identity transform: ``c1 = 2``, ``c2 = 0``); the rate
-    constants are
-
-        L2n  = (log n)^(-3/2) [ delta1 (log n)^((5-c1)/2) / LL^c2
-                                + (log n)^((3-c1)/2) / LL^(c2-1) ]^(1+delta1)
-        tau2 = L2n / n^(1+delta1),
-        tau1 = max( log(e v log n)/(1 v log n),
-                    (log L1)^(-c2) / L1^(c1/2), 1/L1 ),
-
-    with ``LL = 1 v log log n`` and ``L1 = e v log(1/eta_star)``, plus the
-    selector tail exponents ``nu_j = r_j - 1 - log r_j`` for the nominal to
-    population level ratios ``r_1 = alpha1/alpha1p``, ``r_2 = alpha2/alpha2p``.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not (0.0 <= delta1 <= delta2):
-        raise ValueError("need 0 <= delta1 <= delta2")
-    _check_decay(c1, c2, m0)
-    if not (eta_star > 0.0):
-        raise ValueError("eta_star must be positive")
-    # equality of nominal and population rates is allowed here (it just
-    # zeroes the tail exponent); the selector itself demands strict gaps
-    if not (0.0 < alpha2p <= alpha2 <= alpha1 <= alpha1p < 1.0):
-        raise ValueError("need 0 < alpha2p <= alpha2 <= alpha1 <= alpha1p < 1")
-
-    logn = math.log(n)
-    ll = _log_plus(logn)
-    bracket = delta1 * logn ** ((5.0 - c1) / 2.0) / ll**c2
-    bracket += logn ** ((3.0 - c1) / 2.0) / ll ** (c2 - 1.0)
-    l2n = logn**-1.5 * bracket ** (1.0 + delta1)
-    tau2 = l2n / n ** (1.0 + delta1)
-
-    l1 = max(math.e, math.log(1.0 / eta_star))
-    tau1 = max(
-        math.log(max(math.e, logn)) / max(1.0, logn),
-        math.log(l1) ** (-c2) / l1 ** (c1 / 2.0),
-        1.0 / l1,
-    )
-
-    def tail_exponent(r: float) -> float:
-        return r - 1.0 - math.log(r)
-
-    nu1 = tail_exponent(alpha1 / alpha1p)
-    nu2 = tail_exponent(alpha2 / alpha2p)
-    return DiagnosticConstants(l2n, tau1, tau2, nu1, nu2)

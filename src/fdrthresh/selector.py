@@ -14,11 +14,10 @@ for k = 1..n, where ``Q`` is the standard normal quantile function.  With
 Both are ``+inf`` when nothing qualifies, and step-up <= step-down always
 holds when ``alpha2 <= alpha1``.  The selected threshold level is
 
-    lambda = (1 - w) * sqrt(1 + delta1) * g1(step_up)
+    lambda = (1 - w) * sqrt(1 + delta1) * step_up
                + w  * sqrt(1 + delta2) * step_down,
 
-where ``g1`` is a certified monotone transform (identity by default) and
-``w`` is the interpolation knob.
+where ``w`` is the interpolation knob.
 
 Both rules depend on ``x`` only through the magnitudes sorted in decreasing
 order, ``m_(1) >= ... >= m_(n)``, because ``N(xi_k) >= k`` holds exactly
@@ -53,8 +52,8 @@ in some row is compared exactly against ``xi_k``, computed by the same
 arithmetic as ``candidate_levels``, in all rows.  That is one quantile call
 per rule, shared by the rows (one in all when ``alpha2 == alpha1``, since
 both rules then read the same mask), and one more for the returned levels.
-A ``SelectorTrace`` keeps ``n``, not ``x``, and builds the candidate arrays
-only when asked; ``exceed_count(x, levels)`` gives the counts at any array
+A ``SelectorTrace`` keeps scalars only; ``candidate_levels(n, alpha)`` gives
+the candidate array and ``exceed_count(x, levels)`` the counts at any array
 of levels from one sort.  The public functions are the one-row
 case; the Monte Carlo engine selects the levels of a whole block of draws
 at once.
@@ -62,19 +61,15 @@ at once.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import _as_float_array, norm_cdf, norm_quantile
-from .risk import _check_decay, soft_risk
 from .thresholds import _check_observations
 
 __all__ = [
-    "G1Transform",
     "FdrConfig",
     "SelectorTrace",
     "candidate_levels",
@@ -111,84 +106,14 @@ _TOPK_STOP = 2048
 _TOPK_SLACK = 1e-12
 
 
-class G1Transform:
-    """Monotone transform applied to the step-up level before use.
-
-    The identity is always valid.  A custom transform ``g`` must satisfy,
-    on a verification grid over (0, 10]:
-
-    * ``0 <= g(x) <= x`` and ``g`` nondecreasing with slope at most ``m0``,
-    * ``soft_risk(0, g(x)) <= 4 Phi(-x)``, and
-    * ``soft_risk(0, g(x)) <= m0 Phi(-x) / ((x^c1 + 2)(1 v log x)^c2)``
-
-    with exponents ``0 < c1 <= 2``, ``|c2| <= m0``, and ``c2 <= 0`` when
-    ``c1 = 2``.  Violations raise ValueError at construction, reporting the
-    first failing grid point.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[float], float] | None = None,
-        c1: float = 2.0,
-        c2: float = 0.0,
-        m0: float = 4.0,
-    ) -> None:
-        _check_decay(c1, c2, m0)
-        self.fn = fn
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        self.m0 = float(m0)
-        if fn is not None:
-            self._verify()
-
-    @classmethod
-    def identity(cls) -> "G1Transform":
-        return cls(None)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.fn is None
-
-    def _verify(self) -> None:
-        xs = np.linspace(1e-3, 10.0, 800)
-        gs = np.array([float(self.fn(float(x))) for x in xs])
-        rtol = 1.0 + 1e-9
-        for i, (x, g) in enumerate(zip(xs, gs)):
-            if not (-1e-12 <= g <= x * rtol + 1e-12):
-                raise ValueError(f"transform violates 0 <= g(x) <= x at x = {x:.6g}")
-            if i > 0:
-                dg = gs[i] - gs[i - 1]
-                dx = xs[i] - xs[i - 1]
-                if dg < -1e-12:
-                    raise ValueError(f"transform is decreasing at x = {x:.6g}")
-                if dg > self.m0 * dx * rtol + 1e-12:
-                    raise ValueError(f"transform slope exceeds m0 at x = {x:.6g}")
-        risk0 = soft_risk(0.0, np.maximum(gs, 0.0))
-        tails = norm_cdf(-xs)
-        cap1 = 4.0 * tails
-        cap2 = self.m0 * tails / ((xs**self.c1 + 2.0) * np.maximum(1.0, np.log(xs)) ** self.c2)
-        bad = np.nonzero(risk0 > np.minimum(cap1, cap2) * rtol)[0]
-        if bad.size:
-            x = xs[bad[0]]
-            raise ValueError(f"transform fails the risk-decay certificate at x = {x:.6g}")
-
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        if math.isinf(x):
-            return math.inf
-        if self.fn is None:
-            return x
-        return float(self.fn(x))
-
-
 @dataclass(frozen=True)
 class FdrConfig:
     """Selector configuration.
 
     Slopes must satisfy ``0 < alpha2p < alpha2 <= alpha1 < alpha1p < 1``:
     ``alpha1``/``alpha2`` drive the step-up/step-down rules and the primed
-    values are the slack levels entering tail exponents and population
-    crossings.  ``0 <= delta1 <= delta2`` inflate the two interval ends and
+    values are the slack levels of the population crossings
+    (``risk.population_fdr_levels``).  ``0 <= delta1 <= delta2`` inflate the two interval ends and
     ``interp`` picks a point of the selected interval (0 = lower end).
     """
 
@@ -199,7 +124,6 @@ class FdrConfig:
     delta1: float = 0.0
     delta2: float = 0.0
     interp: float = 0.0
-    g1: G1Transform = field(default_factory=G1Transform.identity)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha2p < self.alpha2 <= self.alpha1 < self.alpha1p < 1.0):
@@ -386,10 +310,9 @@ def step_down_level(x, alpha2: float) -> float:
 class SelectorTrace:
     """Record of one level selection, serializable for diagnostics.
 
-    Holds the selected levels, the step-up rejection count ``k_hat`` and
-    the length ``n`` of ``x``.  The candidate arrays are computed on each
-    access; ``exceed_count(x, trace.xi1_candidates)`` gives the counts at
-    the step-up candidates.
+    Holds the selected levels and the step-up rejection count ``k_hat``.
+    ``candidate_levels(n, alpha1)`` gives the step-up candidates and
+    ``exceed_count(x, levels)`` the counts at them.
     """
 
     xi1_hat: float
@@ -398,20 +321,9 @@ class SelectorTrace:
     upper: float
     lambda_hat: float
     k_hat: int
-    alpha1: float
-    alpha2: float
-    n: int
-
-    @property
-    def xi1_candidates(self) -> np.ndarray:
-        return candidate_levels(self.n, self.alpha1)
-
-    @property
-    def xi2_candidates(self) -> np.ndarray:
-        return candidate_levels(self.n, self.alpha2)
 
     def to_dict(self) -> dict:
-        """The scalar summary; the arrays stay available as properties."""
+        """The fields as a JSON-ready dict."""
         return {
             "xi1_hat": self.xi1_hat,
             "xi2_hat": self.xi2_hat,
@@ -421,13 +333,10 @@ class SelectorTrace:
             "k_hat": self.k_hat,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _interval(xi1: float, xi2: float, config: FdrConfig) -> tuple[float, float, float]:
     """The selected interval's ends and ``lambda_hat`` from the two levels."""
-    lower = math.sqrt(1.0 + config.delta1) * config.g1(xi1)
+    lower = math.sqrt(1.0 + config.delta1) * xi1
     upper = math.sqrt(1.0 + config.delta2) * xi2
     w = config.interp
     if math.isinf(lower):
@@ -444,7 +353,7 @@ def _interval(xi1: float, xi2: float, config: FdrConfig) -> tuple[float, float, 
 def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     """Run both selectors on ``x`` and pick the threshold level.
 
-    The selected interval is ``[sqrt(1+delta1) g1(up), sqrt(1+delta2) down]``
+    The selected interval is ``[sqrt(1+delta1) up, sqrt(1+delta2) down]``
     and ``lambda_hat`` sits at fraction ``config.interp`` of it.  When the
     step-up level is +inf (nothing selected anywhere) the interval collapses
     to +inf and the downstream estimate is identically zero.
@@ -458,9 +367,6 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
         upper=upper,
         lambda_hat=lam,
         k_hat=k_hat,
-        alpha1=config.alpha1,
-        alpha2=config.alpha2,
-        n=len(x),
     )
 
 

@@ -2,10 +2,9 @@
 
 A threshold family is a level-indexed map ``x -> t(x, level)`` applied
 componentwise.  The smooth families (everything except hard) satisfy the
-sandwich ``|soft(x, L)| <= |t(x, L)| <= |x| 1{|x| > L}`` with matching sign,
-are Lipschitz in ``x`` with constant ``slope`` and in ``level`` with
-constant ``level_lipschitz``; those two constants drive every risk and
-concentration bound downstream.
+sandwich ``|soft(x, L)| <= |t(x, L)| <= |x| 1{|x| > L}`` with matching sign
+and are Lipschitz in ``x`` with constant ``slope``, the constant that drives
+the risk and concentration bounds downstream.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "firm",
     "ThresholdFamily",
     "apply_family",
-    "PenalizedFit",
-    "plse_local_minima",
 ]
 
 
@@ -137,15 +134,6 @@ class ThresholdFamily:
             return 1.0 + self.weight * (self.firm_slope - 1.0)
         return math.inf
 
-    @property
-    def level_lipschitz(self) -> float:
-        """Lipschitz constant in the threshold level."""
-        if self.kind == "soft":
-            return 1.0
-        if self.kind in ("firm", "interpolated"):
-            return max(1.0, self.firm_slope)
-        return math.inf
-
     def describe(self) -> str:
         if self.kind == "firm":
             return f"firm(slope={self.firm_slope:g})"
@@ -170,52 +158,3 @@ def apply_family(x, level: float, family: ThresholdFamily):
     f = firm(x, level, family.firm_slope)
     out = (1.0 - family.weight) * np.asarray(s) + family.weight * np.asarray(f)
     return out if np.asarray(x).ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PenalizedFit:
-    """One local minimum of the penalized least-squares criterion.
-
-    The fit keeps the ``support_size`` largest observations (in absolute
-    value) untouched and zeroes the rest, i.e. it is the hard-threshold
-    rule at ``implied_level``.  ``implied_level`` is +inf for the empty fit.
-    """
-
-    support_size: int
-    implied_level: float
-    estimate: np.ndarray
-
-
-def plse_local_minima(x, penalty_levels) -> list[PenalizedFit]:
-    """All local minima of least squares with penalty ``sum_{k<=|S|} level_k^2``.
-
-    ``penalty_levels`` must be a nonincreasing, nonnegative vector of the
-    same length ``n`` as ``x``.  A support size ``k`` is a local minimum iff
-    ``|x|_(k) >= level_k`` and ``level_{k+1} >= |x|_(k+1)`` where ``|x|_(k)``
-    is the k-th largest absolute observation and out-of-range conditions
-    are vacuous (k = 0 and k = n).  Returned in increasing support order.
-    """
-    arr = _check_observations(x)
-    levels = np.asarray(penalty_levels, dtype=float)
-    if levels.shape != arr.shape:
-        raise ValueError("penalty_levels must have the same length as x")
-    if (levels < 0.0).any() or np.isnan(levels).any():
-        raise ValueError("penalty_levels must be nonnegative")
-    if (np.diff(levels) > 1e-12).any():
-        raise ValueError("penalty_levels must be nonincreasing")
-
-    n = arr.size
-    order = np.argsort(-np.abs(arr), kind="stable")
-    mags = np.abs(arr)[order]
-
-    fits: list[PenalizedFit] = []
-    for k in range(n + 1):
-        ok_lower = k == 0 or mags[k - 1] >= levels[k - 1]
-        ok_upper = k == n or levels[k] >= mags[k]
-        if ok_lower and ok_upper:
-            est = np.zeros(n)
-            keep = order[:k]
-            est[keep] = arr[keep]
-            implied = float(levels[k - 1]) if k >= 1 else math.inf
-            fits.append(PenalizedFit(k, implied, est))
-    return fits

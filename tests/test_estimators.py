@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,9 +15,7 @@ from fdrthresh.estimators import (
     VECTOR_MAGIC,
     EstimateReport,
     fdr_threshold_estimate,
-    fixed_threshold_estimate,
     read_vector,
-    sample_mean_estimate,
     write_vector_binary,
 )
 from fdrthresh.selector import FdrConfig
@@ -107,43 +106,9 @@ def test_scale_overflow_names_x_over_scale():
         tiny = fdr_threshold_estimate(np.array([1e-300, 2e-300]), scale=1e-300)
     assert tiny.level == fdr_threshold_estimate(np.array([1.0, 2.0])).level
 
-def test_fixed_threshold_estimate():
-    x = np.array([2.0, -0.4, 1.1])
-    ident = fixed_threshold_estimate(x, ThresholdFamily("soft"), 0.0)
-    np.testing.assert_array_equal(ident.estimate, x)
-    assert ident.trace is None
-
-    zero = fixed_threshold_estimate(x, ThresholdFamily("soft"), np.inf)
-    assert not zero.estimate.any()
-
-    n = 64
-    rng = np.random.default_rng(64)
-    big = rng.standard_normal(n)
-    universal = fixed_threshold_estimate(
-        big, ThresholdFamily("soft"), math.sqrt(2 * math.log(n))
-    )
-    np.testing.assert_allclose(
-        universal.estimate, soft(big, math.sqrt(2 * math.log(n))), rtol=1e-12
-    )
-
-    with pytest.raises(ValueError):
-        fixed_threshold_estimate(x, ThresholdFamily("soft"), -0.5)
-    with pytest.raises(ValueError):
-        fixed_threshold_estimate(x, ThresholdFamily("soft"), np.nan)
-
-
-def test_sample_mean_estimate():
-    report = sample_mean_estimate(np.array([1.0, 3.0]))
-    np.testing.assert_array_equal(report.estimate, [2.0, 2.0])
-    const = sample_mean_estimate(np.full(5, 1.7))
-    np.testing.assert_allclose(const.estimate, np.full(5, 1.7), rtol=1e-15)
-    assert math.isnan(report.level)
-    assert report.trace is None
-
-
 def test_report_serialization():
     report = fdr_threshold_estimate(X4, config=CONFIG4)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["n"] == 4
     assert payload["family"] == "soft"
     assert payload["level"] == pytest.approx(report.level)
@@ -152,7 +117,7 @@ def test_report_serialization():
     assert payload["trace"]["k_hat"] == 3
 
     inf_report = fdr_threshold_estimate(np.zeros(3), config=CONFIG4)
-    decoded = json.loads(inf_report.to_json())
+    decoded = json.loads(json.dumps(inf_report.to_dict()))
     assert decoded["level"] == float("inf")
 
 
@@ -203,6 +168,22 @@ class TestVectorFiles:
         write_vector_binary(path, x)
         got = read_vector(path)
         np.testing.assert_array_equal(got, x)
+
+    def test_binary_read_traced_peak_is_below_20_bytes_a_row(self, tmp_path):
+        # the file's bytes plus the float64 result: no third copy of the payload
+        n = 2**17
+        x = np.random.default_rng(66).standard_normal(n)
+        path = tmp_path / "big.bin"
+        write_vector_binary(path, x)
+        tracemalloc.start()
+        try:
+            got = read_vector(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 20.0
+        assert got.tobytes() == x.tobytes()
+        assert got.flags.writeable and got.flags.owndata
 
     def test_binary_magic(self, tmp_path):
         path = tmp_path / "vec.bin"

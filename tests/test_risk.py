@@ -19,17 +19,13 @@ from fdrthresh.gauss import (
 )
 from fdrthresh import risk
 from fdrthresh.risk import (
-    DiagnosticConstants,
     EmpiricalPrior,
     bayes_soft_risk,
     clipped_second_moment,
-    default_surrogate_constant,
-    diagnostic_constants,
     fdr_curve,
     optimal_levels,
     population_fdr_levels,
     rejection_prob,
-    smooth_risk_bound,
     soft_risk,
     surrogate_risk,
 )
@@ -71,7 +67,6 @@ class TestEmpiricalPrior:
         np.testing.assert_allclose(prior.weights, [0.9, 0.1])
         assert prior.n == 10
         assert prior.mean_square == pytest.approx(0.9)
-        assert prior.max_abs == 3.0
         assert not prior.is_degenerate
 
     def test_degenerate_flag(self):
@@ -207,15 +202,6 @@ class TestSurrogatePieces:
         prior = EmpiricalPrior.from_atoms([1.0], [1.0], n=1)
         with pytest.raises(ValueError):
             surrogate_risk(prior, 1.0, b0=3.9)
-
-    def test_default_surrogate_constant(self):
-        assert default_surrogate_constant(0.025) == 320.0
-        assert default_surrogate_constant(0.5, c0=3.0) == 18.0
-        assert default_surrogate_constant(0.5) == 16.0
-        with pytest.raises(ValueError):
-            default_surrogate_constant(0.0)
-        with pytest.raises(ValueError):
-            default_surrogate_constant(0.1, c0=0.5)
 
     def test_average_risk_chain(self):
         # R_G(lam) <= rho_G(sqrt(lam^2+1)) + R(0,lam)
@@ -549,92 +535,3 @@ def _sweep_prior(rng, trial) -> EmpiricalPrior:
     n = int(rng.integers(20, 200))
     theta = rng.normal(0.0, rng.uniform(0.2, 3.0), size=n)
     return EmpiricalPrior.from_vector(theta)
-
-
-class TestSmoothRiskBound:
-    def test_zero_level(self):
-        rng = np.random.default_rng(44)
-        prior = random_prior(rng)
-        c0 = 3.0
-        want = clipped_second_moment(prior, math.sqrt(2.0)) + c0 * c0
-        assert smooth_risk_bound(prior, 0.0, c0) == pytest.approx(want, rel=1e-14)
-
-    def test_zero_prior(self):
-        null = EmpiricalPrior.from_vector(np.zeros(3))
-        for lam in (0.5, 1.0, 2.0):
-            want = 9.0 * soft_risk(0.0, lam)
-            assert smooth_risk_bound(null, lam, 3.0) == pytest.approx(want, rel=1e-14)
-
-    def test_domain(self):
-        prior = EmpiricalPrior.from_atoms([1.0], [1.0], n=1)
-        with pytest.raises(ValueError):
-            smooth_risk_bound(prior, 1.0, 0.9)
-
-    def test_firm_risk_within_bound_mc(self):
-        # firm slope 1.5 has c0 = 1.5/(2-1.5) = 3
-        prior = EmpiricalPrior.from_atoms([0.0, 2.0], [0.8, 0.2], n=5)
-        lam, slope = 1.5, 1.5
-        rng = np.random.default_rng(45)
-        m = 400_000
-        theta = np.where(rng.random(m) < 0.2, 2.0, 0.0)
-        x = theta + rng.standard_normal(m)
-        fit = np.sign(x) * np.minimum(np.abs(x), slope * np.maximum(np.abs(x) - lam, 0.0))
-        loss = (fit - theta) ** 2
-        se = loss.std() / math.sqrt(m)
-        bound = smooth_risk_bound(prior, lam, 3.0)
-        assert loss.mean() <= bound + 3 * se
-
-
-class TestDiagnosticConstants:
-    def test_frozen_values(self):
-        d = diagnostic_constants(
-            100, 0.0, 0.0, 2.0, 0.0, 0.01, 0.05, 0.1, 0.05, 0.025
-        )
-        assert isinstance(d, DiagnosticConstants)
-        assert d.l2n == pytest.approx(0.33162284218172217, rel=1e-14)
-        assert d.tau1_star == pytest.approx(0.33162284218172217, rel=1e-14)
-        assert d.tau2_star == pytest.approx(0.003316228421817222, rel=1e-14)
-        assert d.nu1_star == pytest.approx(0.1931471805599453, rel=1e-14)
-        assert d.nu2_star == pytest.approx(0.3068528194400547, rel=1e-14)
-
-    def test_identity_transform_special_case(self):
-        # delta1 = 0, c1 = 2, c2 = 0 collapses the rate to loglog n / log n
-        # (once n > e^e, where the 1-or-loglog clamp is inactive)
-        for n in (16, 100, 10_000):
-            d = diagnostic_constants(n, 0.0, 0.0, 2.0, 0.0, 0.05, 0.05, 0.1, 0.05, 0.025)
-            assert d.l2n == pytest.approx(
-                math.log(math.log(n)) / math.log(n), rel=1e-12
-            )
-            assert d.tau2_star == pytest.approx(d.l2n / n, rel=1e-12)
-        # below that the iterated log is clamped at 1
-        d = diagnostic_constants(10, 0.0, 0.0, 2.0, 0.0, 0.05, 0.05, 0.1, 0.05, 0.025)
-        assert d.l2n == pytest.approx(1.0 / math.log(10), rel=1e-12)
-
-    def test_equal_rates_zero_exponent(self):
-        d = diagnostic_constants(50, 0.0, 0.0, 2.0, 0.0, 0.05, 0.1, 0.1, 0.05, 0.05)
-        assert d.nu1_star == 0.0
-        assert d.nu2_star == 0.0
-
-    def test_exponent_value(self):
-        # r = 0.5: nu = 0.5 - 1 - log(0.5)
-        d = diagnostic_constants(50, 0.0, 0.0, 2.0, 0.0, 0.05, 0.05, 0.1, 0.05, 0.025)
-        assert d.nu1_star == pytest.approx(0.5 - 1.0 - math.log(0.5), rel=1e-14)
-
-    def test_domain_errors(self):
-        good = dict(n=100, delta1=0.0, delta2=0.0, c1=2.0, c2=0.0,
-                    eta_star=0.01, alpha1=0.05, alpha1p=0.1,
-                    alpha2=0.05, alpha2p=0.025)
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "n": 1})
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "delta1": 0.5, "delta2": 0.1})
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "c1": 2.5})
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "c1": 0.0})
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "c2": 0.5})  # c2 > 0 with c1 = 2
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "eta_star": 0.0})
-        with pytest.raises(ValueError):
-            diagnostic_constants(**{**good, "alpha2p": 0.2})

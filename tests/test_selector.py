@@ -9,7 +9,6 @@ import pytest
 from fdrthresh.gauss import norm_cdf, norm_quantile
 from fdrthresh.selector import (
     FdrConfig,
-    G1Transform,
     SelectorTrace,
     candidate_levels,
     exceed_count,
@@ -196,47 +195,6 @@ def test_permutation_invariance():
     assert step_up_level(-x, 0.1) == step_up_level(x, 0.1)
 
 
-class TestG1Transform:
-    def test_identity(self):
-        g = G1Transform.identity()
-        assert g(2.5) == 2.5
-        assert g(0.0) == 0.0
-        assert g.is_identity
-
-    def test_identity_certificate_inputs(self):
-        # the identity passes with the canonical certificate constants
-        g = G1Transform()
-        assert g.c1 == 2.0 and g.c2 == 0.0 and g.m0 == 4.0
-
-    def test_near_identity_needs_larger_cap(self):
-        # shrinking the level makes the null risk larger, and the
-        # tightest cap (m0 = 4 with c1 = 2) has no slack to give away
-        with pytest.raises(ValueError):
-            G1Transform(lambda v: 0.999 * v)
-        g = G1Transform(lambda v: 0.999 * v, m0=8.0)
-        assert g(2.0) == pytest.approx(1.998)
-
-    def test_halving_rejected(self):
-        with pytest.raises(ValueError):
-            G1Transform(lambda v: 0.5 * v, m0=8.0)
-
-    def test_zero_map_rejected(self):
-        with pytest.raises(ValueError):
-            G1Transform(lambda v: 0.0 * v)
-
-    def test_above_identity_rejected(self):
-        with pytest.raises(ValueError):
-            G1Transform(lambda v: 1.1 * v)
-
-    def test_decreasing_rejected(self):
-        with pytest.raises(ValueError):
-            G1Transform(lambda v: np.maximum(2.0 - v, 0.0), m0=8.0)
-
-    def test_infinite_input_passthrough(self):
-        g = G1Transform.identity()
-        assert g(np.inf) == np.inf
-
-
 class TestSelectLambda:
     CONFIG = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05)
 
@@ -246,9 +204,8 @@ class TestSelectLambda:
         assert trace.xi1_hat == pytest.approx(1.4395314709384563, rel=1e-12)
         assert trace.xi2_hat == pytest.approx(2.2414027276049456, rel=1e-12)
         assert trace.lambda_hat == trace.lower == trace.xi1_hat
-        assert trace.n == 4
-        counts = exceed_count(X4, trace.xi1_candidates)
-        np.testing.assert_array_equal(counts, _brute_counts(X4, trace.xi1_candidates))
+        levels = candidate_levels(4, self.CONFIG.alpha1)
+        np.testing.assert_array_equal(exceed_count(X4, levels), _brute_counts(X4, levels))
 
     def test_four_point_upper_endpoint(self):
         config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05,
@@ -294,7 +251,7 @@ class TestSelectLambda:
 
     def test_trace_serialization(self):
         trace = select_lambda(X4, self.CONFIG)
-        payload = json.loads(trace.to_json())
+        payload = json.loads(json.dumps(trace.to_dict()))
         assert payload == {
             "xi1_hat": trace.xi1_hat,
             "xi2_hat": trace.xi2_hat,

@@ -1,20 +1,11 @@
-"""Threshold-rule tests: point values, ordering, Lipschitz bounds, and the
-penalized-least-squares local-minimum view."""
+"""Threshold-rule tests: point values, ordering, Lipschitz bounds and the
+firm rule's penalized-minimizer view."""
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from fdrthresh.selector import FdrConfig, candidate_levels, select_lambda
-from fdrthresh.thresholds import (
-    PenalizedFit,
-    ThresholdFamily,
-    apply_family,
-    firm,
-    hard,
-    plse_local_minima,
-    soft,
-)
+from fdrthresh.thresholds import ThresholdFamily, apply_family, firm, hard, soft
 
 FAMILIES = [
     ThresholdFamily("soft"),
@@ -137,26 +128,12 @@ def test_slope_lipschitz_in_x():
             assert np.all(ratios <= fam.slope + 1e-9)
 
 
-def test_level_lipschitz():
-    rng = np.random.default_rng(24)
-    x = rng.normal(0, 3, size=500)
-    for fam in FAMILIES:
-        la = rng.uniform(0, 4, size=200)
-        lb = rng.uniform(0, 4, size=200)
-        for a, b in zip(la, lb):
-            gap = np.max(np.abs(apply_family(x, a, fam) - apply_family(x, b, fam)))
-            assert gap <= fam.level_lipschitz * abs(a - b) + 1e-12
-
-
 def test_family_constants():
     assert ThresholdFamily("soft").slope == 1.0
-    assert ThresholdFamily("soft").level_lipschitz == 1.0
     fam = ThresholdFamily("firm", firm_slope=1.5)
     assert fam.slope == 1.5
-    assert fam.level_lipschitz == 1.5
     mix = ThresholdFamily("interpolated", firm_slope=1.5, weight=0.5)
     assert mix.slope == 1.25
-    assert mix.level_lipschitz == 1.5
     assert not ThresholdFamily("hard").is_smooth
     assert ThresholdFamily("hard").slope == np.inf
 
@@ -261,65 +238,3 @@ def test_loss_difference_bound():
     loss_lam = (np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) - mu) ** 2
     cap = (np.abs(eps) + b) ** 2 * (np.abs(eps) > b)
     assert np.all(loss_b - loss_lam <= cap + 1e-9)
-
-
-def test_plse_example_and_edges():
-    fits = plse_local_minima(np.array([5.0, 0.1]), np.array([3.0, 2.0]))
-    assert len(fits) == 1
-    fit = fits[0]
-    assert isinstance(fit, PenalizedFit)
-    assert fit.support_size == 1
-    assert fit.implied_level == 3.0
-    np.testing.assert_array_equal(fit.estimate, [5.0, 0.0])
-
-    # full support when everything clears the largest level
-    fits = plse_local_minima(np.array([9.0, -8.0, 7.5]), np.array([3.0, 2.0, 1.0]))
-    sizes = [f.support_size for f in fits]
-    assert sizes == [3]
-    np.testing.assert_array_equal(fits[0].estimate, [9.0, -8.0, 7.5])
-
-    # empty support when nothing clears the smallest level
-    fits = plse_local_minima(np.array([0.1, -0.2]), np.array([3.0, 2.0]))
-    assert [f.support_size for f in fits] == [0]
-    assert fits[0].implied_level == np.inf
-    assert not fits[0].estimate.any()
-
-    with pytest.raises(ValueError):
-        plse_local_minima(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-
-
-def test_plse_fits_are_hard_threshold_fits():
-    rng = np.random.default_rng(28)
-    for _ in range(200):
-        n = int(rng.integers(1, 30))
-        x = rng.normal(0, 2, size=n)
-        levels = np.sort(rng.uniform(0, 3, size=n))[::-1]
-        fits = plse_local_minima(x, levels)
-        assert fits  # at least one local minimum always exists
-        for fit in fits:
-            nz = fit.estimate != 0
-            assert nz.sum() == fit.support_size
-            np.testing.assert_array_equal(fit.estimate[nz], x[nz])
-            # nonzero entries are exactly the support_size largest by magnitude
-            if 0 < fit.support_size < n:
-                kept = np.abs(x[nz]).min()
-                dropped = np.abs(x[~nz]).max()
-                assert kept >= dropped
-
-
-def test_plse_levels_land_in_selector_interval():
-    # with the step-up candidate sequence as penalty levels, every local
-    # minimum's implied hard level sits between the two data-driven levels
-    rng = np.random.default_rng(29)
-    config = FdrConfig()
-    for _ in range(300):
-        n = int(rng.integers(2, 60))
-        theta = np.where(rng.random(n) < 0.3, rng.uniform(2, 5, size=n), 0.0)
-        x = theta + rng.standard_normal(n)
-        trace = select_lambda(x, config)
-        levels = candidate_levels(n, config.alpha1)
-        for fit in plse_local_minima(x, levels):
-            assert trace.xi1_hat <= fit.implied_level + 1e-12
-            assert fit.implied_level <= trace.xi2_hat + 1e-12 or (
-                np.isinf(fit.implied_level) and np.isinf(trace.xi2_hat)
-            )
