@@ -405,7 +405,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args.command, args.config, overrides)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create output directory {out_dir}: {exc}")
         if args.command == "estimate":
             cmd_estimate(cfg, out_dir)
         elif args.command == "risk-curve":

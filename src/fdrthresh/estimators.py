@@ -1,13 +1,14 @@
 """Mean-vector estimators and their serializable reports.
 
 The main entry point applies a threshold family at the level chosen by the
-multiple-testing selector.  Hard thresholding falls outside the smooth-rule
-risk guarantees, so it must be requested explicitly and the report flags it.
+multiple-testing selector.  The observations carry unit-variance Gaussian
+noise; data with another noise level are divided by its standard deviation
+first.  Hard thresholding falls outside the smooth-rule risk guarantees, so
+it must be requested explicitly and the report flags it.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,10 +36,18 @@ class EstimateReport:
     """Estimate plus full provenance of the level choice."""
 
     estimate: np.ndarray
-    level: float
     family: ThresholdFamily
     trace: SelectorTrace
-    outside_theory: bool = False
+
+    @property
+    def level(self) -> float:
+        """The selected level ``trace.lambda_hat``, ``inf`` when nothing is rejected."""
+        return self.trace.lambda_hat
+
+    @property
+    def outside_theory(self) -> bool:
+        """Whether the family lies outside the smooth-family risk guarantees (hard)."""
+        return not self.family.is_smooth
 
     def to_dict(self) -> dict:
         """Summary of the level choice; the estimate itself is left out."""
@@ -56,44 +65,22 @@ def fdr_threshold_estimate(
     family: ThresholdFamily = ThresholdFamily("soft"),
     config: FdrConfig = FdrConfig(),
     allow_hard: bool = False,
-    scale: float = 1.0,
 ) -> EstimateReport:
-    """Threshold ``x`` at the selector's level.
+    """Threshold ``x``, observed with unit noise variance, at the selector's level.
 
     Hard thresholding is rejected unless ``allow_hard=True``; when allowed
     the report carries ``outside_theory=True`` since the risk guarantees
     cover only the smooth families.
-
-    The core assumes unit noise variance.  Observations with noise standard
-    deviation ``scale`` are divided by it before level selection and the
-    estimate is mapped back; the reported level stays in standardized units.
     """
     if family.kind == "hard" and not allow_hard:
         raise ValueError(
             "hard thresholding is outside the smooth-family guarantees; "
             "pass allow_hard=True to use it anyway"
         )
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError("scale must be a positive finite number")
     arr = np.asarray(x, dtype=float)
-    if scale != 1.0:
-        with np.errstate(over="ignore"):
-            scaled = arr / scale
-        if np.isinf(scaled).any() and np.isfinite(arr).all():
-            raise ValueError(f"x / scale overflows the float range at scale = {scale!r}")
-        arr = scaled
     trace = select_lambda(arr, config)
     est = apply_family(arr, trace.lambda_hat, family)
-    if scale != 1.0:
-        est = scale * est
-    return EstimateReport(
-        estimate=np.asarray(est, dtype=float),
-        level=trace.lambda_hat,
-        family=family,
-        trace=trace,
-        outside_theory=(family.kind == "hard"),
-    )
+    return EstimateReport(estimate=np.asarray(est, dtype=float), family=family, trace=trace)
 
 
 def read_vector(path) -> np.ndarray:

@@ -60,31 +60,24 @@ def norm_cdf(x):
     return out if arr.ndim else float(out)
 
 
-def norm_quantile(p, extended: bool = False):
+def norm_quantile(p):
     """Quantile function of N(0, 1).
 
-    ``p`` must lie in the open interval (0, 1).  With ``extended=True`` the
-    endpoints 0 and 1 are accepted and map to -inf / +inf; otherwise they
-    raise ValueError.  A rational approximation (scipy's ``ndtri``) supplies
-    the initial guess and two Newton steps on ``norm_cdf`` polish it, which
+    ``p`` must lie in the open interval (0, 1); the endpoints raise
+    ValueError.  A rational approximation (scipy's ``ndtri``) supplies the
+    initial guess and two Newton steps on ``norm_cdf`` polish it, which
     keeps the round trip ``norm_cdf(norm_quantile(p)) - p`` below 1e-12 even
     deep in the tails.
     """
     arr = _as_float_array(p, "p")
-    lo, hi = (0.0, 1.0)
-    if extended:
-        if ((arr < lo) | (arr > hi)).any():
-            raise ValueError("p must lie in [0, 1]")
-    else:
-        if ((arr <= lo) | (arr >= hi)).any():
-            raise ValueError("p must lie in the open interval (0, 1)")
-    with np.errstate(divide="ignore"):
-        z = _sp.ndtri(arr)
+    if ((arr <= 0.0) | (arr >= 1.0)).any():
+        raise ValueError("p must lie in the open interval (0, 1)")
+    z = _sp.ndtri(arr)
     # Two Newton iterations: z <- z - (Phi(z) - p)/phi(z).  Skip where the
-    # density underflows (|z| > 38) or the endpoint sentinel is infinite.
+    # density underflows (|z| > 38).
     for _ in range(2):
         dens = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        ok = np.isfinite(z) & (dens > 0.0)
+        ok = dens > 0.0
         step = np.where(ok, (0.5 * _sp.erfc(-z / _SQRT2) - arr), 0.0)
         z = np.where(ok, z - step / np.where(ok, dens, 1.0), z)
     return z if arr.ndim else float(z)

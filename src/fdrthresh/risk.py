@@ -20,10 +20,12 @@ points calibrate the level selectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from .gauss import _as_float_array, _bisect, norm_cdf, norm_pdf
 from .thresholds import _check_level
@@ -183,10 +185,24 @@ def fdr_curve(prior: EmpiricalPrior, t):
     """Nominal false-discovery proportion ``2 Phi(-t) / S_G(t)`` at level ``t``.
 
     Equals 1 at ``t = 0`` and, for a prior with any nonzero atom, decreases
-    strictly to 0; for the degenerate prior it is identically 1.
+    strictly to 0; for the degenerate prior it is identically 1.  Where
+    ``2 Phi(-t)`` falls below the smallest normal float (``t`` past about
+    37.5) the ratio is taken in log space, each atom's tail against
+    ``Phi(-t)``, so neither tail is formed; a tail ratio past the float
+    range makes the value read 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    return 2.0 * norm_cdf(-t_arr) / rejection_prob(prior, t_arr)
+    num = np.asarray(2.0 * norm_cdf(-t_arr))
+    den = np.asarray(rejection_prob(prior, t_arr))
+    deep = num < sys.float_info.min
+    out = np.divide(num, den, out=np.empty_like(num), where=~deep)
+    if deep.any():
+        td = t_arr[deep]
+        null = log_ndtr(-td)
+        tails = lambda th, tt: np.exp(log_ndtr(th - tt) - null) + np.exp(log_ndtr(-th - tt) - null)
+        with np.errstate(over="ignore"):
+            out[deep] = 2.0 / _mix(prior, tails, td)
+    return out if t_arr.ndim else float(out)
 
 
 def population_fdr_levels(prior: EmpiricalPrior, alpha1p: float, alpha2p: float):

@@ -12,12 +12,14 @@ replicate count and the seed must be integers.  Each replicate is drawn
 once: an experiment that compares several statistics evaluates all of
 them on that one draw.
 
-Replicates are drawn and evaluated in (B, n) blocks, row ``i`` of the run
-from stream ``i``, with ``B = max(1, 2**14 // n)``: 16 rows at n = 1024 and
-one row from n = 8193 on.  The experiments evaluate each block at once:
-selection, thresholding at a (B, 1) column of per-row levels, and the
-pathwise oracle ``oracle_loss_min``, which takes a (B, n) block and returns
-arrays of per-row levels and losses.  Every per-row value equals what the
+Every replicate is one draw ``theta + z_i``.  One loop, ``_samples``,
+draws them for ``mc_mean`` and ``concentration_check`` alike, in (B, n)
+blocks, row ``i`` of the run from stream ``i``, with
+``B = max(1, 2**14 // n)``: 16 rows at n = 1024 and one row from n = 8193
+on.  The experiments evaluate each block at once: selection, thresholding
+at a (B, 1) column of per-row levels, and the pathwise oracle
+``oracle_loss_min``, which takes a (B, n) block and returns arrays of
+per-row levels and losses.  Every per-row value equals what the
 same computation gives on that row alone, bit for bit; each row's squared
 loss is still its own dot product.
 
@@ -117,7 +119,6 @@ class SignalGenerator:
     """Deterministic mean-vector configurations for experiments.
 
     kinds:
-      zero                     all coordinates 0
       common_mean(mu)          all coordinates mu
       spikes(count, value)     `count` coordinates at `value`, rest 0
       least_favorable(p, radius, weak, level)
@@ -137,10 +138,6 @@ class SignalGenerator:
     radius: float = 0.0
     weak: bool = False
     level: float | None = None
-
-    @classmethod
-    def zero(cls) -> "SignalGenerator":
-        return cls("zero")
 
     @classmethod
     def common_mean(cls, mu: float) -> "SignalGenerator":
@@ -164,8 +161,6 @@ class SignalGenerator:
     def realize(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind == "zero":
-            return np.zeros(n)
         if self.kind == "common_mean":
             return np.full(n, self.mu)
         if self.kind == "spikes":
@@ -190,8 +185,6 @@ class SignalGenerator:
         raise ValueError(f"unknown signal kind: {self.kind!r}")
 
     def describe(self) -> str:
-        if self.kind == "zero":
-            return "zero"
         if self.kind == "common_mean":
             return f"common_mean(mu={self.mu:g})"
         if self.kind == "spikes":
@@ -263,15 +256,14 @@ def _fingerprint(theta: np.ndarray, **fields) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antithetic=False) -> np.ndarray:
+def _samples(theta: np.ndarray, statistic, replicates: int, seed: int) -> np.ndarray:
     """``statistic(theta + z)`` on blocks of draws, row ``i`` of ``z`` from stream ``i``.
 
-    ``statistic`` maps a (B, n) block to B values, giving an (R,) array, or
-    to a (B, S) array, giving an (R, S) array.  Every block is drawn into one
-    buffer and ``theta + z`` is formed in place, so the next block overwrites
-    the one passed to ``statistic``.  With ``antithetic=True`` the rows are
-    the pair averages of the statistic at ``theta +/- z_j`` over the first
-    half of the streams, each formed in a new array.
+    The one replicate loop of the module.  ``statistic`` maps a (B, n) block
+    to B values, giving an (R,) array, or to a (B, S) array, giving an
+    (R, S) array.  Every block is drawn into one buffer and ``theta + z`` is
+    formed in place, so the next block overwrites the one passed to
+    ``statistic``.
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
@@ -280,23 +272,15 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int, antitheti
         raise ValueError("replicates must be >= 2")
     if not 0 <= seed < 2**128:
         raise ValueError("seed must be >= 0 and < 2**128")
-    if antithetic and replicates % 2:
-        raise ValueError("antithetic pairing requires an even replicate count")
-    count = replicates // 2 if antithetic else replicates
-    step = min(count, max(1, _BLOCK_ELEMENTS // theta.size))
+    step = min(replicates, max(1, _BLOCK_ELEMENTS // theta.size))
     draws = np.empty((step, theta.size))
     parts = []
-    for start in range(0, count, step):
-        z = draws[: min(step, count - start)]
+    for start in range(0, replicates, step):
+        z = draws[: min(step, replicates - start)]
         for row, i in enumerate(range(start, start + z.shape[0])):
             _replicate_rng(seed, i).standard_normal(out=z[row])
-        if antithetic:
-            part = np.asarray(statistic(theta + z), dtype=float)
-            part = 0.5 * (part + np.asarray(statistic(theta - z), dtype=float))
-        else:
-            z += theta
-            part = np.asarray(statistic(z), dtype=float)
-        parts.append(part)
+        z += theta
+        parts.append(np.asarray(statistic(z), dtype=float))
     return np.concatenate(parts)
 
 
@@ -355,17 +339,15 @@ def mc_mean(
     statistic: Callable[[np.ndarray], float | Sequence[float]],
     replicates: int,
     seed: int,
-    antithetic: bool = False,
     label: str = "",
 ) -> McEstimate | tuple[McEstimate, ...]:
     """Average ``statistic(theta + noise)`` over independent replicates.
 
-    With ``antithetic=True`` (requires an even count) pair ``j`` evaluates
-    ``theta + z_j`` and ``theta - z_j`` on replicate ``j``'s stream, and the
-    standard error is computed over the independent pair averages.  A
-    statistic returning a fixed-length sequence of S floats is evaluated on
-    the same draws for every component, and the result is a tuple of S
-    estimates sharing one fingerprint.
+    Replicate ``i`` evaluates ``theta + z_i`` on stream ``i``, and the
+    standard error is computed over the R replicate values.  A statistic
+    returning a fixed-length sequence of S floats is evaluated on the same
+    draws for every component, and the result is a tuple of S estimates
+    sharing one fingerprint.
 
     The draws come in (B, n) blocks of ``max(1, 2**14 // n)`` rows (see the
     module docstring), and ``statistic`` is called on each row of a copy of
@@ -381,9 +363,11 @@ def mc_mean(
         block = statistic.fn
     else:
         block = lambda x: [statistic(row) for row in x.copy()]
-    samples = _samples(theta, block, replicates, seed, antithetic)
+    samples = _samples(theta, block, replicates, seed)
     replicates, seed = int(replicates), int(seed)  # integers: _samples has checked them
-    fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=antithetic)
+    # the hashed fields keep antithetic=False: dropping the key would move the
+    # fingerprint of every regret and minimax experiment.json
+    fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=False)
 
     def summary(column: np.ndarray) -> McEstimate:
         se = float(column.std(ddof=1) / math.sqrt(column.size))
@@ -399,7 +383,6 @@ def mc_risk(
     estimate_fn: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     seed: int,
-    antithetic: bool = False,
     label: str = "",
 ) -> McEstimate:
     """Monte Carlo total squared-error risk ``E ||estimate(X) - theta||^2``."""
@@ -409,7 +392,7 @@ def mc_risk(
         d = np.asarray(estimate_fn(x), dtype=float) - theta
         return float(d @ d)
 
-    return mc_mean(theta, loss, replicates, seed, antithetic=antithetic, label=label or "risk")
+    return mc_mean(theta, loss, replicates, seed, label=label or "risk")
 
 
 def oracle_loss_min(x, theta):

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -109,8 +110,14 @@ def test_estimate_config_validation_exit_2(tmp_path, four_point, mutate, capsys)
     assert "error:" in capsys.readouterr().err
 
 
-def test_estimate_missing_files_exit_2(tmp_path, capsys):
+def test_estimate_missing_files_exit_2(tmp_path, four_point, capsys):
     assert run("estimate", "--config", str(tmp_path / "nope.cfg")) == 2
+    # an --out that cannot be a directory: an existing file, or a path through one
+    afile = write(tmp_path / "afile", "")
+    for out in (afile, f"{afile}/sub"):
+        capsys.readouterr()
+        assert run("estimate", "--config", four_point, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
     # an empty text file and an empty binary file fail by one rule
     write_vector_binary(tmp_path / "empty.bin", [])
     for empty_vec in (write(tmp_path / "empty.csv", "# nothing here\n"), tmp_path / "empty.bin"):
@@ -299,6 +306,21 @@ def test_fdr_curve_monotone(tmp_path, curve_cfg):
     lines = (out / "curve.csv").read_text().splitlines()[1:]
     values = [float(l.split(",")[1]) for l in lines]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+    # past t = 37.5, where 2 Phi(-t) underflows, the curve stays finite, warns of
+    # nothing, and its JSON holds no bare NaN or Infinity token
+    text = (tmp_path / "curve.cfg").read_text().replace("level_max = 4.0", "level_max = 60")
+    cfg = write(tmp_path / "deep.cfg", f"{text}functional = fdr_curve\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("risk-curve", "--config", cfg, "--out", str(out), "--format", "json") == 0
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    payload = json.loads((out / "curve.json").read_text(), parse_constant=refuse)
+    values = payload["values"]
+    assert payload["levels"][-1] == 60.0
+    assert all(0.0 < b < a for a, b in zip(values, values[1:]))
 
 
 def test_fdr_curve_rejects_risk_only_keys(tmp_path):

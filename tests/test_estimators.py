@@ -1,11 +1,11 @@
 """End-to-end estimator and vector-file round-trip tests."""
 
+import dataclasses
 import json
 import math
 import re
 import struct
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,8 @@ def test_readme_example_level():
 
 def test_zero_vector_estimates_zero():
     report = fdr_threshold_estimate(np.zeros(8), config=CONFIG4)
-    assert report.level == np.inf
+    assert report.level == report.trace.lambda_hat == np.inf
+    assert not report.outside_theory
     assert not report.estimate.any()
     assert report.estimate.shape == (8,)
 
@@ -57,6 +58,17 @@ def test_hard_needs_explicit_flag():
     assert report.outside_theory
     lam = report.level
     np.testing.assert_array_equal(report.estimate, X4 * (np.abs(X4) > lam))
+    # level and outside_theory are read off the trace and the family, for every family
+    for family in (
+        ThresholdFamily("soft"),
+        ThresholdFamily("hard"),
+        ThresholdFamily("firm", firm_slope=1.7),
+        ThresholdFamily("interpolated", firm_slope=1.5, weight=0.4),
+    ):
+        report = fdr_threshold_estimate(X4, family=family, config=CONFIG4, allow_hard=True)
+        assert report.level == report.trace.lambda_hat
+        assert report.outside_theory == (family.kind == "hard")
+    assert {f.name for f in dataclasses.fields(EstimateReport)} == {"estimate", "family", "trace"}
 
 
 def test_shrinks_towards_zero():
@@ -78,33 +90,6 @@ def test_dead_zone_is_exact():
             below = np.abs(x) < report.level
             assert not report.estimate[below].any()
 
-
-def test_scale_standardizes_and_maps_back():
-    rng = np.random.default_rng(63)
-    x = rng.standard_normal(50) * 2
-    base = fdr_threshold_estimate(x, config=CONFIG4)
-    scaled = fdr_threshold_estimate(3.0 * x, config=CONFIG4, scale=3.0)
-    np.testing.assert_allclose(scaled.estimate, 3.0 * base.estimate, rtol=1e-12)
-    assert scaled.level == base.level  # reported in standardized units
-    with pytest.raises(ValueError):
-        fdr_threshold_estimate(x, scale=0.0)
-    with pytest.raises(ValueError):
-        fdr_threshold_estimate(x, scale=-1.0)
-    with pytest.raises(ValueError):
-        fdr_threshold_estimate(x, scale=np.inf)
-
-
-
-def test_scale_overflow_names_x_over_scale():
-    # finite x over a subnormal scale overflows; the error says so, with no warning first
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"x / scale overflows"):
-            fdr_threshold_estimate(np.array([1.0, 2.0]), scale=1e-320)
-        with pytest.raises(ValueError, match="x must be finite"):
-            fdr_threshold_estimate(np.array([1.0, np.inf]), scale=1e-320)
-        tiny = fdr_threshold_estimate(np.array([1e-300, 2e-300]), scale=1e-300)
-    assert tiny.level == fdr_threshold_estimate(np.array([1.0, 2.0])).level
 
 def test_report_serialization():
     report = fdr_threshold_estimate(X4, config=CONFIG4)

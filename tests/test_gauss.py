@@ -5,6 +5,7 @@ oracle; inequalities and identities are checked on grids.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,11 +97,12 @@ class TestQuantile:
         for bad in (0.0, 1.0, -0.1, 1.1, np.nan):
             with pytest.raises(ValueError):
                 norm_quantile(bad)
-
-    def test_extended_endpoints(self):
-        assert norm_quantile(0.0, extended=True) == -np.inf
-        assert norm_quantile(1.0, extended=True) == np.inf
-        assert norm_quantile(0.5, extended=True) == 0.0
+        # every p inside (0, 1), down to the smallest subnormal, maps without a warning
+        inside = np.array([5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = norm_quantile(inside)
+        assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
 
 
 class TestTruncatedMoments:

@@ -6,6 +6,7 @@ frozen from a 40-digit extended-precision oracle.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,7 +245,8 @@ class TestRejectionAndFdrCurve:
 
     def test_fdr_curve_degenerate_is_one(self):
         null = EmpiricalPrior.from_vector(np.zeros(7))
-        t = np.linspace(0, 6, 30)
+        # past t = 37.5, 2 Phi(-t) underflows and the ratio is taken in log space
+        t = np.concatenate((np.linspace(0, 6, 30), np.linspace(38, 200, 30)))
         np.testing.assert_array_equal(fdr_curve(null, t), np.ones_like(t))
 
     def test_fdr_curve_from_one_strictly_down(self):
@@ -256,6 +258,18 @@ class TestRejectionAndFdrCurve:
             assert curve[0] == pytest.approx(1.0, abs=5e-3)
             assert np.all(np.diff(curve) < 0)
             assert np.all((curve > 0) & (curve <= 1))
+        # where 2 Phi(-t) underflows: finite, in [0, 1] and nonincreasing.  The
+        # 0/1e-10 prior reads 1 - O(1e-16) there, below the rounding of the
+        # log-space terms (ulp(t^2 / 2), about 4e-12 at t = 200)
+        deep = np.linspace(38.0, 200.0, 300)
+        tol = 1e-11
+        for atoms, weights in (([0.0], [1.0]), ([0.0, 3.0], [0.9, 0.1]), ([0.0, 1e-10], [0.5, 0.5])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                curve = fdr_curve(EmpiricalPrior.from_atoms(atoms, weights), deep)
+            assert np.all(np.isfinite(curve))
+            assert np.all((curve >= 0.0) & (curve <= 1.0 + tol))
+            assert np.all(np.diff(curve) <= tol * curve[:-1])
 
     def test_fdr_curve_two_atom_value(self):
         prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.5, 0.5], n=2)
@@ -263,6 +277,12 @@ class TestRejectionAndFdrCurve:
             0.5 * 2 * norm_cdf(-2.0) + 0.5 * (norm_cdf(1.0) + norm_cdf(-5.0))
         )
         assert fdr_curve(prior, 2.0) == pytest.approx(want, rel=1e-13)
+        # once 2 Phi(-t) underflows (t > 37.5); 40-digit mpmath values
+        prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
+        t = np.array([38.5, 120.0, 200.0])
+        want = np.array([1.145939138311268918e-47, 7.9131219849952362805e-154, 4.7000511673610517537e-258])
+        np.testing.assert_allclose(fdr_curve(prior, t), want, rtol=1e-10)
+        assert fdr_curve(prior, 38.5) == pytest.approx(want[0], rel=1e-10)  # a scalar t
 
 
 class TestPopulationLevels:

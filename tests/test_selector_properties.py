@@ -498,8 +498,8 @@ def _config(alpha1, ratio=0.5, interp=0.0):
     )
 
 
-def _estimate(x, family, config, scale=1.0):
-    return fdr_threshold_estimate(x, family, config, allow_hard=True, scale=scale).estimate
+def _estimate(x, family, config):
+    return fdr_threshold_estimate(x, family, config, allow_hard=True).estimate
 
 
 @SETTINGS
@@ -518,18 +518,6 @@ def test_estimate_is_permutation_equivariant(case, family, interp, rnd):
     perm = np.array(rnd.sample(range(x.size), x.size))
     np.testing.assert_array_equal(
         _estimate(x[perm], family, config), _estimate(x, family, config)[perm]
-    )
-
-
-@SETTINGS
-@given(observations(), FAMILIES, st.integers(-20, 20))
-def test_estimate_is_scale_equivariant(case, family, exponent):
-    # powers of two, so that c * x / c == x exactly
-    x, alpha = case
-    config = _config(alpha)
-    c = 2.0**exponent
-    np.testing.assert_array_equal(
-        _estimate(c * x, family, config, scale=c), c * _estimate(x, family, config)
     )
 
 

@@ -56,8 +56,6 @@ class TestMcMean:
         with pytest.raises(ValueError):
             mc_mean(np.zeros(3), stat, 1, seed=0)
         with pytest.raises(ValueError):
-            mc_mean(np.zeros(3), stat, 51, seed=0, antithetic=True)
-        with pytest.raises(ValueError):
             mc_mean(np.array([]), stat, 10, seed=0)
 
     def test_replicate_streams_pinned(self):
@@ -70,13 +68,9 @@ class TestMcMean:
         ]
         stat = lambda x: float(np.max(x) + x @ x)
         plain = np.array([stat(theta + z) for z in draws])
-        paired = np.array([0.5 * (stat(theta + z) + stat(theta - z)) for z in draws[:4]])
-        for est, want in (
-            (mc_mean(theta, stat, replicates, seed), plain),
-            (mc_mean(theta, stat, replicates, seed, antithetic=True), paired),
-        ):
-            assert est.mean == float(want.mean())
-            assert est.std_error == float(want.std(ddof=1) / math.sqrt(want.size))
+        est = mc_mean(theta, stat, replicates, seed)
+        assert est.mean == float(plain.mean())
+        assert est.std_error == float(plain.std(ddof=1) / math.sqrt(plain.size))
         family = ThresholdFamily("firm", firm_slope=1.5)
         scaled = np.empty(replicates)
         for i, z in enumerate(draws):
@@ -86,12 +80,11 @@ class TestMcMean:
         assert report.variance == float(scaled.var(ddof=1))
         # a statistic returning two values gives, per value, what a scalar call gives
         other = lambda x: float(np.sum(np.abs(x)))
-        for antithetic in (False, True):
-            both = mc_mean(theta, lambda x: (stat(x), other(x)), replicates, seed, antithetic=antithetic)
-            assert both[0].config_fingerprint == both[1].config_fingerprint
-            for est, single in zip(both, (stat, other)):
-                alone = mc_mean(theta, single, replicates, seed, antithetic=antithetic)
-                assert (est.mean, est.std_error) == (alone.mean, alone.std_error)
+        both = mc_mean(theta, lambda x: (stat(x), other(x)), replicates, seed)
+        assert both[0].config_fingerprint == both[1].config_fingerprint
+        for est, single in zip(both, (stat, other)):
+            alone = mc_mean(theta, single, replicates, seed)
+            assert (est.mean, est.std_error) == (alone.mean, alone.std_error)
         spikes = SignalGenerator.spikes(4, 3.0).realize(64)
         strong = regret_experiment(spikes, replicates, seed, strong=True)
         assert strong.mc == regret_experiment(spikes, replicates, seed).mc
@@ -107,15 +100,6 @@ class TestMcMean:
         streams.clear()
         common_mean_experiment(64, 0.1, 6, seed=1)
         assert sorted(streams) == list(range(6))
-
-    def test_antithetic_kills_linear_noise(self):
-        theta = np.full(20, 0.7)
-        linear = lambda x: float(np.sum(x - theta))
-        plain = mc_mean(theta, linear, 400, seed=11)
-        paired = mc_mean(theta, linear, 400, seed=11, antithetic=True)
-        assert paired.mean == pytest.approx(0.0, abs=1e-12)
-        assert paired.std_error <= 1e-12
-        assert paired.std_error <= plain.std_error / 2
 
 
 class TestMcRisk:
@@ -302,13 +286,12 @@ class TestBlocks:
         "run",
         [
             lambda t: mc_mean(t, lambda x: (float(x @ x), float(np.max(x))), 17, seed=3),
-            lambda t: mc_mean(t, lambda x: float(np.sum(np.abs(x))), 18, seed=3, antithetic=True),
             lambda t: mc_risk(t, lambda x: soft(x, 1.0), 17, seed=4),
             lambda t: common_mean_experiment(t.size, 0.2, 17, seed=5),
             lambda t: minimax_ball_experiment(t.size, 0.0, 0.1, 17, seed=6),
             lambda t: concentration_check(t, 0.8, ThresholdFamily("firm"), 17, seed=7),
         ],
-        ids=["mc_mean", "antithetic", "mc_risk", "common_mean", "minimax", "concentration"],
+        ids=["mc_mean", "mc_risk", "common_mean", "minimax", "concentration"],
     )
     def test_block_size_does_not_change_results(self, run):
         first, *others = _under_block_sizes(lambda: run(self.theta), self.n)
@@ -415,16 +398,6 @@ class TestReusedBuffers:
         want = np.array([float(x @ x) for x in draws])
         assert est.mean == float(want.mean())
 
-    def test_antithetic_pairs_unchanged(self):
-        stat = lambda x: float(np.max(x) + x @ x)
-        noise = self._noise(22, 4)
-        pairs = np.array([0.5 * (stat(self.theta + z) + stat(self.theta - z)) for z in noise])
-        for budget in (self.theta.size, 3 * self.theta.size, simulate._BLOCK_ELEMENTS):
-            with mock.patch.object(simulate, "_BLOCK_ELEMENTS", budget):
-                est = mc_mean(self.theta, stat, 8, seed=22, antithetic=True)
-            assert est.mean == float(pairs.mean())
-            assert est.std_error == float(pairs.std(ddof=1) / math.sqrt(pairs.size))
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_spike_still_refused(self, value, tmp_path):
         with pytest.raises(ValueError, match="max"):
@@ -526,7 +499,6 @@ class TestIntegerCounts:
 
 class TestSignalGenerator:
     def test_zero_and_common(self):
-        np.testing.assert_array_equal(SignalGenerator.zero().realize(4), np.zeros(4))
         np.testing.assert_array_equal(
             SignalGenerator.common_mean(0.25).realize(3), np.full(3, 0.25)
         )
@@ -584,7 +556,7 @@ class TestSignalGenerator:
         np.testing.assert_array_equal(theta, np.zeros(10))
 
     def test_describe(self):
-        assert SignalGenerator.zero().describe()
+        assert SignalGenerator.common_mean(0.5).describe() == "common_mean(mu=0.5)"
         assert "spikes" in SignalGenerator.spikes(2, 1.0).describe()
 
 
