@@ -50,11 +50,11 @@ from .risk import (
 )
 from .selector import FdrConfig
 from .simulate import (
-    SignalGenerator,
     common_mean_experiment,
     concentration_check,
     minimax_ball_experiment,
     regret_experiment,
+    spikes,
 )
 from .svgplot import svg_line_chart
 from .thresholds import ThresholdFamily
@@ -327,7 +327,7 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
     family = _family(cfg)
     if kind in ("regret", "concentration"):
-        theta = SignalGenerator.spikes(cfg["spike_count"], cfg["spike_value"]).realize(cfg["n"])
+        theta = spikes(cfg["n"], cfg["spike_count"], cfg["spike_value"])
     if kind == "regret":
         rep = regret_experiment(
             theta, cfg["replicates"], cfg["seed"], sel, family, strong=cfg["strong"]

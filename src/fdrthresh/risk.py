@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
-from .gauss import _as_float_array, _bisect, norm_cdf, norm_pdf
+from .gauss import _SQRT2, _as_float_array, _bisect, norm_cdf, norm_pdf
 from .thresholds import _check_level
 
 __all__ = [
@@ -187,9 +187,10 @@ def fdr_curve(prior: EmpiricalPrior, t):
     Equals 1 at ``t = 0`` and, for a prior with any nonzero atom, decreases
     strictly to 0; for the degenerate prior it is identically 1.  Where
     ``2 Phi(-t)`` falls below the smallest normal float (``t`` past about
-    37.5) the ratio is taken in log space, each atom's tail against
-    ``Phi(-t)``, so neither tail is formed; a tail ratio past the float
-    range makes the value read 0.
+    37.5) the value is ``2 / E_G[r(theta) + r(-theta)]``, each tail ratio
+    ``r(u) = Phi(u - t) / Phi(-t)`` taken without forming a tail
+    (``_tail_ratio``); a tail ratio past the float range makes the value
+    read 0.
     """
     t_arr = np.asarray(t, dtype=float)
     num = np.asarray(2.0 * norm_cdf(-t_arr))
@@ -197,12 +198,23 @@ def fdr_curve(prior: EmpiricalPrior, t):
     deep = num < sys.float_info.min
     out = np.divide(num, den, out=np.empty_like(num), where=~deep)
     if deep.any():
-        td = t_arr[deep]
-        null = log_ndtr(-td)
-        tails = lambda th, tt: np.exp(log_ndtr(th - tt) - null) + np.exp(log_ndtr(-th - tt) - null)
+        tails = lambda th, tt: _tail_ratio(th, tt) + _tail_ratio(-th, tt)
         with np.errstate(over="ignore"):
-            out[deep] = 2.0 / _mix(prior, tails, td)
+            out[deep] = 2.0 / _mix(prior, tails, t_arr[deep])
     return out if t_arr.ndim else float(out)
+
+
+def _tail_ratio(u, t):
+    """``Phi(u - t) / Phi(-t)`` without forming either tail.
+
+    Where ``a = t - u > 0``, ``Phi(-a) = erfcx(a / sqrt 2) exp(-a^2 / 2) / 2``,
+    so the Gaussian factors cancel into ``exp(u (t - u/2))``; elsewhere the
+    ratio is taken in log space.
+    """
+    a = t - u
+    scaled = erfcx(np.maximum(a, 0.0) / _SQRT2) / erfcx(t / _SQRT2)
+    scaled *= np.exp(u * (t - u / 2))
+    return np.where(a > 0.0, scaled, np.exp(log_ndtr(-np.minimum(a, 0.0)) - log_ndtr(-t)))
 
 
 def population_fdr_levels(prior: EmpiricalPrior, alpha1p: float, alpha2p: float):

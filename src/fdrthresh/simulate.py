@@ -1,4 +1,8 @@
-"""Monte Carlo harness: signal generators, risk experiments, exact oracles.
+"""Monte Carlo harness: signals, risk experiments, exact oracles.
+
+The signals are plain vectors: ``spikes`` (an l_0 ball), the
+``least_favorable`` vector of an l_p ball, and the common mean
+``np.full(n, mu)``.
 
 Noise replication is counter-based: replicate ``i`` always draws from a
 Philox stream keyed by the root seed with block counter ``i << 192``, so
@@ -16,12 +20,14 @@ Every replicate is one draw ``theta + z_i``.  One loop, ``_samples``,
 draws them for ``mc_mean`` and ``concentration_check`` alike, in (B, n)
 blocks, row ``i`` of the run from stream ``i``, with
 ``B = max(1, 2**14 // n)``: 16 rows at n = 1024 and one row from n = 8193
-on.  The experiments evaluate each block at once: selection, thresholding
-at a (B, 1) column of per-row levels, and the pathwise oracle
-``oracle_loss_min``, which takes a (B, n) block and returns arrays of
-per-row levels and losses.  Every per-row value equals what the
-same computation gives on that row alone, bit for bit; each row's squared
-loss is still its own dot product.
+on.  Every statistic is a block statistic: it maps a block to B values or
+to a (B, S) array.  The experiments evaluate each block at once:
+selection, thresholding at a (B, 1) column of per-row levels, and the
+pathwise oracle ``oracle_loss_min``, which takes a (B, n) block and
+returns arrays of per-row levels and losses.  Every per-row value equals
+what the same computation gives on that row alone, bit for bit; each
+row's squared loss is still its own dot product.  ``mc_risk`` alone takes
+an estimator of one vector, which it applies row by row.
 
 A call reads each coordinate of a block a fixed few times, in buffers kept
 across its blocks: the draws are formed in place in one buffer, which the
@@ -39,7 +45,7 @@ import operator
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +54,8 @@ from .selector import FdrConfig, _block_lambdas
 from .thresholds import ThresholdFamily, _check_level, apply_family
 
 __all__ = [
-    "SignalGenerator",
+    "spikes",
+    "least_favorable",
     "minimax_level",
     "minimax_benchmark",
     "McEstimate",
@@ -114,85 +121,40 @@ def minimax_benchmark(n: int, p: float, radius: float, weak: bool = False) -> fl
     return bench
 
 
-@dataclass(frozen=True)
-class SignalGenerator:
-    """Deterministic mean-vector configurations for experiments.
+def spikes(n: int, count: int, value: float) -> np.ndarray:
+    """A length-``n`` signal with its first ``count`` coordinates at ``value``, the rest 0."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if count > n:
+        raise ValueError("count must not exceed n")
+    theta = np.zeros(n)
+    theta[:count] = value
+    return theta
 
-    kinds:
-      common_mean(mu)          all coordinates mu
-      spikes(count, value)     `count` coordinates at `value`, rest 0
-      least_favorable(p, radius, weak, level)
-                               hardest configuration in the given ball:
-                               strong balls put floor(n radius^p / level^p)
-                               spikes at `level` (floor(n radius) for p=0);
-                               weak balls use the capped ordered profile
-                               min(radius (n/k)^(1/p), level);
-                               level, minimax_level by default, lies in (0, inf).
+
+def least_favorable(n: int, p: float, radius: float, weak: bool = False) -> np.ndarray:
+    """The hardest length-``n`` signal of the l_p ball, at ``level = minimax_level(n, p, radius)``.
+
+    A strong ball holds ``floor(n radius^p / level^p)`` spikes at ``level``
+    (``floor(n radius)`` for ``p = 0``); a weak ball holds the capped
+    ordered profile ``min(radius (n/k)^(1/p), level)``.
     """
-
-    kind: str
-    mu: float = 0.0
-    count: int = 0
-    value: float = 0.0
-    p: float = 0.0
-    radius: float = 0.0
-    weak: bool = False
-    level: float | None = None
-
-    @classmethod
-    def common_mean(cls, mu: float) -> "SignalGenerator":
-        return cls("common_mean", mu=float(mu))
-
-    @classmethod
-    def spikes(cls, count: int, value: float) -> "SignalGenerator":
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return cls("spikes", count=int(count), value=float(value))
-
-    @classmethod
-    def least_favorable(
-        cls, p: float, radius: float, weak: bool = False, level: float | None = None
-    ) -> "SignalGenerator":
-        _check_ball(p, radius, weak)
-        if level is not None and not 0.0 < level < math.inf:
-            raise ValueError("level must lie in (0, inf)")
-        return cls("least_favorable", p=float(p), radius=float(radius), weak=weak, level=level)
-
-    def realize(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "common_mean":
-            return np.full(n, self.mu)
-        if self.kind == "spikes":
-            if self.count > n:
-                raise ValueError("count must not exceed n")
-            theta = np.zeros(n)
-            theta[: self.count] = self.value
-            return theta
-        if self.kind == "least_favorable":
-            lam = self.level if self.level is not None else minimax_level(n, self.p, self.radius)
-            if self.weak:
-                k = np.arange(1, n + 1)
-                return np.minimum(self.radius * (n / k) ** (1.0 / self.p), lam)
-            pp = self.p if self.p > 0.0 else 1.0
-            try:  # floor(n radius) for p = 0, where lam**p is 1
-                m = min(math.floor(n * self.radius**pp / lam**self.p), n)
-            except OverflowError:  # a power or the count lies past the float range
-                m = n if self.radius >= lam else int(n * (self.radius / lam) ** self.p)
-            theta = np.zeros(n)
-            theta[:m] = lam
-            return theta
-        raise ValueError(f"unknown signal kind: {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "common_mean":
-            return f"common_mean(mu={self.mu:g})"
-        if self.kind == "spikes":
-            return f"spikes(count={self.count}, value={self.value:g})"
-        return (
-            f"least_favorable(p={self.p:g}, radius={self.radius:g}, "
-            f"weak={self.weak}, level={self.level})"
-        )
+    _check_ball(p, radius, weak)
+    p, radius = float(p), float(radius)
+    lam = minimax_level(n, p, radius)
+    if weak:
+        k = np.arange(1, n + 1)
+        return np.minimum(radius * (n / k) ** (1.0 / p), lam)
+    pp = p if p > 0.0 else 1.0
+    try:  # floor(n radius) for p = 0, where lam**p is 1
+        m = min(math.floor(n * radius**pp / lam**p), n)
+    except OverflowError:  # a power or the count lies past the float range
+        m = n if radius >= lam else int(n * (radius / lam) ** p)
+    theta = np.zeros(n)
+    theta[:m] = lam
+    return theta
 
 
 @dataclass(frozen=True)
@@ -210,13 +172,6 @@ class McEstimate:
 # at least one row.  At n = 1024 a 64-row block grew the peak RSS by about
 # 8 MB, against about 2 MB for 16 rows.
 _BLOCK_ELEMENTS = 2**14
-
-
-@dataclass(frozen=True)
-class _Block:
-    """A statistic of a (B, n) block of draws: B values, or a (B, S) array."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
 
 
 _streams = threading.local()
@@ -261,9 +216,9 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int) -> np.nda
 
     The one replicate loop of the module.  ``statistic`` maps a (B, n) block
     to B values, giving an (R,) array, or to a (B, S) array, giving an
-    (R, S) array.  Every block is drawn into one buffer and ``theta + z`` is
-    formed in place, so the next block overwrites the one passed to
-    ``statistic``.
+    (R, S) array; any other shape raises ``ValueError``.  Every block is
+    drawn into one buffer and ``theta + z`` is formed in place, so the next
+    block overwrites the one passed to ``statistic``.
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
@@ -280,7 +235,13 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int) -> np.nda
         for row, i in enumerate(range(start, start + z.shape[0])):
             _replicate_rng(seed, i).standard_normal(out=z[row])
         z += theta
-        parts.append(np.asarray(statistic(z), dtype=float))
+        values = np.asarray(statistic(z), dtype=float)
+        if values.ndim not in (1, 2) or values.shape[0] != len(z):
+            raise ValueError(
+                f"statistic returned shape {values.shape} for a block of {len(z)} rows: "
+                f"need ({len(z)},) or ({len(z)}, S)"
+            )
+        parts.append(values)
     return np.concatenate(parts)
 
 
@@ -336,34 +297,25 @@ def _fdr_losses(theta: np.ndarray, family: ThresholdFamily, config: FdrConfig):
 
 def mc_mean(
     theta,
-    statistic: Callable[[np.ndarray], float | Sequence[float]],
+    statistic: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     seed: int,
     label: str = "",
 ) -> McEstimate | tuple[McEstimate, ...]:
-    """Average ``statistic(theta + noise)`` over independent replicates.
+    """Average a block statistic of ``theta + noise`` over independent replicates.
 
-    Replicate ``i`` evaluates ``theta + z_i`` on stream ``i``, and the
-    standard error is computed over the R replicate values.  A statistic
-    returning a fixed-length sequence of S floats is evaluated on the same
-    draws for every component, and the result is a tuple of S estimates
-    sharing one fingerprint.
-
-    The draws come in (B, n) blocks of ``max(1, 2**14 // n)`` rows (see the
-    module docstring), and ``statistic`` is called on each row of a copy of
-    the block in turn, so it may keep its argument.  The package's
-    experiments pass a private statistic of a whole block instead: it reads
-    the block in the buffer that the next block reuses once the statistic
-    returns, and takes each threshold loss from the survivors only (see
-    ``_threshold_losses``).  It may call ``oracle_loss_min`` on the block,
-    which then returns a (B,) array of levels and one of losses.
+    The draws come in (B, n) blocks of ``max(1, 2**14 // n)`` rows, row
+    ``i`` of the run being ``theta + z_i`` from stream ``i`` (see the module
+    docstring).  ``statistic`` maps a block to B values, one per row, or to
+    a (B, S) array; the result is then one estimate, or a tuple of S
+    estimates sharing one fingerprint, each with its standard error over
+    the R replicate values.  The block lies in a buffer that the next block
+    overwrites once ``statistic`` returns, so a statistic that keeps rows
+    must copy them.  A statistic of one vector ``stat`` becomes one as
+    ``lambda x: [stat(row) for row in x]``.
     """
     theta = np.asarray(theta, dtype=float)
-    if isinstance(statistic, _Block):
-        block = statistic.fn
-    else:
-        block = lambda x: [statistic(row) for row in x.copy()]
-    samples = _samples(theta, block, replicates, seed)
+    samples = _samples(theta, statistic, replicates, seed)
     replicates, seed = int(replicates), int(seed)  # integers: _samples has checked them
     # the hashed fields keep antithetic=False: dropping the key would move the
     # fingerprint of every regret and minimax experiment.json
@@ -385,13 +337,12 @@ def mc_risk(
     seed: int,
     label: str = "",
 ) -> McEstimate:
-    """Monte Carlo total squared-error risk ``E ||estimate(X) - theta||^2``."""
+    """Monte Carlo total squared-error risk ``E ||estimate_fn(X) - theta||^2``.
+
+    ``estimate_fn`` maps one draw, a length-n vector, to its estimate.
+    """
     theta = np.asarray(theta, dtype=float)
-
-    def loss(x: np.ndarray) -> float:
-        d = np.asarray(estimate_fn(x), dtype=float) - theta
-        return float(d @ d)
-
+    loss = lambda x: _row_losses(theta, np.array([estimate_fn(row) for row in x], dtype=float))
     return mc_mean(theta, loss, replicates, seed, label=label or "risk")
 
 
@@ -519,9 +470,9 @@ def regret_experiment(
 
     loss = _fdr_losses(theta, family, config)
     if strong:
-        statistic = _Block(lambda x: np.column_stack((loss(x), oracle_loss_min(x, theta)[1])))
+        statistic = lambda x: np.column_stack((loss(x), oracle_loss_min(x, theta)[1]))
     else:
-        statistic = _Block(loss)
+        statistic = loss
     result = mc_mean(theta, statistic, replicates, seed, label=f"regret:{family.describe()}")
     mc, oracle_mc = result if strong else (result, None)
     oracle_ratio = math.nan
@@ -560,7 +511,10 @@ def common_mean_experiment(
     """
     soft_fam = ThresholdFamily("soft")
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
-    theta = SignalGenerator.common_mean(mu).realize(int(n))
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    theta = np.full(n, float(mu))
     prior = EmpiricalPrior.from_vector(theta)
     exact_total = optimal_levels(prior).risk_exact * n
 
@@ -575,14 +529,14 @@ def common_mean_experiment(
             (loss(x, absx, level, soft_fam), loss(x, absx, level, firm_fam), _row_losses(theta, means))
         )
 
-    ests = mc_mean(theta, _Block(losses), replicates, seed, label="common_mean")
+    ests = mc_mean(theta, losses, replicates, seed, label="common_mean")
     labels = ("fdr_soft", "fdr_firm", "sample_mean")
     rows = [(label, est.mean, est.std_error) for label, est in zip(labels, ests)]
     fp = _fingerprint(
         theta, kind="common_mean", replicates=int(replicates), seed=int(seed),
         family=f"soft,{firm_fam.describe()}", level="adaptive",
     )
-    return CommonMeanReport(int(n), float(mu), tuple(rows), exact_total, fp)
+    return CommonMeanReport(n, float(mu), tuple(rows), exact_total, fp)
 
 
 @dataclass(frozen=True)
@@ -614,10 +568,11 @@ def minimax_ball_experiment(
     A hard ``family`` runs as given, as in ``regret_experiment``.
     """
     bench = minimax_benchmark(int(n), p, radius, weak=weak)
-    gen = SignalGenerator.least_favorable(p, radius, weak=weak)
-    theta = gen.realize(int(n))
-    loss = _Block(_fdr_losses(theta, family, config))
-    mc = mc_mean(theta, loss, replicates, seed, label=f"minimax:{gen.describe()}")
+    theta = least_favorable(int(n), p, radius, weak)
+    # the label keeps the text of the signal's former description, level=None
+    # included: another text would move the fingerprint of every minimax run
+    label = f"minimax:least_favorable(p={p:g}, radius={radius:g}, weak={weak}, level=None)"
+    mc = mc_mean(theta, _fdr_losses(theta, family, config), replicates, seed, label=label)
     return MinimaxReport(
         int(n), float(p), float(radius), weak, minimax_level(int(n), p, radius), mc, bench, mc.mean / bench
     )

@@ -24,12 +24,12 @@ from fdrthresh.selector import (
     step_up_level,
 )
 from fdrthresh.simulate import (
-    SignalGenerator,
     common_mean_experiment,
     concentration_check,
     minimax_ball_experiment,
     oracle_loss_min,
     regret_experiment,
+    spikes,
 )
 from fdrthresh.thresholds import ThresholdFamily
 from test_risk import quad_soft_risk
@@ -205,7 +205,7 @@ def test_07_adaptive_ratio_trend():
     for n in (2**10, 2**14):
         k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         a = 0.8 * math.sqrt(2.0 * math.log(n))
-        theta = SignalGenerator.spikes(k, a).realize(n)
+        theta = spikes(n, k, a)
         rep = regret_experiment(theta, replicates=300, seed=20240808, config=config)
         ratios[n] = rep.ratio
         slacks[n] = 3.0 * rep.mc.std_error / rep.exact_total

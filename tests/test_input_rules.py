@@ -10,14 +10,15 @@ from fdrthresh.gauss import norm_cdf, truncated_moments
 from fdrthresh.risk import EmpiricalPrior, clipped_second_moment, soft_risk, surrogate_risk
 from fdrthresh.selector import FdrConfig, select_lambda, step_down_level, step_up_level
 from fdrthresh.simulate import (
-    SignalGenerator,
     common_mean_experiment,
     concentration_check,
+    least_favorable,
     mc_mean,
     minimax_ball_experiment,
     minimax_benchmark,
     minimax_level,
     regret_experiment,
+    spikes,
 )
 from fdrthresh.thresholds import ThresholdFamily
 
@@ -51,18 +52,14 @@ CASES = {
     "norm-cdf-nan": (lambda: norm_cdf([0.0, math.nan]), ValueError, "x must not contain NaN"),
     "truncated-nan": (lambda: truncated_moments(math.nan), ValueError, "a must not contain NaN"),
     "soft-risk-mu-nan": (lambda: soft_risk([math.nan], 1.0), ValueError, "mu must not contain NaN"),
-    # least-favorable signals: the ball and the spike level
+    # least-favorable signals: the ball
     "least-favorable-nan-radius": (
-        lambda: SignalGenerator.least_favorable(1.0, math.nan, weak=True), ValueError, BALL
+        lambda: least_favorable(20, 1.0, math.nan, weak=True), ValueError, BALL
     ),
-    "least-favorable-nan-p": (
-        lambda: SignalGenerator.least_favorable(math.nan, 0.1), ValueError, BALL
-    ),
-    "least-favorable-inf-radius": (
-        lambda: SignalGenerator.least_favorable(1.0, math.inf), ValueError, BALL
-    ),
+    "least-favorable-nan-p": (lambda: least_favorable(20, math.nan, 0.1), ValueError, BALL),
+    "least-favorable-inf-radius": (lambda: least_favorable(20, 1.0, math.inf), ValueError, BALL),
     "least-favorable-weak-p0": (
-        lambda: SignalGenerator.least_favorable(0.0, 0.1, weak=True),
+        lambda: least_favorable(20, 0.0, 0.1, weak=True),
         ValueError,
         "weak balls require p > 0",
     ),
@@ -85,10 +82,8 @@ CASES = {
         lambda: minimax_ball_experiment(20, 1.0, math.inf, 4, 1), ValueError, BALL
     ),
     # spike signals
-    "spikes-negative-count": (
-        lambda: SignalGenerator.spikes(-1, 1.0), ValueError, "count must be >= 0"
-    ),
-    "spikes-n0": (lambda: SignalGenerator.spikes(0, 1.0).realize(0), ValueError, "n must be >= 1"),
+    "spikes-negative-count": (lambda: spikes(0, -1, 1.0), ValueError, "count must be >= 0"),
+    "spikes-n0": (lambda: spikes(0, 0, 1.0), ValueError, "n must be >= 1"),
     "common-mean-n0": (lambda: common_mean_experiment(0, 0.0, 4, 1), ValueError, "n must be >= 1"),
     # n * max|theta|^2 overflows: the mean square and every risk total are infinite
     "prior-atoms-energy": (lambda: EmpiricalPrior.from_atoms([1e200]), ValueError, ENERGY),
@@ -111,6 +106,12 @@ CASES = {
     "mc-one-replicate": (lambda: mc_mean(X, np.sum, 1, 1), ValueError, "replicates must be >= 2"),
     "mc-negative-seed": (lambda: mc_mean(X, np.sum, 4, -1), ValueError, SEED),
     "mc-seed-2-128": (lambda: mc_mean(X, np.sum, 4, 2**128), ValueError, SEED),
+    # a statistic of one vector, not of a block of rows
+    "mc-per-vector-statistic": (
+        lambda: mc_mean(X, np.sum, 4, 1),
+        ValueError,
+        "statistic returned shape () for a block of 4 rows: need (4,) or (4, S)",
+    ),
     "concentration-seed": (lambda: concentration_check(X, 1.0, SOFT, 4, -1), ValueError, SEED),
     # family and surrogate arguments of the experiments and curves
     "concentration-hard": (
@@ -125,11 +126,6 @@ CASES = {
     ),
     "surrogate-b0-nan": (
         lambda: surrogate_risk(PRIOR, 1.0, math.nan), ValueError, "b0 must be >= 4"
-    ),
-    "least-favorable-zero-level": (
-        lambda: SignalGenerator.least_favorable(1.0, 0.1, level=0.0),
-        ValueError,
-        "level must lie in (0, inf)",
     ),
 }
 

@@ -258,11 +258,11 @@ class TestRejectionAndFdrCurve:
             assert curve[0] == pytest.approx(1.0, abs=5e-3)
             assert np.all(np.diff(curve) < 0)
             assert np.all((curve > 0) & (curve <= 1))
-        # where 2 Phi(-t) underflows: finite, in [0, 1] and nonincreasing.  The
-        # 0/1e-10 prior reads 1 - O(1e-16) there, below the rounding of the
-        # log-space terms (ulp(t^2 / 2), about 4e-12 at t = 200)
-        deep = np.linspace(38.0, 200.0, 300)
-        tol = 1e-11
+        # where 2 Phi(-t) underflows: finite, in [0, 1] and nonincreasing, up
+        # to the rounding of the tail ratios; the 0/1e-10 prior reads 1 - O(1e-16).
+        # At t = 1e200, t^2 / 2 lies past the float range, and still no warning
+        deep = np.append(np.linspace(38.0, 200.0, 300), [1e10, 1e200])
+        tol = 1e-15
         for atoms, weights in (([0.0], [1.0]), ([0.0, 3.0], [0.9, 0.1]), ([0.0, 1e-10], [0.5, 0.5])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -281,8 +281,8 @@ class TestRejectionAndFdrCurve:
         prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
         t = np.array([38.5, 120.0, 200.0])
         want = np.array([1.145939138311268918e-47, 7.9131219849952362805e-154, 4.7000511673610517537e-258])
-        np.testing.assert_allclose(fdr_curve(prior, t), want, rtol=1e-10)
-        assert fdr_curve(prior, 38.5) == pytest.approx(want[0], rel=1e-10)  # a scalar t
+        np.testing.assert_allclose(fdr_curve(prior, t), want, rtol=1e-14)
+        assert fdr_curve(prior, 38.5) == pytest.approx(want[0], rel=1e-14)  # a scalar t
 
 
 class TestPopulationLevels:

@@ -19,9 +19,9 @@ from fdrthresh.simulate import (
     McEstimate,
     MinimaxReport,
     RegretReport,
-    SignalGenerator,
     common_mean_experiment,
     concentration_check,
+    least_favorable,
     mc_mean,
     mc_risk,
     minimax_ball_experiment,
@@ -29,6 +29,7 @@ from fdrthresh.simulate import (
     minimax_level,
     oracle_loss_min,
     regret_experiment,
+    spikes,
 )
 from fdrthresh.thresholds import ThresholdFamily, apply_family, soft
 
@@ -36,7 +37,7 @@ from fdrthresh.thresholds import ThresholdFamily, apply_family, soft
 class TestMcMean:
     def test_bit_identical_reruns(self):
         theta = np.array([0.0, 1.0, 2.0])
-        stat = lambda x: float(np.sum(x * x))
+        stat = lambda x: np.sum(x * x, axis=1)
         a = mc_mean(theta, stat, 50, seed=7)
         b = mc_mean(theta, stat, 50, seed=7)
         assert a.mean == b.mean
@@ -45,14 +46,14 @@ class TestMcMean:
 
     def test_seed_changes_stream_and_fingerprint(self):
         theta = np.zeros(4)
-        stat = lambda x: float(np.sum(x))
+        stat = lambda x: np.sum(x, axis=1)
         a = mc_mean(theta, stat, 50, seed=1)
         b = mc_mean(theta, stat, 50, seed=2)
         assert a.mean != b.mean
         assert a.config_fingerprint != b.config_fingerprint
 
     def test_validation(self):
-        stat = lambda x: 0.0
+        stat = lambda x: np.zeros(x.shape[0])
         with pytest.raises(ValueError):
             mc_mean(np.zeros(3), stat, 1, seed=0)
         with pytest.raises(ValueError):
@@ -68,7 +69,7 @@ class TestMcMean:
         ]
         stat = lambda x: float(np.max(x) + x @ x)
         plain = np.array([stat(theta + z) for z in draws])
-        est = mc_mean(theta, stat, replicates, seed)
+        est = mc_mean(theta, lambda x: [stat(row) for row in x], replicates, seed)
         assert est.mean == float(plain.mean())
         assert est.std_error == float(plain.std(ddof=1) / math.sqrt(plain.size))
         family = ThresholdFamily("firm", firm_slope=1.5)
@@ -80,14 +81,14 @@ class TestMcMean:
         assert report.variance == float(scaled.var(ddof=1))
         # a statistic returning two values gives, per value, what a scalar call gives
         other = lambda x: float(np.sum(np.abs(x)))
-        both = mc_mean(theta, lambda x: (stat(x), other(x)), replicates, seed)
+        both = mc_mean(theta, lambda x: [(stat(row), other(row)) for row in x], replicates, seed)
         assert both[0].config_fingerprint == both[1].config_fingerprint
         for est, single in zip(both, (stat, other)):
-            alone = mc_mean(theta, single, replicates, seed)
+            alone = mc_mean(theta, lambda x: [single(row) for row in x], replicates, seed)
             assert (est.mean, est.std_error) == (alone.mean, alone.std_error)
-        spikes = SignalGenerator.spikes(4, 3.0).realize(64)
-        strong = regret_experiment(spikes, replicates, seed, strong=True)
-        assert strong.mc == regret_experiment(spikes, replicates, seed).mc
+        signal = spikes(64, 4, 3.0)
+        strong = regret_experiment(signal, replicates, seed, strong=True)
+        assert strong.mc == regret_experiment(signal, replicates, seed).mc
 
     def test_each_replicate_drawn_once(self, monkeypatch):
         streams = []
@@ -95,7 +96,7 @@ class TestMcMean:
         monkeypatch.setattr(
             simulate, "_replicate_rng", lambda seed, i: streams.append(i) or draw(seed, i)
         )
-        regret_experiment(SignalGenerator.spikes(4, 3.0).realize(64), 6, seed=1, strong=True)
+        regret_experiment(spikes(64, 4, 3.0), 6, seed=1, strong=True)
         assert sorted(streams) == list(range(6))
         streams.clear()
         common_mean_experiment(64, 0.1, 6, seed=1)
@@ -273,7 +274,7 @@ def _under_block_sizes(fn, n):
 
 class TestBlocks:
     n = 40
-    theta = SignalGenerator.spikes(6, 3.0).realize(40)
+    theta = spikes(40, 6, 3.0)
     families = [
         ThresholdFamily("soft"),
         ThresholdFamily("firm", firm_slope=1.7),
@@ -285,7 +286,7 @@ class TestBlocks:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda t: mc_mean(t, lambda x: (float(x @ x), float(np.max(x))), 17, seed=3),
+            lambda t: mc_mean(t, lambda x: [(row @ row, row.max()) for row in x], 17, seed=3),
             lambda t: mc_risk(t, lambda x: soft(x, 1.0), 17, seed=4),
             lambda t: common_mean_experiment(t.size, 0.2, 17, seed=5),
             lambda t: minimax_ball_experiment(t.size, 0.0, 0.1, 17, seed=6),
@@ -321,10 +322,10 @@ class TestBlocks:
             assert est.mean == float(values.mean())
             assert est.std_error == float(values.std(ddof=1) / math.sqrt(values.size))
         minimax = minimax_ball_experiment(self.n, 0.0, 0.1, 17, 8, self.config, family)
-        lf = SignalGenerator.least_favorable(0.0, 0.1).realize(self.n)
         want = mc_risk(
-            lf, lambda x: fdr_threshold_estimate(x, family, self.config, allow_hard=True).estimate,
-            17, 8, label=f"minimax:{SignalGenerator.least_favorable(0.0, 0.1).describe()}",
+            least_favorable(self.n, 0.0, 0.1),
+            lambda x: fdr_threshold_estimate(x, family, self.config, allow_hard=True).estimate,
+            17, 8, label="minimax:least_favorable(p=0, radius=0.1, weak=False, level=None)",
         )
         assert minimax.mc == want
 
@@ -373,7 +374,7 @@ class TestSurvivorLosses:
     @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
     def test_experiments_match_dense_losses(self, family):
         # the experiment statistic against selection plus the dense loss, per row
-        theta = SignalGenerator.spikes(6, 3.0).realize(40)
+        theta = spikes(40, 6, 3.0)
         x = theta + np.random.default_rng(32).standard_normal((16, 40))
         x[3] = 0.0
         config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05)
@@ -385,23 +386,10 @@ class TestSurvivorLosses:
 class TestReusedBuffers:
     theta = np.array([0.5, -1.0, 0.0, 2.0, 0.25])
 
-    def _noise(self, seed, count):
-        return [simulate._replicate_rng(seed, i).standard_normal(self.theta.size) for i in range(count)]
-
-    def test_kept_arguments_hold_their_own_draws(self):
-        kept = []
-        keep = lambda x: kept.append(x) or float(x @ x)
-        with mock.patch.object(simulate, "_BLOCK_ELEMENTS", 2 * self.theta.size):
-            est = mc_mean(self.theta, keep, 7, seed=21)
-        draws = [self.theta + z for z in self._noise(21, 7)]
-        assert [x.tobytes() for x in kept] == [x.tobytes() for x in draws]
-        want = np.array([float(x @ x) for x in draws])
-        assert est.mean == float(want.mean())
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_spike_still_refused(self, value, tmp_path):
         with pytest.raises(ValueError, match="max"):
-            regret_experiment(SignalGenerator.spikes(2, value).realize(16), 4, seed=1)
+            regret_experiment(spikes(16, 2, value), 4, seed=1)
         cfg = tmp_path / "e.cfg"
         cfg.write_text(f"kind = regret\nn = 16\nreplicates = 4\nspike_count = 2\nspike_value = {value}\n")
         assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -441,7 +429,7 @@ class TestReplicateStreams:
             assert _draws(simulate._replicate_rng(seed, index)) == _draws(_fresh_rng(seed, index))
 
     def test_threads_keep_their_own_streams(self):
-        theta = SignalGenerator.spikes(4, 3.0).realize(64)
+        theta = spikes(64, 4, 3.0)
         seeds = (5, 6)
         want = {seed: regret_experiment(theta, 200, seed, strong=True) for seed in seeds}
         got = {seed: [] for seed in seeds}
@@ -467,7 +455,7 @@ class TestReplicateStreams:
 
 
 class TestIntegerCounts:
-    theta = SignalGenerator.spikes(2, 3.0).realize(16)
+    theta = spikes(16, 2, 3.0)
     soft = ThresholdFamily("soft")
 
     @pytest.mark.parametrize(
@@ -476,7 +464,7 @@ class TestIntegerCounts:
     )
     def test_fractional_replicates_or_seed_raise(self, replicates, seed, name):
         calls = (
-            lambda: mc_mean(self.theta, lambda x: float(x @ x), replicates, seed),
+            lambda: mc_mean(self.theta, lambda x: np.sum(x * x, axis=1), replicates, seed),
             lambda: mc_risk(self.theta, lambda x: x, replicates, seed),
             lambda: regret_experiment(self.theta, replicates, seed),
             lambda: common_mean_experiment(16, 0.1, replicates, seed),
@@ -498,66 +486,57 @@ class TestIntegerCounts:
 
 
 class TestSignalGenerator:
+    """The signals of the experiments: ``spikes``, ``least_favorable`` and the common mean."""
+
     def test_zero_and_common(self):
-        np.testing.assert_array_equal(
-            SignalGenerator.common_mean(0.25).realize(3), np.full(3, 0.25)
-        )
+        with mock.patch.object(simulate, "mc_mean", wraps=simulate.mc_mean) as run:
+            common_mean_experiment(3, 0.25, 4, seed=1)
+        np.testing.assert_array_equal(run.call_args.args[0], np.full(3, 0.25))
 
     def test_spikes(self):
-        theta = SignalGenerator.spikes(3, 2.5).realize(10)
+        theta = spikes(10, 3, 2.5)
         assert (theta == 2.5).sum() == 3
         assert (theta == 0.0).sum() == 7
         with pytest.raises(ValueError):
-            SignalGenerator.spikes(11, 1.0).realize(10)
+            spikes(10, 11, 1.0)
         with pytest.raises(ValueError):
-            SignalGenerator.spikes(-1, 1.0).realize(10)
+            spikes(10, -1, 1.0)
 
     def test_least_favorable_strong_p0(self):
         n, k = 1000, 5
-        gen = SignalGenerator.least_favorable(0.0, k / n)
-        theta = gen.realize(n)
+        theta = least_favorable(n, 0.0, k / n)
         lam = minimax_level(n, 0.0, k / n)
         assert (theta == lam).sum() == k
         assert (theta == 0.0).sum() == n - k
 
     def test_least_favorable_strong_p1_membership(self):
         n, radius = 500, 0.05
-        theta = SignalGenerator.least_favorable(1.0, radius).realize(n)
+        theta = least_favorable(n, 1.0, radius)
         assert np.mean(np.abs(theta)) <= radius * (1 + 1e-12)
         assert np.all(theta >= 0)
-        spikes = theta[theta > 0]
-        if spikes.size:
-            assert np.unique(spikes).size == 1  # all mass at one level
+        held = theta[theta > 0]
+        if held.size:
+            assert np.unique(held).size == 1  # all mass at one level
 
     def test_least_favorable_weak_membership(self):
         n, radius, p = 400, 0.1, 1.0
-        theta = SignalGenerator.least_favorable(p, radius, weak=True).realize(n)
+        theta = least_favorable(n, p, radius, weak=True)
         ordered = np.sort(np.abs(theta))[::-1]
         ks = np.arange(1, n + 1)
         cap = radius * (n / ks) ** (1.0 / p)
         assert np.all(ordered <= cap * (1 + 1e-12))
         lam = minimax_level(n, p, radius)
         assert np.all(ordered <= lam + 1e-12)
-        # a spike level outside (0, inf) is rejected when the generator is
-        # built, for weak and strong balls alike, and the check survives python -O
-        for weak in (True, False):
-            for level in (math.nan, 0.0, -1.0, math.inf):
-                with pytest.raises(ValueError, match=r"level must lie in \(0, inf\)"):
-                    SignalGenerator.least_favorable(p, radius, weak=weak, level=level)
 
     def test_least_favorable_count_past_the_float_range(self):
         # n radius^p / level^p overflows: every coordinate is a spike
-        theta = SignalGenerator.least_favorable(1.5, 1e300).realize(10)
+        theta = least_favorable(10, 1.5, 1e300)
         np.testing.assert_array_equal(theta, np.full(10, minimax_level(10, 1.5, 1e300)))
-        theta = SignalGenerator.least_favorable(0.0, 1e308).realize(10)
+        theta = least_favorable(10, 0.0, 1e308)
         np.testing.assert_array_equal(theta, np.ones(10))
         # level^p overflows alone: the ball holds fewer spikes than one
-        theta = SignalGenerator.least_favorable(1.5, 1.0, level=1e300).realize(10)
+        theta = least_favorable(10, 2000.0, 0.5)
         np.testing.assert_array_equal(theta, np.zeros(10))
-
-    def test_describe(self):
-        assert SignalGenerator.common_mean(0.5).describe() == "common_mean(mu=0.5)"
-        assert "spikes" in SignalGenerator.spikes(2, 1.0).describe()
 
 
 class TestMinimaxFormula:
@@ -633,7 +612,7 @@ class TestExperiments:
 
     def test_regret_spikes_smoke(self):
         n = 256
-        theta = SignalGenerator.spikes(16, 0.8 * math.sqrt(2 * math.log(n))).realize(n)
+        theta = spikes(n, 16, 0.8 * math.sqrt(2 * math.log(n)))
         report = regret_experiment(theta, replicates=100, seed=4)
         assert not report.degenerate
         prior = EmpiricalPrior.from_vector(theta)
@@ -645,7 +624,7 @@ class TestExperiments:
 
     def test_regret_strong_benchmark(self):
         n = 128
-        theta = SignalGenerator.spikes(11, 3.0).realize(n)
+        theta = spikes(n, 11, 3.0)
         report = regret_experiment(theta, replicates=100, seed=5, strong=True)
         assert report.oracle_mc is not None
         # pathwise oracle is at least as good as any adaptive rule in mean
