@@ -11,7 +11,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .estimators import EstimateReport, fdr_threshold_estimate
-from .risk import EmpiricalPrior, OptimalLevels, optimal_levels
+from .risk import EmpiricalPrior, optimal_levels
 from .selector import FdrConfig, SelectorTrace, select_lambda
 from .thresholds import ThresholdFamily
 
@@ -20,7 +20,6 @@ __all__ = [
     "EmpiricalPrior",
     "EstimateReport",
     "FdrConfig",
-    "OptimalLevels",
     "SelectorTrace",
     "ThresholdFamily",
     "fdr_threshold_estimate",

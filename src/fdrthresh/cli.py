@@ -46,6 +46,7 @@ from .risk import (
     bayes_soft_risk,
     fdr_curve,
     optimal_levels,
+    optimal_surrogate_level,
     surrogate_risk,
 )
 from .selector import FdrConfig
@@ -289,17 +290,13 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
     if cfg["points"] < 2:
         raise ValueError("points must be >= 2")
     levels = np.linspace(cfg["level_min"], level_max, cfg["points"])
-    vlines = []
+    optimum = None  # the minimizer of the drawn risk, for the SVG's marker
     if functional == "bayes_risk":
         values = bayes_soft_risk(prior, levels)
-        opt = optimal_levels(prior, level_max=level_max)
-        if math.isfinite(opt.level_exact):
-            vlines.append((opt.level_exact, "optimal"))
+        optimum = lambda: optimal_levels(prior, level_max=level_max)
     elif functional == "surrogate_risk":
         values = surrogate_risk(prior, levels, cfg["b0"])
-        opt = optimal_levels(prior, b0=cfg["b0"], level_max=level_max)
-        if math.isfinite(opt.level_surrogate):
-            vlines.append((opt.level_surrogate, "optimal"))
+        optimum = lambda: optimal_surrogate_level(prior, cfg["b0"], level_max=level_max)
     else:
         values = fdr_curve(prior, levels)
     _write_csv(
@@ -318,6 +315,8 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
             },
         )
     elif fmt == "svg":
+        level = optimum()[0] if optimum else math.inf
+        vlines = [(level, "optimal")] if math.isfinite(level) else []
         svg = svg_line_chart(functional, levels, values, vlines)
         _rewrite(out_dir / "curve.svg", (svg, "\n"))
 
@@ -332,45 +331,23 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
         rep = regret_experiment(
             theta, cfg["replicates"], cfg["seed"], sel, family, strong=cfg["strong"]
         )
-        results = {
-            "mc_risk": rep.mc.mean, "mc_se": rep.mc.std_error, "exact_total": rep.exact_total,
-            "regret": rep.regret, "ratio": rep.ratio, "degenerate": rep.degenerate,
-        }
-        if rep.oracle_mc is not None:
-            results.update(
-                oracle_risk=rep.oracle_mc.mean,
-                oracle_se=rep.oracle_mc.std_error,
-                oracle_ratio=rep.oracle_ratio,
-            )
     elif kind == "common_mean":
         rep = common_mean_experiment(
             cfg["n"], cfg["mu"], cfg["replicates"], cfg["seed"], sel, cfg["firm_slope"]
         )
-        results = {}
-        for label, mean, se in rep.rows:
-            results.update({f"{label}_risk": mean, f"{label}_se": se})
-        results["exact_total"] = rep.exact_total
     elif kind == "minimax":
         rep = minimax_ball_experiment(
             cfg["n"], cfg["p"], cfg["radius"], cfg["replicates"], cfg["seed"], sel, family,
             weak=cfg["weak"],
         )
-        results = {
-            "mc_risk": rep.mc.mean, "mc_se": rep.mc.std_error, "benchmark": rep.benchmark,
-            "ratio": rep.ratio, "level": rep.level,
-        }
     else:  # concentration
         rep = concentration_check(theta, cfg["level"], family, cfg["replicates"], cfg["seed"])
-        results = {
-            "variance": rep.variance, "bound": rep.bound, "se_variance": rep.se_variance,
-            "passed": rep.passed,
-        }
-    results["seed"] = cfg["seed"]
-    rows = {k: _format_value(v) for k, v in results.items()}
+    # the report's fields are the metric rows, in order, then its fingerprint
+    results = {**dataclasses.asdict(rep), "seed": cfg["seed"]}
+    del results["config_fingerprint"]
+    rows = {k: _format_value(v) for k, v in results.items() if v is not None}
     _write_csv(out_dir / "experiment.csv", "metric:str,value:str", map(",".join, rows.items()))
-    # regret and minimax reports carry their fingerprint in their McEstimate
-    fingerprint = getattr(rep, "mc", rep).config_fingerprint
-    extra = {"kind": kind, "fingerprint": fingerprint, "results": rows}
+    extra = {"kind": kind, "fingerprint": rep.config_fingerprint, "results": rows}
     _write_json(out_dir / "experiment.json", cfg, extra)
 
 

@@ -10,7 +10,7 @@ it must be requested explicitly and the report flags it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ class EstimateReport:
             "level": self.level,
             "family": self.family.describe(),
             "outside_theory": self.outside_theory,
-            "trace": self.trace.to_dict(),
+            "trace": asdict(self.trace),
         }
 
 

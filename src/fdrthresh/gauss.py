@@ -16,6 +16,7 @@ or better on [1e-12, 1 - 1e-12].
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy import special as _sp
@@ -41,6 +42,14 @@ def _as_float_array(x, name: str) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValueError(f"{name} must not contain NaN")
     return arr
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy integers included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def norm_pdf(x):

@@ -14,20 +14,23 @@ means) gives the average risk ``R_G``, its clipped-second-moment proxy
 ``rho_G(L) = E_G min(theta^2, L^2)``, the tail-penalized surrogate
 ``rho_G(L) + B0 Phi(-L)``, the two-sided rejection probability, and the
 nominal false-discovery curve ``t -> 2 Phi(-t) / S_G(t)`` whose crossing
-points calibrate the level selectors.
+points calibrate the level selectors.  The curve is taken at every ``t``
+as ``2 / E_G[r(theta) + r(-theta)]`` from the tail ratios
+``r(u) = Phi(u - t) / Phi(-t)``, without forming a tail.  The minimizing
+levels of the exact and surrogate average risks come from
+``optimal_levels`` and ``optimal_surrogate_level``, each a pair
+``(level, risk)`` computed when called.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .gauss import _SQRT2, _as_float_array, _bisect, norm_cdf, norm_pdf
+from .gauss import _SQRT2, _as_float_array, _bisect, _integer, norm_cdf, norm_pdf
 from .thresholds import _check_level
 
 __all__ = [
@@ -39,8 +42,8 @@ __all__ = [
     "rejection_prob",
     "fdr_curve",
     "population_fdr_levels",
-    "OptimalLevels",
     "optimal_levels",
+    "optimal_surrogate_level",
 ]
 
 # Numerator 2*Phi(-t) underflows past ~38.6; the curve-crossing search never
@@ -77,6 +80,7 @@ class EmpiricalPrior:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights / total)
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         top = float(np.abs(atoms).max())  # NaN or inf when an atom is not finite
@@ -90,7 +94,7 @@ class EmpiricalPrior:
             weights = np.full(atoms.shape, 1.0 / max(atoms.size, 1))
         if n is None:
             n = atoms.size
-        return cls(atoms, np.asarray(weights, dtype=float), int(n))
+        return cls(atoms, np.asarray(weights, dtype=float), n)
 
     @classmethod
     def from_vector(cls, theta) -> "EmpiricalPrior":
@@ -185,22 +189,21 @@ def fdr_curve(prior: EmpiricalPrior, t):
     """Nominal false-discovery proportion ``2 Phi(-t) / S_G(t)`` at level ``t``.
 
     Equals 1 at ``t = 0`` and, for a prior with any nonzero atom, decreases
-    strictly to 0; for the degenerate prior it is identically 1.  Where
-    ``2 Phi(-t)`` falls below the smallest normal float (``t`` past about
-    37.5) the value is ``2 / E_G[r(theta) + r(-theta)]``, each tail ratio
+    strictly to 0; for the degenerate prior it is identically 1.  The value
+    is ``2 / E_G[r(theta) + r(-theta)]``, each tail ratio
     ``r(u) = Phi(u - t) / Phi(-t)`` taken without forming a tail
-    (``_tail_ratio``); a tail ratio past the float range makes the value
-    read 0.
+    (``_tail_ratio``, exactly 1 at ``u = 0``); a tail ratio past the float
+    range makes the value read 0.  At ``t = inf`` it is the limit: 1 for
+    the degenerate prior, 0 otherwise.
     """
     t_arr = np.asarray(t, dtype=float)
-    num = np.asarray(2.0 * norm_cdf(-t_arr))
-    den = np.asarray(rejection_prob(prior, t_arr))
-    deep = num < sys.float_info.min
-    out = np.divide(num, den, out=np.empty_like(num), where=~deep)
-    if deep.any():
-        tails = lambda th, tt: _tail_ratio(th, tt) + _tail_ratio(-th, tt)
-        with np.errstate(over="ignore"):
-            out[deep] = 2.0 / _mix(prior, tails, t_arr[deep])
+    if np.isnan(t_arr).any() or (t_arr < 0.0).any():
+        raise ValueError("t must be >= 0")
+    finite = t_arr < math.inf
+    tails = lambda th, tt: _tail_ratio(th, tt) + _tail_ratio(-th, tt)
+    with np.errstate(over="ignore"):
+        mixed = _mix(prior, tails, np.where(finite, t_arr, 0.0))
+    out = np.where(finite, 2.0 / mixed, float(prior.is_degenerate))
     return out if t_arr.ndim else float(out)
 
 
@@ -272,7 +275,21 @@ def _solve_slope(slope, lo: float, hi: float) -> float:
     return x
 
 
-def _minimize_level(prior: EmpiricalPrior, f, slope, level_max: float, *args):
+def _minimize_level(prior: EmpiricalPrior, f, slope, level_max: float | None, *args):
+    """``(level, f(prior, level, *args))`` at the minimum of ``f`` on ``[0, level_max]`` and at inf.
+
+    Scans a 2048-point grid on ``[0, level_max]``, runs a safeguarded Newton
+    solve on the closed-form ``slope`` in the best bracket (bisection when
+    the curvature is not positive or a step leaves it), keeps the grid value
+    when lower, and compares with the infinite-level limit, the prior mean
+    square: the level is +inf when the zero estimator is optimal, and the
+    risk is then the mean square.  The default ``level_max`` is
+    ``prior.default_level_max``.
+    """
+    if level_max is None:
+        level_max = prior.default_level_max
+    if not (level_max > 0.0) or not math.isfinite(level_max):
+        raise ValueError("level_max must be positive and finite")
     grid = np.linspace(0.0, level_max, 2048)
     vals = f(prior, grid, *args)
     i = int(np.argmin(vals))
@@ -288,47 +305,20 @@ def _minimize_level(prior: EmpiricalPrior, f, slope, level_max: float, *args):
     return math.inf, prior.mean_square
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalLevels:
-    """Minimizers of the exact and surrogate average risks.
+def optimal_levels(prior: EmpiricalPrior, level_max: float | None = None) -> tuple[float, float]:
+    """``(level, risk)`` minimizing the exact average risk ``bayes_soft_risk``.
 
-    ``level_exact``/``level_surrogate`` are +inf when the zero estimator
-    (infinite level) is optimal, in which case the corresponding risk is
-    the prior mean square.  The surrogate pair is minimized on first read.
+    The search is ``_minimize_level``'s: a grid on ``[0, level_max]``, a
+    Newton solve in the best bracket, and the infinite level.
     """
-
-    level_exact: float
-    risk_exact: float
-    b0: float
-    prior: EmpiricalPrior = field(repr=False)
-    level_max: float = field(repr=False)
-
-    @cached_property
-    def _surrogate(self) -> tuple[float, float]:
-        return _minimize_level(
-            self.prior, surrogate_risk, _surrogate_slope, self.level_max, self.b0
-        )
-
-    level_surrogate = property(lambda self: self._surrogate[0])
-    risk_surrogate = property(lambda self: self._surrogate[1])
+    return _minimize_level(prior, bayes_soft_risk, _exact_slope, level_max)
 
 
-def optimal_levels(
+def optimal_surrogate_level(
     prior: EmpiricalPrior, b0: float = 4.0, level_max: float | None = None
-) -> OptimalLevels:
-    """Minimize the exact risk now and the surrogate on its first read.
+) -> tuple[float, float]:
+    """``(level, risk)`` minimizing ``surrogate_risk(prior, level, b0)``.
 
-    Each search scans a 2048-point grid on ``[0, level_max]``, runs a safeguarded
-    Newton solve on the closed-form slope in the best bracket (bisection when the
-    curvature is not positive or a step leaves it), keeps the grid value when lower,
-    and compares with the infinite-level limit, the prior mean square.  The default
-    ``level_max`` is ``prior.default_level_max``.
+    The search is ``optimal_levels``'s, on the surrogate's slope.
     """
-    if level_max is None:
-        level_max = prior.default_level_max
-    if not (level_max > 0.0) or not math.isfinite(level_max):
-        raise ValueError("level_max must be positive and finite")
-    if not (b0 >= 4.0):
-        raise ValueError("b0 must be >= 4")
-    lam, eta = _minimize_level(prior, bayes_soft_risk, _exact_slope, level_max)
-    return OptimalLevels(lam, eta, float(b0), prior, float(level_max))
+    return _minimize_level(prior, surrogate_risk, _surrogate_slope, level_max, b0)

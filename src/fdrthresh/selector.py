@@ -308,7 +308,7 @@ def step_down_level(x, alpha2: float) -> float:
 
 @dataclass(frozen=True)
 class SelectorTrace:
-    """Record of one level selection, serializable for diagnostics.
+    """Record of one level selection; ``dataclasses.asdict`` gives its JSON-ready dict.
 
     Holds the selected levels and the step-up rejection count ``k_hat``.
     ``candidate_levels(n, alpha1)`` gives the step-up candidates and
@@ -321,17 +321,6 @@ class SelectorTrace:
     upper: float
     lambda_hat: float
     k_hat: int
-
-    def to_dict(self) -> dict:
-        """The fields as a JSON-ready dict."""
-        return {
-            "xi1_hat": self.xi1_hat,
-            "xi2_hat": self.xi2_hat,
-            "lower": self.lower,
-            "upper": self.upper,
-            "lambda_hat": self.lambda_hat,
-            "k_hat": self.k_hat,
-        }
 
 
 def _interval(xi1: float, xi2: float, config: FdrConfig) -> tuple[float, float, float]:

@@ -12,9 +12,15 @@ stream state.  Each thread keeps one ``Philox`` and re-keys it per
 replicate by assigning its state (key and counter, with an empty output
 buffer), which draws exactly what a new ``Philox`` at that key and counter
 would, without building one; no generator is shared across threads.  The
-replicate count and the seed must be integers.  Each replicate is drawn
-once: an experiment that compares several statistics evaluates all of
-them on that one draw.
+signal size, the replicate count and the seed must be integers.  Each
+replicate is drawn once: an experiment that compares several statistics
+evaluates all of them on that one draw.
+
+Each experiment returns a flat report that holds only what it computed:
+its fields are the metric rows of the CLI's ``experiment.csv``, in order,
+then ``config_fingerprint``, a digest of the run's settings and signal.
+A field that the run did not compute is ``None``.  ``mc_mean`` returns
+``McEstimate`` pairs ``(mean, std_error)`` and hashes nothing.
 
 Every replicate is one draw ``theta + z_i``.  One loop, ``_samples``,
 draws them for ``mc_mean`` and ``concentration_check`` alike, in (B, n)
@@ -41,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ from typing import Callable
 
 import numpy as np
 
+from .gauss import _integer
 from .risk import EmpiricalPrior, optimal_levels
 from .selector import FdrConfig, _block_lambdas
 from .thresholds import ThresholdFamily, _check_level, apply_family
@@ -159,13 +165,10 @@ def least_favorable(n: int, p: float, radius: float, weak: bool = False) -> np.n
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean with its standard error and provenance."""
+    """Monte Carlo mean with its standard error."""
 
     mean: float
     std_error: float
-    replicates: int
-    seed: int
-    config_fingerprint: str
 
 
 # Replicates are evaluated in blocks of at most this many draws in total, and
@@ -194,14 +197,6 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     words["counter"][3] = index
     rng.bit_generator.state = state
     return rng
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is an integer, numpy integers included."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _fingerprint(theta: np.ndarray, **fields) -> str:
@@ -300,7 +295,6 @@ def mc_mean(
     statistic: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     seed: int,
-    label: str = "",
 ) -> McEstimate | tuple[McEstimate, ...]:
     """Average a block statistic of ``theta + noise`` over independent replicates.
 
@@ -308,22 +302,16 @@ def mc_mean(
     ``i`` of the run being ``theta + z_i`` from stream ``i`` (see the module
     docstring).  ``statistic`` maps a block to B values, one per row, or to
     a (B, S) array; the result is then one estimate, or a tuple of S
-    estimates sharing one fingerprint, each with its standard error over
-    the R replicate values.  The block lies in a buffer that the next block
-    overwrites once ``statistic`` returns, so a statistic that keeps rows
-    must copy them.  A statistic of one vector ``stat`` becomes one as
+    estimates, each with its standard error over the R replicate values.
+    The block lies in a buffer that the next block overwrites once
+    ``statistic`` returns, so a statistic that keeps rows must copy them.
+    A statistic of one vector ``stat`` becomes one as
     ``lambda x: [stat(row) for row in x]``.
     """
-    theta = np.asarray(theta, dtype=float)
-    samples = _samples(theta, statistic, replicates, seed)
-    replicates, seed = int(replicates), int(seed)  # integers: _samples has checked them
-    # the hashed fields keep antithetic=False: dropping the key would move the
-    # fingerprint of every regret and minimax experiment.json
-    fp = _fingerprint(theta, label=label, replicates=replicates, seed=seed, antithetic=False)
+    samples = _samples(np.asarray(theta, dtype=float), statistic, replicates, seed)
 
     def summary(column: np.ndarray) -> McEstimate:
-        se = float(column.std(ddof=1) / math.sqrt(column.size))
-        return McEstimate(float(column.mean()), se, replicates, seed, fp)
+        return McEstimate(float(column.mean()), float(column.std(ddof=1) / math.sqrt(column.size)))
 
     if samples.ndim == 1:
         return summary(samples)
@@ -335,7 +323,6 @@ def mc_risk(
     estimate_fn: Callable[[np.ndarray], np.ndarray],
     replicates: int,
     seed: int,
-    label: str = "",
 ) -> McEstimate:
     """Monte Carlo total squared-error risk ``E ||estimate_fn(X) - theta||^2``.
 
@@ -343,7 +330,7 @@ def mc_risk(
     """
     theta = np.asarray(theta, dtype=float)
     loss = lambda x: _row_losses(theta, np.array([estimate_fn(row) for row in x], dtype=float))
-    return mc_mean(theta, loss, replicates, seed, label=label or "risk")
+    return mc_mean(theta, loss, replicates, seed)
 
 
 def oracle_loss_min(x, theta):
@@ -436,16 +423,21 @@ def oracle_loss_min(x, theta):
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Adaptive risk against the exact fixed-level optimum."""
+    """Adaptive risk against the exact fixed-level optimum.
 
-    n: int
-    mc: McEstimate
+    The three ``oracle_*`` fields are ``None`` unless the run was ``strong``.
+    """
+
+    mc_risk: float
+    mc_se: float
     exact_total: float
     regret: float
     ratio: float
     degenerate: bool
-    oracle_mc: McEstimate | None = None
-    oracle_ratio: float = math.nan
+    oracle_risk: float | None
+    oracle_se: float | None
+    oracle_ratio: float | None
+    config_fingerprint: str
 
 
 def regret_experiment(
@@ -464,34 +456,39 @@ def regret_experiment(
     guarantees.
     """
     theta = np.asarray(theta, dtype=float)
-    prior = EmpiricalPrior.from_vector(theta)
-    opt = optimal_levels(prior)
-    exact_total = opt.risk_exact * theta.size
+    exact_total = optimal_levels(EmpiricalPrior.from_vector(theta))[1] * theta.size
 
     loss = _fdr_losses(theta, family, config)
+    oracle_fields = (None, None, None)
     if strong:
         statistic = lambda x: np.column_stack((loss(x), oracle_loss_min(x, theta)[1]))
+        mc, oracle = mc_mean(theta, statistic, replicates, seed)
+        oracle_ratio = mc.mean / oracle.mean if oracle.mean > 1e-10 else math.nan
+        oracle_fields = (oracle.mean, oracle.std_error, oracle_ratio)
     else:
-        statistic = loss
-    result = mc_mean(theta, statistic, replicates, seed, label=f"regret:{family.describe()}")
-    mc, oracle_mc = result if strong else (result, None)
-    oracle_ratio = math.nan
-    if strong and oracle_mc.mean > 1e-10:
-        oracle_ratio = mc.mean / oracle_mc.mean
+        mc = mc_mean(theta, loss, replicates, seed)
     degenerate = exact_total < 1e-10
     ratio = math.nan if degenerate else mc.mean / exact_total
+    # the hashed fields keep antithetic=False: another set would move every fingerprint
+    fp = _fingerprint(
+        theta, label=f"regret:{family.describe()}", replicates=int(replicates), seed=int(seed),
+        antithetic=False,
+    )
     return RegretReport(
-        theta.size, mc, exact_total, mc.mean - exact_total, ratio, degenerate, oracle_mc, oracle_ratio
+        mc.mean, mc.std_error, exact_total, mc.mean - exact_total, ratio, degenerate, *oracle_fields, fp
     )
 
 
 @dataclass(frozen=True)
 class CommonMeanReport:
-    """Risk table for the shared-mean configuration."""
+    """Risks of the two FDR estimators and the sample mean when all means are equal."""
 
-    n: int
-    mu: float
-    rows: tuple[tuple[str, float, float], ...]
+    fdr_soft_risk: float
+    fdr_soft_se: float
+    fdr_firm_risk: float
+    fdr_firm_se: float
+    sample_mean_risk: float
+    sample_mean_se: float
     exact_total: float
     config_fingerprint: str
 
@@ -511,12 +508,12 @@ def common_mean_experiment(
     """
     soft_fam = ThresholdFamily("soft")
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     theta = np.full(n, float(mu))
     prior = EmpiricalPrior.from_vector(theta)
-    exact_total = optimal_levels(prior).risk_exact * n
+    exact_total = optimal_levels(prior)[1] * n
 
     loss = _threshold_losses(theta)
 
@@ -529,28 +526,27 @@ def common_mean_experiment(
             (loss(x, absx, level, soft_fam), loss(x, absx, level, firm_fam), _row_losses(theta, means))
         )
 
-    ests = mc_mean(theta, losses, replicates, seed, label="common_mean")
-    labels = ("fdr_soft", "fdr_firm", "sample_mean")
-    rows = [(label, est.mean, est.std_error) for label, est in zip(labels, ests)]
+    soft, firm, sample = mc_mean(theta, losses, replicates, seed)
     fp = _fingerprint(
         theta, kind="common_mean", replicates=int(replicates), seed=int(seed),
         family=f"soft,{firm_fam.describe()}", level="adaptive",
     )
-    return CommonMeanReport(n, float(mu), tuple(rows), exact_total, fp)
+    return CommonMeanReport(
+        soft.mean, soft.std_error, firm.mean, firm.std_error, sample.mean, sample.std_error,
+        exact_total, fp,
+    )
 
 
 @dataclass(frozen=True)
 class MinimaxReport:
-    """Adaptive risk against the ball's leading-order minimax benchmark."""
+    """Adaptive risk against the ball's leading-order minimax benchmark at its calibrated level."""
 
-    n: int
-    p: float
-    radius: float
-    weak: bool
-    level: float
-    mc: McEstimate
+    mc_risk: float
+    mc_se: float
     benchmark: float
     ratio: float
+    level: float
+    config_fingerprint: str
 
 
 def minimax_ball_experiment(
@@ -567,22 +563,23 @@ def minimax_ball_experiment(
 
     A hard ``family`` runs as given, as in ``regret_experiment``.
     """
-    bench = minimax_benchmark(int(n), p, radius, weak=weak)
-    theta = least_favorable(int(n), p, radius, weak)
+    n = _integer("n", n)
+    bench = minimax_benchmark(n, p, radius, weak=weak)
+    theta = least_favorable(n, p, radius, weak)
+    mc = mc_mean(theta, _fdr_losses(theta, family, config), replicates, seed)
     # the label keeps the text of the signal's former description, level=None
-    # included: another text would move the fingerprint of every minimax run
-    label = f"minimax:least_favorable(p={p:g}, radius={radius:g}, weak={weak}, level=None)"
-    mc = mc_mean(theta, _fdr_losses(theta, family, config), replicates, seed, label=label)
-    return MinimaxReport(
-        int(n), float(p), float(radius), weak, minimax_level(int(n), p, radius), mc, bench, mc.mean / bench
+    # included, and antithetic=False stays: another text would move every fingerprint
+    fp = _fingerprint(
+        theta, label=f"minimax:least_favorable(p={p:g}, radius={radius:g}, weak={weak}, level=None)",
+        replicates=int(replicates), seed=int(seed), antithetic=False,
     )
+    return MinimaxReport(mc.mean, mc.std_error, bench, mc.mean / bench, minimax_level(n, p, radius), fp)
 
 
 @dataclass(frozen=True)
 class ConcentrationReport:
     """Variance of the scaled loss against its isoperimetric bound."""
 
-    n: int
     variance: float
     bound: float
     se_variance: float
@@ -622,4 +619,4 @@ def concentration_check(
         theta, kind="concentration", replicates=int(replicates), seed=int(seed),
         family=family.describe(), level=level,
     )
-    return ConcentrationReport(n, var, bound, se_var, var <= bound + 3.0 * se_var, fp)
+    return ConcentrationReport(var, bound, se_var, var <= bound + 3.0 * se_var, fp)

@@ -174,11 +174,9 @@ def test_06_common_mean_study():
     n, reps = 10_000, 500
     weak = common_mean_experiment(n, 0.5 / math.sqrt(n), reps, seed=20240806)
     null = common_mean_experiment(n, 0.0, reps, seed=20240807)
-    weak_rows = {label: (mean, se) for label, mean, se in weak.rows}
-    null_rows = {label: (mean, se) for label, mean, se in null.rows}
-    soft_weak = weak_rows["fdr_soft"][0]
-    mean_weak, mean_se = weak_rows["sample_mean"]
-    soft_null = null_rows["fdr_soft"][0]
+    soft_weak = weak.fdr_soft_risk
+    mean_weak, mean_se = weak.sample_mean_risk, weak.sample_mean_se
+    soft_null = null.fdr_soft_risk
     elapsed = time.perf_counter() - start
     ok = (
         soft_weak < 0.8
@@ -208,7 +206,7 @@ def test_07_adaptive_ratio_trend():
         theta = spikes(n, k, a)
         rep = regret_experiment(theta, replicates=300, seed=20240808, config=config)
         ratios[n] = rep.ratio
-        slacks[n] = 3.0 * rep.mc.std_error / rep.exact_total
+        slacks[n] = 3.0 * rep.mc_se / rep.exact_total
     ok = (
         ratios[2**10] - slacks[2**10] <= 1.5
         and ratios[2**14] - slacks[2**14] <= 1.3
@@ -279,8 +277,8 @@ def test_10_minimax_formula():
         rep = minimax_ball_experiment(
             n, 0.0, k / n, replicates=150, seed=20240811 + k
         )
-        lo = (rep.mc.mean - 3 * rep.mc.std_error) / rep.benchmark
-        hi = (rep.mc.mean + 3 * rep.mc.std_error) / rep.benchmark
+        lo = (rep.mc_risk - 3 * rep.mc_se) / rep.benchmark
+        hi = (rep.mc_risk + 3 * rep.mc_se) / rep.benchmark
         # factor-2 slack for the asymptotic constant, with 3-SE tolerance
         ok = ok and lo <= 2.0 and hi >= 0.5
         results.append(f"k={k}: ratio {rep.ratio:.3f}")

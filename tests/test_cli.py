@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, artifacts, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,13 @@ import pytest
 from fdrthresh.cli import _BATCH, main
 from fdrthresh.estimators import fdr_threshold_estimate, read_vector, write_vector_binary
 from fdrthresh.selector import FdrConfig
+from fdrthresh.simulate import (
+    common_mean_experiment,
+    concentration_check,
+    minimax_ball_experiment,
+    regret_experiment,
+    spikes,
+)
 from fdrthresh.thresholds import ThresholdFamily, soft
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -369,6 +377,33 @@ def test_experiment_bytes_pinned(tmp_path, kind):
         for name in ("experiment.csv", "experiment.json"):
             digest.update((out / name).read_bytes())
     assert digest.hexdigest() == _EXPERIMENT_SHA256[kind]
+
+
+# the library call of each _EXPERIMENT_CFG config at seed 1
+_EXPERIMENT_CALL = {
+    "regret": lambda: regret_experiment(spikes(64, 4, 3.0), 20, 1),
+    "regret_strong": lambda: regret_experiment(spikes(64, 4, 3.0), 20, 1, strong=True),
+    "common_mean": lambda: common_mean_experiment(32, 0.5, 20, 1),
+    "minimax": lambda: minimax_ball_experiment(64, 1.0, 0.05, 20, 1),
+    "concentration": lambda: concentration_check(
+        spikes(64, 4, 2.5), 1.8, ThresholdFamily("soft"), 20, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EXPERIMENT_CFG))
+def test_experiment_rows_are_the_report_fields(tmp_path, kind):
+    # the metric rows are the report's non-None fields in order, then the seed,
+    # and the fingerprint is the report's own
+    cfg = write(tmp_path / "e.cfg", _EXPERIMENT_CFG[kind])
+    assert run("experiment", "--config", cfg, "--out", str(tmp_path), "--seed", "1") == 0
+    rep = _EXPERIMENT_CALL[kind]()
+    names = [f.name for f in dataclasses.fields(rep) if getattr(rep, f.name) is not None]
+    assert names.pop() == "config_fingerprint"
+    lines = (tmp_path / "experiment.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == names + ["seed"]
+    payload = json.loads((tmp_path / "experiment.json").read_text())
+    assert payload["fingerprint"] == rep.config_fingerprint
 
 
 def test_experiment_regret_reproducible(tmp_path):

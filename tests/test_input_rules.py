@@ -85,6 +85,18 @@ CASES = {
     "spikes-negative-count": (lambda: spikes(0, -1, 1.0), ValueError, "count must be >= 0"),
     "spikes-n0": (lambda: spikes(0, 0, 1.0), ValueError, "n must be >= 1"),
     "common-mean-n0": (lambda: common_mean_experiment(0, 0.0, 4, 1), ValueError, "n must be >= 1"),
+    # a signal size is an integer, as the replicate count and the seed are: never truncated
+    "common-mean-fractional-n": (
+        lambda: common_mean_experiment(10.7, 0.1, 4, 1), ValueError, "n must be an integer, not 10.7"
+    ),
+    "ball-experiment-fractional-n": (
+        lambda: minimax_ball_experiment(50.9, 0.0, 0.1, 4, 1),
+        ValueError,
+        "n must be an integer, not 50.9",
+    ),
+    "prior-fractional-n": (
+        lambda: EmpiricalPrior.from_atoms([0, 3], n=2.9), ValueError, "n must be an integer, not 2.9"
+    ),
     # n * max|theta|^2 overflows: the mean square and every risk total are infinite
     "prior-atoms-energy": (lambda: EmpiricalPrior.from_atoms([1e200]), ValueError, ENERGY),
     "prior-n-energy": (lambda: EmpiricalPrior.from_atoms([1e150], n=10**10), ValueError, ENERGY),

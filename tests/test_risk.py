@@ -25,6 +25,7 @@ from fdrthresh.risk import (
     clipped_second_moment,
     fdr_curve,
     optimal_levels,
+    optimal_surrogate_level,
     population_fdr_levels,
     rejection_prob,
     soft_risk,
@@ -245,9 +246,11 @@ class TestRejectionAndFdrCurve:
 
     def test_fdr_curve_degenerate_is_one(self):
         null = EmpiricalPrior.from_vector(np.zeros(7))
-        # past t = 37.5, 2 Phi(-t) underflows and the ratio is taken in log space
-        t = np.concatenate((np.linspace(0, 6, 30), np.linspace(38, 200, 30)))
+        # past t = 37.5, 2 Phi(-t) underflows and the ratio is taken in log space;
+        # t = inf gives the limit
+        t = np.concatenate((np.linspace(0, 6, 30), np.linspace(38, 200, 30), [np.inf]))
         np.testing.assert_array_equal(fdr_curve(null, t), np.ones_like(t))
+        assert fdr_curve(null, np.inf) == 1.0
 
     def test_fdr_curve_from_one_strictly_down(self):
         rng = np.random.default_rng(38)
@@ -270,6 +273,11 @@ class TestRejectionAndFdrCurve:
             assert np.all(np.isfinite(curve))
             assert np.all((curve >= 0.0) & (curve <= 1.0 + tol))
             assert np.all(np.diff(curve) <= tol * curve[:-1])
+        # before the tails underflow, the near-degenerate prior stays at most 1
+        # up to rounding: the sums Phi(theta - t) + Phi(-theta - t) are never formed
+        near = EmpiricalPrior.from_atoms([0.0, 1e-10], [0.5, 0.5])
+        curve = fdr_curve(near, np.linspace(0.0, 37.0, 3000))
+        assert np.all(curve <= 1.0 + 4 * np.finfo(float).eps)
 
     def test_fdr_curve_two_atom_value(self):
         prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.5, 0.5], n=2)
@@ -283,6 +291,9 @@ class TestRejectionAndFdrCurve:
         want = np.array([1.145939138311268918e-47, 7.9131219849952362805e-154, 4.7000511673610517537e-258])
         np.testing.assert_allclose(fdr_curve(prior, t), want, rtol=1e-14)
         assert fdr_curve(prior, 38.5) == pytest.approx(want[0], rel=1e-14)  # a scalar t
+        # the limit at t = inf, without a warning
+        np.testing.assert_array_equal(fdr_curve(prior, np.array([np.inf, 38.5])), [0.0, want[0]])
+        assert fdr_curve(prior, math.inf) == 0.0
 
 
 class TestPopulationLevels:
@@ -415,34 +426,33 @@ def edge_prior(name: str) -> tuple[EmpiricalPrior, float | None]:
 class TestOptimalLevels:
     def test_frozen_example(self):
         prior = EmpiricalPrior.from_vector(np.array([0.0] * 9 + [3.0]))
-        opt = optimal_levels(prior)
-        assert opt.level_exact == pytest.approx(1.1760974061306528, abs=1e-7)
-        assert opt.risk_exact == pytest.approx(0.32019362173393734, rel=1e-12)
-        assert opt.level_surrogate == pytest.approx(1.7439328516429033, abs=1e-7)
-        assert opt.risk_surrogate == pytest.approx(0.466471777853926, rel=1e-12)
-        assert opt.b0 == 4.0
+        level, risk_exact = optimal_levels(prior)
+        assert level == pytest.approx(1.1760974061306528, abs=1e-7)
+        assert risk_exact == pytest.approx(0.32019362173393734, rel=1e-12)
+        level, risk_surrogate = optimal_surrogate_level(prior)
+        assert level == pytest.approx(1.7439328516429033, abs=1e-7)
+        assert risk_surrogate == pytest.approx(0.466471777853926, rel=1e-12)
 
     def test_zero_prior_prefers_infinite_level(self):
-        opt = optimal_levels(EmpiricalPrior.from_vector(np.zeros(16)))
-        assert opt.level_exact == np.inf
-        assert opt.risk_exact == 0.0
-        assert opt.level_surrogate == np.inf
-        assert opt.risk_surrogate == 0.0
+        prior = EmpiricalPrior.from_vector(np.zeros(16))
+        assert optimal_levels(prior) == (np.inf, 0.0)
+        assert optimal_surrogate_level(prior) == (np.inf, 0.0)
 
     def test_grid_oracle_agreement(self):
         rng = np.random.default_rng(41)
         grid = np.linspace(0.0, math.sqrt(2 * math.log(1000)) + 4.0, 1_000_001)
         for _ in range(3):
             prior = random_prior(rng)
-            opt = optimal_levels(prior)
+            _, risk_exact = optimal_levels(prior)
+            _, risk_surrogate = optimal_surrogate_level(prior)
             exact_grid = float(np.min(bayes_soft_risk(prior, grid)))
             exact_grid = min(exact_grid, prior.mean_square)
             sur_grid = float(np.min(surrogate_risk(prior, grid)))
             sur_grid = min(sur_grid, prior.mean_square)
-            assert opt.risk_exact <= exact_grid + 1e-8
-            assert opt.risk_surrogate <= sur_grid + 1e-8
-            assert opt.risk_exact >= exact_grid - 1e-8
-            assert opt.risk_surrogate >= sur_grid - 1e-8
+            assert risk_exact <= exact_grid + 1e-8
+            assert risk_surrogate <= sur_grid + 1e-8
+            assert risk_exact >= exact_grid - 1e-8
+            assert risk_surrogate >= sur_grid - 1e-8
 
     @pytest.mark.parametrize(
         "name",
@@ -450,18 +460,19 @@ class TestOptimalLevels:
     )
     def test_edge_priors_match_dense_grid(self, name):
         prior, level_max = edge_prior(name)
-        opt = optimal_levels(prior, level_max=level_max)
+        level_exact, risk_exact = optimal_levels(prior, level_max=level_max)
+        _, risk_surrogate = optimal_surrogate_level(prior, level_max=level_max)
         if level_max is None:
             level_max = math.sqrt(2 * math.log(max(prior.n, 2))) + 4.0
         cell = level_max / 2047
         if name == "first-cell":
-            assert 0.0 < opt.level_exact < cell
+            assert 0.0 < level_exact < cell
         if name == "last-cell":
-            assert level_max - cell < opt.level_exact < level_max
+            assert level_max - cell < level_exact < level_max
         exact = dense_grid_min(bayes_soft_risk, prior, level_max)
         sur = dense_grid_min(surrogate_risk, prior, level_max)
-        assert opt.risk_exact == pytest.approx(exact, abs=1e-8)
-        assert opt.risk_surrogate == pytest.approx(sur, abs=1e-8)
+        assert risk_exact == pytest.approx(exact, abs=1e-8)
+        assert risk_surrogate == pytest.approx(sur, abs=1e-8)
 
     def test_experiments_never_minimize_the_surrogate(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -469,7 +480,7 @@ class TestOptimalLevels:
 
         monkeypatch.setattr(risk, "surrogate_risk", refuse)
         with pytest.raises(AssertionError):
-            optimal_levels(EmpiricalPrior.from_atoms([0.0, 3.0])).risk_surrogate
+            optimal_surrogate_level(EmpiricalPrior.from_atoms([0.0, 3.0]))
         theta = np.zeros(64)
         theta[:4] = 3.0
         assert regret_experiment(theta, 4, seed=1, strong=True).exact_total > 0.0
@@ -480,12 +491,12 @@ class TestOptimalLevels:
         rng = np.random.default_rng(42)
         for _ in range(30):
             prior = random_prior(rng)
-            opt = optimal_levels(prior)
-            lam_star = opt.level_surrogate
+            _, risk_exact = optimal_levels(prior)
+            lam_star, risk_surrogate = optimal_surrogate_level(prior)
             factor = 1.0 + (
                 0.0 if np.isinf(lam_star) else 1.0 / max(lam_star**2, 1.0)
             )
-            assert opt.risk_exact <= factor * opt.risk_surrogate + 1e-13
+            assert risk_exact <= factor * risk_surrogate + 1e-13
 
     def test_sparse_case_infinite_level(self):
         # below the critical sparsity the zero estimator wins outright
@@ -495,16 +506,16 @@ class TestOptimalLevels:
         prior = EmpiricalPrior.from_vector(theta)
         zn2 = critical_tail_level(n) ** 2
         assert prior.mean_square <= zn2 / n
-        opt = optimal_levels(prior)
-        assert opt.level_surrogate == np.inf
-        assert opt.risk_surrogate == pytest.approx(prior.mean_square, rel=1e-15)
+        level, risk_surrogate = optimal_surrogate_level(prior)
+        assert level == np.inf
+        assert risk_surrogate == pytest.approx(prior.mean_square, rel=1e-15)
 
     def test_surrogate_level_monotone_in_b0(self):
         rng = np.random.default_rng(43)
         for _ in range(15):
             prior = random_prior(rng)
             levels = [
-                optimal_levels(prior, b0=b).level_surrogate for b in (4.0, 8.0, 16.0)
+                optimal_surrogate_level(prior, b0=b)[0] for b in (4.0, 8.0, 16.0)
             ]
             assert levels[0] <= levels[1] + 1e-6
             assert levels[1] <= levels[2] + 1e-6
@@ -519,8 +530,7 @@ class TestOptimalLevels:
         checked = 0
         for trial in range(150):
             prior = _sweep_prior(rng, trial)
-            opt = optimal_levels(prior)
-            lam, eta = opt.level_exact, opt.risk_exact
+            lam, eta = optimal_levels(prior)
             rho1 = clipped_second_moment(prior, 1.0)
             if eta <= 0.0:
                 assert rho1 == 0.0

@@ -1,5 +1,6 @@
 """Tests for the data-driven threshold-level selector."""
 
+import dataclasses
 import json
 import math
 
@@ -251,7 +252,7 @@ class TestSelectLambda:
 
     def test_trace_serialization(self):
         trace = select_lambda(X4, self.CONFIG)
-        payload = json.loads(json.dumps(trace.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(trace)))
         assert payload == {
             "xi1_hat": trace.xi1_hat,
             "xi2_hat": trace.xi2_hat,
