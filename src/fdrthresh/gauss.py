@@ -1,10 +1,9 @@
 """Standard normal primitives used throughout the package.
 
 Everything here is a deterministic, vectorized function of its arguments:
-density, distribution function, quantile, upper truncated moments, the
-exponential-times-Gaussian moment integrals appearing in closed-form risk
-identities, and the critical tail level ``z(n)`` solving
-``Phi(-z)/z^2 = 1/(4n)``.
+density, distribution function, quantile, the exponential-times-Gaussian
+moment integrals appearing in closed-form risk identities, and the
+critical tail level ``z(n)`` solving ``Phi(-z)/z^2 = 1/(4n)``.
 
 Accuracy targets: ``norm_cdf`` is computed through the complementary error
 function and is accurate to about 1e-15 absolute on [-40, 40];
@@ -25,7 +24,6 @@ __all__ = [
     "norm_pdf",
     "norm_cdf",
     "norm_quantile",
-    "truncated_moments",
     "exp_gauss_moment",
     "critical_tail_level",
 ]
@@ -90,24 +88,6 @@ def norm_quantile(p):
         step = np.where(ok, (0.5 * _sp.erfc(-z / _SQRT2) - arr), 0.0)
         z = np.where(ok, z - step / np.where(ok, dens, 1.0), z)
     return z if arr.ndim else float(z)
-
-
-def truncated_moments(a):
-    """Upper truncated moments ``E[Z^k 1{Z >= a}]`` for k = 0, 1, 2.
-
-    Returns the triple ``(m0, m1, m2)``.  ``a`` may be an extended real:
-    -inf gives (1, 0, 1) and +inf gives (0, 0, 0).  Vectorized in ``a``.
-    """
-    arr = _as_float_array(a, "a")
-    m0 = norm_cdf(-arr)
-    finite = np.isfinite(arr)
-    a_fin = np.where(finite, arr, 0.0)
-    dens = np.where(finite, _INV_SQRT_2PI * np.exp(-0.5 * a_fin * a_fin), 0.0)
-    m1 = dens
-    m2 = m0 + a_fin * dens
-    if arr.ndim:
-        return np.asarray(m0), np.asarray(m1), np.asarray(m2)
-    return float(m0), float(m1), float(m2)
 
 
 def exp_gauss_moment(scale: float, k: int) -> float:

@@ -200,10 +200,12 @@ def fdr_curve(prior: EmpiricalPrior, t):
     if np.isnan(t_arr).any() or (t_arr < 0.0).any():
         raise ValueError("t must be >= 0")
     finite = t_arr < math.inf
-    tails = lambda th, tt: _tail_ratio(th, tt) + _tail_ratio(-th, tt)
+    # only atoms of positive weight: a zero weight times an overflowed ratio is NaN
+    live = prior.weights > 0.0
+    th, tt = prior.atoms[live, None], np.atleast_1d(np.where(finite, t_arr, 0.0))[None, :]
     with np.errstate(over="ignore"):
-        mixed = _mix(prior, tails, np.where(finite, t_arr, 0.0))
-    out = np.where(finite, 2.0 / mixed, float(prior.is_degenerate))
+        mixed = prior.weights[live] @ (_tail_ratio(th, tt) + _tail_ratio(-th, tt))
+    out = np.where(finite, 2.0 / mixed.reshape(t_arr.shape), float(prior.is_degenerate))
     return out if t_arr.ndim else float(out)
 
 

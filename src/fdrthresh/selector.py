@@ -30,33 +30,27 @@ Both answers lie among the largest magnitudes.  For any ``K >= k_hat``,
 ``m_(k_hat) >= xi_{k_hat} >= xi_K``, so ``k_hat <= N(xi_K)``: starting at
 ``K = n``, the count ``K <- N(xi_K)`` never drops below ``k_hat`` (the
 threshold form ``t_BH = sup{t : n t / R(t) <= alpha}`` of Storey, Taylor
-and Siegmund, 2004).  From about 10^4 observations on, selection keeps
-only the magnitudes at or above ``xi_K (1 - 1e-12)`` (the slack covers
-ulp-level wobble of the computed levels) and repeats while that set at
-least halves, which bounds the steps by ``log2 n``; with the largest
+and Siegmund, 2004).  From about 500 observations on, a one-row selection
+keeps only the magnitudes at or above ``xi_K (1 - 1e-12)`` (the slack
+covers ulp-level wobble of the computed levels) and repeats while that set
+at least halves, which bounds the steps by ``log2 n``; with the largest
 magnitude below the last cut appended, the kept set is a prefix of the
 sorted magnitudes that holds every step-up hit and, when
 ``alpha2 <= alpha1``, nearly always the first step-down miss.  Only that
-prefix is sorted and screened.  When the step-down scan still finds no
-miss before the end of a prefix shorter than ``n``, or ``alpha2 > alpha1``,
-every magnitude is sorted and screened instead.
+prefix is sorted and compared.  When the step-down scan still finds no
+miss before the end of a prefix shorter than ``n``, every magnitude is
+sorted and compared instead.
 
 Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
 (B, m) block of sorted prefixes, one row per observation vector of the same
 length ``n``: ``k_hat`` is the last hit of the step-up mask and ``k'`` the
-first miss after k = 1 of the step-down mask.  The mask is built in p-value
-form, comparing the tail ``Phi(-m_(k))`` (one ``norm_cdf`` pass shared by
-both rules) with ``alpha k / (2n)``.  Only entries whose tail lies within a
-relative ``1e-9`` of that probability are undecided; every column undecided
-in some row is compared exactly against ``xi_k``, computed by the same
-arithmetic as ``candidate_levels``, in all rows.  That is one quantile call
-per rule, shared by the rows (one in all when ``alpha2 == alpha1``, since
-both rules then read the same mask), and one more for the returned levels.
-A ``SelectorTrace`` keeps scalars only; ``candidate_levels(n, alpha)`` gives
-the candidate array and ``exceed_count(x, levels)`` the counts at any array
-of levels from one sort.  The public functions are the one-row
-case; the Monte Carlo engine selects the levels of a whole block of draws
-at once.
+first miss after k = 1 of the step-down mask; both levels are read from the
+same level arrays.  The levels depend only on ``(n, alpha)``: a store kept
+by the caller holds ``xi_1..xi_m`` per slope and recomputes them only for a
+longer prefix, so a Monte Carlo run computes them once for all its blocks,
+and each one-row entry point starts a fresh store.  A ``SelectorTrace``
+keeps scalars only; ``candidate_levels(n, alpha)`` gives the candidate array
+and ``exceed_count(x, levels)`` the counts at any array of levels.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import _as_float_array, norm_cdf, norm_quantile
+from .gauss import _as_float_array, norm_quantile
 from .thresholds import _check_observations
 
 __all__ = [
@@ -82,24 +76,16 @@ __all__ = [
 # Tail probabilities are clamped just below 1/2 before the quantile call.
 _P_CLAMP = 0.49999999
 
-# The screen decides an index without a quantile only when the tail of its
-# magnitude differs from the level's probability by more than this relative
-# amount; ``norm_cdf`` at a level recovers its probability to about 1e-13
-# relative, so such decisions are certain.
-_SCREEN_RTOL = 1e-9
-
-# Below this probability the relative-accuracy argument no longer holds
-# (subnormal range), so such indices are always confirmed exactly.
-_SCREEN_MIN_P = 1e-290
-
-# From this many observations on, selection sorts and screens only the top
-# magnitudes (see the module docstring).  Below it the extra quantile call
-# of each cut costs more than sorting everything; the two paths cross near
-# n = 10^4 on a 2-core x86 host.
-_TOPK_MIN_N = 12_288
+# From this many observations on, a one-row selection sorts and compares only
+# the top magnitudes (see the module docstring).  Below it, sorting every
+# magnitude and computing every level costs less than the cuts; on a 2-core
+# x86 host the two paths cross between n = 384 and 512.
+_TOPK_MIN_N = 512
 
 # The candidate set is cut again while it holds more than this many entries.
-_TOPK_STOP = 2048
+# On the same host, stops of 256 to 1024 did equally well from n = 4096 to
+# 250 000 at 0.1 % and 1 % spikes; 2048 was up to twice slower.
+_TOPK_STOP = 512
 
 # Relative slack on each cut ``xi_K``: computed levels are nonincreasing in
 # k only up to a few ulps.
@@ -141,13 +127,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def _levels_at(n: int, alpha, ks: np.ndarray) -> np.ndarray:
+def _levels_at(n: int, alpha: float, ks: np.ndarray) -> np.ndarray:
     """Candidate levels ``xi_k`` at the 1-based integer indices ``ks``.
 
     The one place the levels are computed: ``candidate_levels`` evaluates
-    it at every index and the selector at a few, so the two agree bit for
-    bit.  ``alpha`` may be an array matching ``ks``; the arithmetic is
-    elementwise, so each entry equals the scalar call.
+    it at every index and the selector at a prefix of them, so the two
+    agree bit for bit.
     """
     p = alpha * ks / (2.0 * n)
     levels = np.where(p < 0.5, -norm_quantile(np.minimum(p, _P_CLAMP)), 0.0)
@@ -180,31 +165,6 @@ def exceed_count(x, t):
     return int(counts) if levels.ndim == 0 else counts
 
 
-def _hits(mags, tail, n: int, alpha: float) -> np.ndarray:
-    """The exact mask ``m_(k) >= xi_k`` of a (B, m) block of sorted prefixes.
-
-    ``tail`` is ``Phi(-mags)``.  An entry is a certain hit when
-    ``tail <= p (1 - rtol)`` and a certain miss when ``tail > p (1 + rtol)``,
-    with ``p = alpha k / (2n)``; a few ulps of rounding in ``p (1 -/+ rtol)``
-    are far inside ``rtol``.  Every column undecided in some row is compared
-    exactly in all rows.
-    """
-    scale = 2.0 * n / alpha
-    # only probabilities in [_SCREEN_MIN_P, _P_CLAMP) are screened; the
-    # rest, a prefix and a suffix of the columns, are always compared exactly
-    low = int(min(n, _SCREEN_MIN_P * scale + 1.0))
-    high = max(low, int(min(n, _P_CLAMP * scale)) - 1)
-    hit = np.zeros(mags.shape, dtype=bool)
-    t = tail[:, low:high]
-    p = np.arange(1.0, mags.shape[1] + 1.0)[low:high] / scale
-    np.less_equal(t, p * (1.0 - _SCREEN_RTOL), out=hit[:, low:high])
-    exact = np.ones(mags.shape[1], dtype=bool)
-    exact[low:high] = ((t <= p * (1.0 + _SCREEN_RTOL)) > hit[:, low:high]).any(axis=0)
-    cols = np.flatnonzero(exact)
-    hit[:, cols] = mags[:, cols] >= _levels_at(n, alpha, cols + 1)
-    return hit
-
-
 def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     """The largest entries of ``absx`` in decreasing order: every ``m_(k) >=
     xi_k`` at slope ``alpha``, then the next one.
@@ -233,43 +193,54 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     return np.append(np.sort(pool[~below])[::-1], pool[below].max())
 
 
-def _levels_from(mags, n: int, alpha1: float, alpha2: float):
+def _prefix_levels(store: dict, n: int, alpha: float, m: int) -> np.ndarray:
+    """``xi_1..xi_m`` at ``(n, alpha)``, kept in ``store`` and recomputed only
+    when ``m`` exceeds the prefix it holds."""
+    xi = store.get((n, alpha))
+    if xi is None or xi.size < m:
+        xi = store[n, alpha] = _levels_at(n, alpha, np.arange(1, m + 1))
+    return xi[:m]
+
+
+def _levels_from(mags, n: int, alpha1: float, alpha2: float, store: dict):
     """Per row of sorted prefixes: ``k_hat`` (the last step-up hit) and
     ``xi_{k_hat}`` at slope ``alpha1``, and ``xi_{k'-1}`` at slope ``alpha2``
     for the first step-down miss ``k' >= 2`` (``m + 1`` without one).  A
     level is +inf when its rule rejects nothing.  None when the prefixes are
     shorter than ``n`` and a row that reaches ``xi_1`` has no such miss.
     """
-    tail = norm_cdf(-mags)
     count, size = mags.shape
-    up_hit = _hits(mags, tail, n, alpha1)
+    xi1 = _prefix_levels(store, n, alpha1, size)
+    up_hit = mags >= xi1
     k_hat = np.where(up_hit.any(axis=1), size - np.argmax(up_hit[:, ::-1], axis=1), 0)
-    down_hit = up_hit if alpha2 == alpha1 else _hits(mags, tail, n, alpha2)
+    xi2, down_hit = xi1, up_hit
+    if alpha2 != alpha1:
+        xi2 = _prefix_levels(store, n, alpha2, size)
+        down_hit = mags >= xi2
     ends = np.ones((count, size), dtype=bool)
     np.logical_not(down_hit[:, 1:], out=ends[:, :-1])
-    stop = np.argmax(ends, axis=1) + 2
+    last = np.argmax(ends, axis=1)  # k' - 2, the index of xi_{k'-1}
     reached = down_hit[:, 0]
-    if size < n and (reached & (stop > size)).any():
+    if size < n and (reached & (last == size - 1)).any():
         return None
-    alphas = np.array([alpha1, alpha2]).repeat(count)
-    levels = _levels_at(n, alphas, np.concatenate((np.maximum(k_hat, 1), stop - 1)))
-    up = np.where(k_hat > 0, levels[:count], math.inf)
-    return k_hat, up, np.where(reached, levels[count:], math.inf)
+    up = np.where(k_hat > 0, xi1[k_hat - 1], math.inf)
+    return k_hat, up, np.where(reached, xi2[last], math.inf)
 
 
-def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
+def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
     """The selection core, on each row of a (B, n) block of magnitudes.
 
     Returns per row the step-up rejection count and level at slope
-    ``alpha1`` and the step-down level at slope ``alpha2``.  A one-row block
-    may take the top-K path; larger blocks sort every row in full.
+    ``alpha1`` and the step-down level at slope ``alpha2``; ``store`` keeps
+    the candidate levels (see ``_prefix_levels``).  A one-row block may
+    take the top-K path; larger blocks sort every row in full.
     """
     n = absx.shape[1]
-    if absx.shape[0] == 1 and n >= _TOPK_MIN_N and alpha2 <= alpha1:
-        levels = _levels_from(_top_magnitudes(absx[0], alpha1)[None], n, alpha1, alpha2)
+    if absx.shape[0] == 1 and n >= _TOPK_MIN_N:
+        levels = _levels_from(_top_magnitudes(absx[0], alpha1)[None], n, alpha1, alpha2, store)
         if levels is not None:
             return levels
-    return _levels_from(np.sort(absx, axis=1)[:, ::-1], n, alpha1, alpha2)
+    return _levels_from(np.sort(absx, axis=1)[:, ::-1], n, alpha1, alpha2, store)
 
 
 def _select_levels(x, alpha1: float, alpha2: float) -> tuple[int, float, float]:
@@ -281,7 +252,7 @@ def _select_levels(x, alpha1: float, alpha2: float) -> tuple[int, float, float]:
     arr = _check_observations(x)
     _check_alpha(alpha1)
     _check_alpha(alpha2)
-    k_hat, up, down = _block_levels(np.abs(arr)[None], alpha1, alpha2)
+    k_hat, up, down = _block_levels(np.abs(arr)[None], alpha1, alpha2, {})
     return int(k_hat[0]), float(up[0]), float(down[0])
 
 
@@ -359,8 +330,9 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     )
 
 
-def _block_lambdas(absx: np.ndarray, config: FdrConfig) -> np.ndarray:
+def _block_lambdas(absx: np.ndarray, config: FdrConfig, store: dict) -> np.ndarray:
     """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n)
-    block, from the block's magnitudes ``absx``."""
-    _, up, down = _block_levels(absx, config.alpha1, config.alpha2)
+    block, from the block's magnitudes ``absx``; ``store`` keeps the candidate
+    levels across the blocks of one ``n``."""
+    _, up, down = _block_levels(absx, config.alpha1, config.alpha2, store)
     return np.array([_interval(a, b, config)[2] for a, b in zip(up.tolist(), down.tolist())])

@@ -38,8 +38,9 @@ an estimator of one vector, which it applies row by row.
 A call reads each coordinate of a block a fixed few times, in buffers kept
 across its blocks: the draws are formed in place in one buffer, which the
 next block overwrites once the statistic has returned, ``|x|`` is computed
-once per block, and each threshold loss comes from the survivors
-``|x_i| > level`` alone (``_threshold_losses``), bit for bit the dense loss.
+once per block, the selector's candidate levels once per call, and each
+threshold loss comes from the survivors ``|x_i| > level`` alone
+(``_threshold_losses``), bit for bit the dense loss.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ def minimax_level(n: int, p: float, radius: float) -> float:
     sparsity fraction).  This is the level at which least-favorable signals
     concentrate.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_ball(p, radius)
@@ -129,6 +131,7 @@ def minimax_benchmark(n: int, p: float, radius: float, weak: bool = False) -> fl
 
 def spikes(n: int, count: int, value: float) -> np.ndarray:
     """A length-``n`` signal with its first ``count`` coordinates at ``value``, the rest 0."""
+    n, count = _integer("n", n), _integer("count", count)
     if count < 0:
         raise ValueError("count must be >= 0")
     if n < 1:
@@ -147,6 +150,7 @@ def least_favorable(n: int, p: float, radius: float, weak: bool = False) -> np.n
     (``floor(n radius)`` for ``p = 0``); a weak ball holds the capped
     ordered profile ``min(radius (n/k)^(1/p), level)``.
     """
+    n = _integer("n", n)
     _check_ball(p, radius, weak)
     p, radius = float(p), float(radius)
     lam = minimax_level(n, p, radius)
@@ -282,10 +286,11 @@ def _threshold_losses(theta: np.ndarray):
 def _fdr_losses(theta: np.ndarray, family: ThresholdFamily, config: FdrConfig):
     """The block statistic: per row, the squared loss of ``family`` at the selected level."""
     losses = _threshold_losses(theta)
+    store = {}
 
     def statistic(x):
         absx = np.abs(x)
-        return losses(x, absx, _block_lambdas(absx, config), family)
+        return losses(x, absx, _block_lambdas(absx, config, store), family)
 
     return statistic
 
@@ -516,11 +521,12 @@ def common_mean_experiment(
     exact_total = optimal_levels(prior)[1] * n
 
     loss = _threshold_losses(theta)
+    store = {}
 
     def losses(x: np.ndarray) -> np.ndarray:
         # one selection serves both families; the comparator is the row mean
         absx = np.abs(x)
-        level = _block_lambdas(absx, config)
+        level = _block_lambdas(absx, config, store)
         means = np.array([row.mean() for row in x])[:, None]
         return np.column_stack(
             (loss(x, absx, level, soft_fam), loss(x, absx, level, firm_fam), _row_losses(theta, means))

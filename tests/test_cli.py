@@ -329,6 +329,13 @@ def test_fdr_curve_monotone(tmp_path, curve_cfg):
     values = payload["values"]
     assert payload["levels"][-1] == 60.0
     assert all(0.0 < b < a for a, b in zip(values, values[1:]))
+    # an atom of zero weight changes nothing: the curve of the point mass at 0 is 1
+    ghost = write(tmp_path / "ghost.cfg", "atoms = 0, 100\nweights = 1, 0\nlevel_max = 60\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("fdr-curve", "--config", ghost, "--out", str(tmp_path / "ghost")) == 0
+    lines = (tmp_path / "ghost" / "curve.csv").read_text().splitlines()[1:]
+    assert lines and all(float(line.split(",")[1]) == 1.0 for line in lines)
 
 
 def test_fdr_curve_rejects_risk_only_keys(tmp_path):

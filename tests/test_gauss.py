@@ -16,7 +16,6 @@ from fdrthresh.gauss import (
     norm_cdf,
     norm_pdf,
     norm_quantile,
-    truncated_moments,
 )
 
 
@@ -103,42 +102,6 @@ class TestQuantile:
             warnings.simplefilter("error")
             z = norm_quantile(inside)
         assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
-
-
-class TestTruncatedMoments:
-    def test_full_moments(self):
-        m0, m1, m2 = truncated_moments(-np.inf)
-        assert (m0, m1, m2) == (1.0, 0.0, 1.0)
-
-    def test_empty_tail(self):
-        m0, m1, m2 = truncated_moments(np.inf)
-        assert (m0, m1, m2) == (0.0, 0.0, 0.0)
-
-    def test_half_normal(self):
-        m0, m1, m2 = truncated_moments(0.0)
-        assert m0 == 0.5
-        assert m1 == pytest.approx(0.3989422804014327, rel=1e-15)
-        assert m2 == 0.5
-
-    def test_oracle_points(self):
-        m0, m1, m2 = truncated_moments(1.0)
-        assert m0 == pytest.approx(0.15865525393145707, rel=1e-14)
-        assert m1 == pytest.approx(0.24197072451914337, rel=1e-14)
-        assert m2 == pytest.approx(0.40062597845060044, rel=1e-14)
-        m0, m1, m2 = truncated_moments(2.5)
-        assert m0 == pytest.approx(0.0062096653257761352, rel=1e-13)
-        assert m1 == pytest.approx(0.017528300493568537, rel=1e-13)
-        assert m2 == pytest.approx(0.050030416559697479, rel=1e-13)
-
-    def test_matches_monte_carlo(self):
-        rng = np.random.default_rng(11)
-        z = rng.standard_normal(2_000_000)
-        a = 0.7
-        keep = z > a
-        m0, m1, m2 = truncated_moments(a)
-        assert keep.mean() == pytest.approx(m0, abs=4 * math.sqrt(m0 / z.size))
-        assert (z * keep).mean() == pytest.approx(m1, abs=5e-3)
-        assert (z * z * keep).mean() == pytest.approx(m2, abs=5e-3)
 
 
 # mpmath quadrature oracle for the exponential-Gaussian moment integral

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fdrthresh.gauss import norm_cdf, truncated_moments
+from fdrthresh.gauss import norm_cdf
 from fdrthresh.risk import EmpiricalPrior, clipped_second_moment, soft_risk, surrogate_risk
 from fdrthresh.selector import FdrConfig, select_lambda, step_down_level, step_up_level
 from fdrthresh.simulate import (
@@ -50,7 +50,6 @@ CASES = {
     "step-down-nan": (lambda: step_down_level([1.0, math.nan], 0.05), ValueError, FINITE),
     # NaN arguments of the Gaussian primitives
     "norm-cdf-nan": (lambda: norm_cdf([0.0, math.nan]), ValueError, "x must not contain NaN"),
-    "truncated-nan": (lambda: truncated_moments(math.nan), ValueError, "a must not contain NaN"),
     "soft-risk-mu-nan": (lambda: soft_risk([math.nan], 1.0), ValueError, "mu must not contain NaN"),
     # least-favorable signals: the ball
     "least-favorable-nan-radius": (
@@ -96,6 +95,21 @@ CASES = {
     ),
     "prior-fractional-n": (
         lambda: EmpiricalPrior.from_atoms([0, 3], n=2.9), ValueError, "n must be an integer, not 2.9"
+    ),
+    "minimax-level-fractional-n": (
+        lambda: minimax_level(50.9, 1.0, 0.1), ValueError, "n must be an integer, not 50.9"
+    ),
+    "benchmark-fractional-n": (
+        lambda: minimax_benchmark(50.9, 1.0, 0.1), ValueError, "n must be an integer, not 50.9"
+    ),
+    "spikes-fractional-n": (
+        lambda: spikes(10.5, 2, 1.0), ValueError, "n must be an integer, not 10.5"
+    ),
+    "spikes-fractional-count": (
+        lambda: spikes(10, 2.5, 1.0), ValueError, "count must be an integer, not 2.5"
+    ),
+    "least-favorable-fractional-n": (
+        lambda: least_favorable(10.5, 1.0, 0.1), ValueError, "n must be an integer, not 10.5"
     ),
     # n * max|theta|^2 overflows: the mean square and every risk total are infinite
     "prior-atoms-energy": (lambda: EmpiricalPrior.from_atoms([1e200]), ValueError, ENERGY),

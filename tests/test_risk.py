@@ -251,6 +251,14 @@ class TestRejectionAndFdrCurve:
         t = np.concatenate((np.linspace(0, 6, 30), np.linspace(38, 200, 30), [np.inf]))
         np.testing.assert_array_equal(fdr_curve(null, t), np.ones_like(t))
         assert fdr_curve(null, np.inf) == 1.0
+        # a nonzero atom of zero weight leaves the prior degenerate, even where
+        # its tail ratio overflows
+        ghost = EmpiricalPrior.from_atoms([0.0, 100.0], [1.0, 0.0])
+        assert ghost.is_degenerate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(fdr_curve(ghost, [30.0, 40.0, 60.0]), [1.0, 1.0, 1.0])
+            np.testing.assert_array_equal(fdr_curve(ghost, t), np.ones_like(t))
 
     def test_fdr_curve_from_one_strictly_down(self):
         rng = np.random.default_rng(38)

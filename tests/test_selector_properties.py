@@ -32,8 +32,8 @@ from test_selector import _brute_counts, _brute_step_down, _brute_step_up
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
-# slopes across the usual range, plus one deep enough that the p-value
-# screen cannot decide any index and one whose probabilities get clamped
+# slopes across the usual range, plus one whose probabilities alpha k / (2n)
+# are subnormal and one whose probabilities get clamped
 ALPHAS = st.one_of(
     st.floats(1e-6, 0.99),
     st.sampled_from([0.05, 0.2, 1e-300, 0.999999999]),
@@ -181,7 +181,7 @@ def _block_on_level(alpha, toward=None):
 
 
 def _assert_block_matches_rows(x, alpha1, alpha2):
-    k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2)
+    k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2, {})
     for row, k, u, d in zip(x, k_hat, up, down):
         assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)
         assert u == _brute_step_up(row, alpha1)
@@ -190,7 +190,7 @@ def _assert_block_matches_rows(x, alpha1, alpha2):
         alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2,
         delta1=0.1, delta2=0.3, interp=0.4,
     )
-    lambdas = selector._block_lambdas(np.abs(x), config)
+    lambdas = selector._block_lambdas(np.abs(x), config, {})
     assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
 
 
@@ -208,18 +208,49 @@ def test_block_core_matches_rows_and_brute_force(case):
     _assert_block_matches_rows(*case)
 
 
-@SETTINGS
-@given(
-    st.integers(1, 10**6),
-    ALPHAS,
-    ALPHAS,
-    st.lists(st.integers(1, 10**6), min_size=1, max_size=20),
-)
-def test_levels_at_array_alpha_matches_scalar_calls(n, alpha1, alpha2, ks):
-    ks = np.minimum(ks, n)
-    got = selector._levels_at(n, np.repeat([alpha1, alpha2], ks.size), np.concatenate((ks, ks)))
-    want = np.concatenate((selector._levels_at(n, alpha1, ks), selector._levels_at(n, alpha2, ks)))
-    assert got.tobytes() == want.tobytes()
+@st.composite
+def block_runs(draw):
+    """``(blocks, config)``: blocks of one ``n`` at or above the top-K cutoff.
+
+    One-row blocks take the top-K path and read a prefix of the levels;
+    blocks of several rows read all ``n`` of them.  The run starts and ends
+    with a one-row block and holds a full block in between, so the levels
+    kept across the blocks grow and are then read shorter.
+    """
+    n = draw(st.integers(selector._TOPK_MIN_N, 2 * selector._TOPK_MIN_N))
+    alpha1 = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    alpha2 = draw(st.sampled_from([alpha1, 0.3 * alpha1]))
+    config = FdrConfig(alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(rows):
+        x = rng.standard_normal((rows, n))
+        for row in x:
+            row[rng.choice(n, draw(st.integers(0, n // 4)), replace=False)] += 4.0
+        return x
+
+    sizes = [1] + draw(st.lists(st.sampled_from([1, 1, 3]), max_size=4)) + [3, 1]
+    return [block(rows) for rows in sizes], config
+
+
+@settings(SETTINGS, max_examples=25)
+@given(block_runs())
+def test_shared_levels_never_change_a_level(case):
+    blocks, config = case
+    store, prefixes = {}, []
+    levels = selector._prefix_levels
+
+    def spy(store, n, alpha, m):
+        prefixes.append(m)
+        return levels(store, n, alpha, m)
+
+    with mock.patch.object(selector, "_prefix_levels", spy):
+        got = [selector._block_lambdas(np.abs(x), config, store) for x in blocks]
+    n = blocks[0].shape[1]
+    # a full block read all n levels, and a later one-row block read fewer
+    assert n in prefixes and min(prefixes[prefixes.index(n):]) < n
+    for x, lambdas in zip(blocks, got):
+        assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +424,13 @@ def test_step_down_beyond_the_prefix_falls_back(case, ratio):
             _assert_same_selection(x, alpha1, alpha2, truncated, counts)
 
 
-def test_alpha2_above_alpha1_uses_every_magnitude():
+def test_alpha2_above_alpha1_matches_full_core():
+    # the prefix is cut at slope alpha1; a step-down scan at a larger slope
+    # that runs past its end falls back to every magnitude
     rng = np.random.default_rng(7)
     x = rng.standard_normal(2 * selector._TOPK_MIN_N)
     x[:50] += 4.0
-    with mock.patch.object(selector, "_top_magnitudes", side_effect=AssertionError):
-        got = selector._select_levels(x, 0.1, 0.2)
+    got = selector._select_levels(x, 0.1, 0.2)
     with _full_core():
         assert got == selector._select_levels(x, 0.1, 0.2)
     assert got[2] == _exact_levels(x, 0.1, 0.2)[1]
