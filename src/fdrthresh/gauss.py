@@ -14,8 +14,10 @@ or better on [1e-12, 1 - 1e-12].
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import threading
 
 import numpy as np
 from scipy import special as _sp
@@ -48,6 +50,39 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+# Every kept buffer holds at least this many entries, the size of a Monte
+# Carlo block, so that all the buffers of a run at n <= 2**14 are alike.
+_KEPT_MIN = 2**14
+
+_kept_store = threading.local()
+
+
+@contextlib.contextmanager
+def _kept(shape):
+    """A float64 array of ``shape`` in a buffer that this thread keeps across calls.
+
+    A fresh temporary of a large size is returned to the operating system
+    when freed, and the next one faults its pages in again; a kept buffer
+    does not.  The buffer holds ``max(2**14, size)`` entries or more, and its
+    contents on entry are whatever the last user left.  It is taken out of
+    the thread's store for the ``with`` block and put back on exit, also on
+    an exception, so a nested ``_kept`` gets another buffer.  Nothing that
+    outlives the block may be a view of it.
+    """
+    size = math.prod(shape)
+    try:
+        store = _kept_store.buffers
+    except AttributeError:
+        store = _kept_store.buffers = []
+    buf = store.pop() if store else np.empty(0)
+    if buf.size < size:
+        buf = np.empty(max(_KEPT_MIN, size))
+    try:
+        yield buf[:size].reshape(shape)
+    finally:
+        store.append(buf)
 
 
 def norm_pdf(x):

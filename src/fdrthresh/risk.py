@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .gauss import _SQRT2, _as_float_array, _bisect, _integer, norm_cdf, norm_pdf
+from .gauss import _SQRT2, _as_float_array, _bisect, _integer, _kept, norm_cdf, norm_pdf
 from .thresholds import _check_level
 
 __all__ = [
@@ -98,12 +98,21 @@ class EmpiricalPrior:
 
     @classmethod
     def from_vector(cls, theta) -> "EmpiricalPrior":
-        """Empirical distribution of the entries of a mean vector."""
+        """Empirical distribution of the entries of a mean vector.
+
+        The atoms and counts are those of ``np.unique(theta,
+        return_counts=True)``, the first entry of each run of a sorted copy
+        (so the same zero of ``+-0.0``), read off a kept buffer.
+        """
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("theta must be a nonempty 1-d vector")
-        values, counts = np.unique(theta, return_counts=True)
-        return cls(values, counts / theta.size, theta.size)
+        with _kept(theta.shape) as values:
+            values[:] = theta
+            values.sort()
+            starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+            atoms = values[starts]
+        return cls(atoms, np.diff(np.r_[starts, theta.size]) / theta.size, theta.size)
 
     @property
     def mean_square(self) -> float:

@@ -35,12 +35,16 @@ what the same computation gives on that row alone, bit for bit; each
 row's squared loss is still its own dot product.  ``mc_risk`` alone takes
 an estimator of one vector, which it applies row by row.
 
-A call reads each coordinate of a block a fixed few times, in buffers kept
-across its blocks: the draws are formed in place in one buffer, which the
-next block overwrites once the statistic has returned, ``|x|`` is computed
-once per block, the selector's candidate levels once per call, and each
-threshold loss comes from the survivors ``|x_i| > level`` alone
-(``_threshold_losses``), bit for bit the dense loss.
+A call reads each coordinate of a block a fixed few times, in buffers that
+each thread keeps across blocks and calls (``gauss._kept``): the draws are
+formed in place in one buffer, which the next block, or the next call on
+the same thread, overwrites once the statistic has returned; ``|x|`` is
+computed once per block, the selector's candidate levels once per call,
+and each threshold loss comes from the survivors ``|x_i| > level`` alone
+(``_threshold_losses``), bit for bit the dense loss.  An experiment keeps
+three buffers of ``8 max(2**14, n)`` bytes on its thread, 2.4 MB at
+n = 1e5, for the largest n that thread has run; the next call reuses them
+instead of faulting fresh pages in.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gauss import _integer
+from .gauss import _integer, _kept
 from .risk import EmpiricalPrior, optimal_levels
 from .selector import FdrConfig, _block_lambdas
 from .thresholds import ThresholdFamily, _check_level, apply_family
@@ -216,8 +220,9 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int) -> np.nda
     The one replicate loop of the module.  ``statistic`` maps a (B, n) block
     to B values, giving an (R,) array, or to a (B, S) array, giving an
     (R, S) array; any other shape raises ``ValueError``.  Every block is
-    drawn into one buffer and ``theta + z`` is formed in place, so the next
-    block overwrites the one passed to ``statistic``.
+    drawn into one kept buffer and ``theta + z`` is formed in place, so the
+    next block, or the next call on the same thread, overwrites the one
+    passed to ``statistic``.
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
@@ -227,20 +232,20 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int) -> np.nda
     if not 0 <= seed < 2**128:
         raise ValueError("seed must be >= 0 and < 2**128")
     step = min(replicates, max(1, _BLOCK_ELEMENTS // theta.size))
-    draws = np.empty((step, theta.size))
     parts = []
-    for start in range(0, replicates, step):
-        z = draws[: min(step, replicates - start)]
-        for row, i in enumerate(range(start, start + z.shape[0])):
-            _replicate_rng(seed, i).standard_normal(out=z[row])
-        z += theta
-        values = np.asarray(statistic(z), dtype=float)
-        if values.ndim not in (1, 2) or values.shape[0] != len(z):
-            raise ValueError(
-                f"statistic returned shape {values.shape} for a block of {len(z)} rows: "
-                f"need ({len(z)},) or ({len(z)}, S)"
-            )
-        parts.append(values)
+    with _kept((step, theta.size)) as draws:
+        for start in range(0, replicates, step):
+            z = draws[: min(step, replicates - start)]
+            for row, i in enumerate(range(start, start + z.shape[0])):
+                _replicate_rng(seed, i).standard_normal(out=z[row])
+            z += theta
+            values = np.array(statistic(z), dtype=float)  # a copy: the values may be a view of z
+            if values.ndim not in (1, 2) or values.shape[0] != len(z):
+                raise ValueError(
+                    f"statistic returned shape {values.shape} for a block of {len(z)} rows: "
+                    f"need ({len(z)},) or ({len(z)}, S)"
+                )
+            parts.append(values)
     return np.concatenate(parts)
 
 
@@ -249,48 +254,35 @@ def _row_losses(theta: np.ndarray, estimates) -> np.ndarray:
     return np.array([float(d @ d) for d in estimates - theta])
 
 
-def _threshold_losses(theta: np.ndarray):
-    """A function ``(x, absx, lam, family) -> ||t(row, lam_row) - theta||^2`` per row.
+def _threshold_losses(theta: np.ndarray, x, absx, lam, family: ThresholdFamily) -> np.ndarray:
+    """``||t(row, lam_row) - theta||^2`` for each row of a (B, n) block ``x``.
 
-    ``x`` is a (B, n) block, ``absx`` its magnitudes and ``lam`` a (B,)
-    array of levels.  Every family maps ``|x_i| <= lam`` to a signed zero,
-    whose residual ``+-0 - theta_i`` squares to ``theta_i^2``, so the family
-    runs on the survivors ``|x_i| > lam`` alone.  Their residuals are
-    scattered into a buffer whose rows otherwise hold ``-theta``, each row's
-    loss is its own dot product, and the buffer is restored: the dot
-    product sees the values of the dense ``t(x, lam) - theta`` in the same
-    order.  The buffer is allocated at the first block and kept across the
-    blocks of a call.
+    ``absx`` holds the block's magnitudes and ``lam`` a (B,) array of
+    levels.  Every family maps ``|x_i| <= lam`` to a signed zero, whose
+    residual ``+-0 - theta_i`` squares to ``theta_i^2``, so the family runs
+    on the survivors ``|x_i| > lam`` alone.  Their residuals are scattered
+    into a kept buffer whose rows otherwise hold ``-theta``, and each row's
+    loss is its own dot product: it sees the values of the dense
+    ``t(x, lam) - theta`` in the same order.
     """
-    resid = None
-
-    def losses(x, absx, lam, family):
-        nonlocal resid
-        count, n = x.shape
-        if resid is None:
-            resid = np.negative(theta, out=np.empty_like(x))
-        flat = resid[:count].reshape(-1)
-        at = np.flatnonzero(absx > lam[:, None])
-        rows, cols = np.divmod(at, n)
-        err = apply_family(x.take(at), lam[rows], family)
-        ths = theta.take(cols)
-        err -= ths
-        flat[at] = err
-        out = np.array([float(d @ d) for d in resid[:count]])
-        flat[at] = np.negative(ths, out=ths)
-        return out
-
-    return losses
+    at = np.flatnonzero(absx > lam[:, None])
+    rows, cols = np.divmod(at, x.shape[1])
+    err = apply_family(x.take(at), lam[rows], family)
+    err -= theta.take(cols)
+    with _kept(x.shape) as resid:
+        np.negative(theta, out=resid)
+        resid.reshape(-1)[at] = err
+        return np.array([float(d @ d) for d in resid])
 
 
 def _fdr_losses(theta: np.ndarray, family: ThresholdFamily, config: FdrConfig):
     """The block statistic: per row, the squared loss of ``family`` at the selected level."""
-    losses = _threshold_losses(theta)
     store = {}
 
     def statistic(x):
-        absx = np.abs(x)
-        return losses(x, absx, _block_lambdas(absx, config, store), family)
+        with _kept(x.shape) as absx:
+            np.abs(x, out=absx)
+            return _threshold_losses(theta, x, absx, _block_lambdas(absx, config, store), family)
 
     return statistic
 
@@ -308,8 +300,10 @@ def mc_mean(
     docstring).  ``statistic`` maps a block to B values, one per row, or to
     a (B, S) array; the result is then one estimate, or a tuple of S
     estimates, each with its standard error over the R replicate values.
-    The block lies in a buffer that the next block overwrites once
-    ``statistic`` returns, so a statistic that keeps rows must copy them.
+    The block lies in a buffer that the next block, or the next call on
+    the same thread, overwrites once ``statistic`` returns, so a statistic
+    that keeps rows must copy them.  A statistic may itself call
+    ``mc_mean``: the inner call draws into another buffer.
     A statistic of one vector ``stat`` becomes one as
     ``lambda x: [stat(row) for row in x]``.
     """
@@ -520,17 +514,16 @@ def common_mean_experiment(
     prior = EmpiricalPrior.from_vector(theta)
     exact_total = optimal_levels(prior)[1] * n
 
-    loss = _threshold_losses(theta)
     store = {}
 
     def losses(x: np.ndarray) -> np.ndarray:
         # one selection serves both families; the comparator is the row mean
-        absx = np.abs(x)
-        level = _block_lambdas(absx, config, store)
+        with _kept(x.shape) as absx:
+            np.abs(x, out=absx)
+            level = _block_lambdas(absx, config, store)
+            soft, firm = (_threshold_losses(theta, x, absx, level, fam) for fam in (soft_fam, firm_fam))
         means = np.array([row.mean() for row in x])[:, None]
-        return np.column_stack(
-            (loss(x, absx, level, soft_fam), loss(x, absx, level, firm_fam), _row_losses(theta, means))
-        )
+        return np.column_stack((soft, firm, _row_losses(theta, means)))
 
     soft, firm, sample = mc_mean(theta, losses, replicates, seed)
     fp = _fingerprint(
@@ -613,8 +606,11 @@ def concentration_check(
     n = EmpiricalPrior.from_vector(theta).n  # the prior owns the n * max|theta|^2 rule
     level = _check_level(float(level))
 
-    loss = _threshold_losses(theta)
-    scaled_loss = lambda x: np.sqrt(loss(x, np.abs(x), np.full(x.shape[0], level), family) / n)
+    def scaled_loss(x):
+        with _kept(x.shape) as absx:
+            np.abs(x, out=absx)
+            return np.sqrt(_threshold_losses(theta, x, absx, np.full(x.shape[0], level), family) / n)
+
     samples = _samples(theta, scaled_loss, replicates, seed)
     var = float(samples.var(ddof=1))
     centered = samples - samples.mean()

@@ -120,6 +120,10 @@ CASES = {
     "prior-vector-energy": (lambda: EmpiricalPrior.from_vector([1e200, 0.0]), ValueError, ENERGY),
     "prior-nan-atom": (lambda: EmpiricalPrior.from_atoms([0.0, math.nan]), ValueError, ENERGY),
     "prior-inf-theta": (lambda: EmpiricalPrior.from_vector([math.inf, 0.0]), ValueError, ENERGY),
+    "prior-minus-inf-theta": (
+        lambda: EmpiricalPrior.from_vector([0.0, -math.inf, 1.0]), ValueError, ENERGY
+    ),
+    "prior-nan-theta": (lambda: EmpiricalPrior.from_vector([0.0, math.nan, 1.0]), ValueError, ENERGY),
     "prior-negative-n": (
         lambda: EmpiricalPrior.from_atoms([0.0, 3.0], n=-5), ValueError, "n must be >= 1"
     ),

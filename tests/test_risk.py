@@ -18,7 +18,7 @@ from fdrthresh.gauss import (
     norm_cdf,
     norm_pdf,
 )
-from fdrthresh import risk
+from fdrthresh import gauss, risk
 from fdrthresh.risk import (
     EmpiricalPrior,
     bayes_soft_risk,
@@ -90,6 +90,40 @@ class TestEmpiricalPrior:
         with pytest.raises(ValueError, match="max"):
             EmpiricalPrior.from_vector([1e154, 0.0])  # 2e308 overflows
         assert np.isfinite(EmpiricalPrior.from_vector([1e153, 0.0]).mean_square)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            np.random.default_rng(41).normal(size=1000),
+            np.random.default_rng(42).normal(size=50_000),
+            np.round(np.random.default_rng(43).normal(size=5000), 1),  # ties
+            np.random.default_rng(44).choice([0.0, -0.0, 1.5, -1.5], size=3000),
+            np.random.default_rng(45).choice([0.0, -0.0, 3.0], size=50_000),
+            np.array([-0.0, 0.0, -0.0]),
+            np.array([0.0, -0.0]),
+            np.arange(2000.0)[::-1] % 7,
+            np.array([-0.0]),
+            np.array([2.5]),
+        ],
+        ids=["normal", "normal-50k", "ties", "signed-zeros", "signed-zeros-50k", "zeros-minus-first",
+             "zeros-plus-first", "descending-runs", "single-minus-zero", "single"],
+    )
+    def test_from_vector_matches_unique(self, theta):
+        # bit for bit against np.unique, the sign of a surviving zero included
+        prior = EmpiricalPrior.from_vector(theta)
+        atoms, counts = np.unique(theta, return_counts=True)
+        want = EmpiricalPrior(atoms, counts / theta.size, theta.size)
+        assert prior.atoms.tobytes() == want.atoms.tobytes()
+        assert prior.weights.tobytes() == want.weights.tobytes()
+        assert prior.n == want.n
+        for buf in gauss._kept_store.buffers:
+            assert not np.shares_memory(prior.atoms, buf)
+            assert not np.shares_memory(prior.weights, buf)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_vector_refuses_non_finite(self, value):
+        with pytest.raises(ValueError, match=r"n \* max\|theta\|\^2 must be finite"):
+            EmpiricalPrior.from_vector(np.r_[np.zeros(50), value, np.ones(50)])
 
 
 class TestSoftRisk:

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fdrthresh import simulate
+from fdrthresh import gauss, simulate
 from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk, optimal_levels
 from fdrthresh.cli import main as cli_main
@@ -369,11 +369,10 @@ class TestSurvivorLosses:
         n = 41
         spikes = np.where(rng.random(n) < 0.3, rng.uniform(-4.0, 4.0, size=n), 0.0)
         for theta in (spikes, np.zeros(n), -np.abs(spikes) - 0.5):
-            losses = simulate._threshold_losses(theta)
-            # the residual buffer is restored between blocks, also for a smaller one
+            # the kept residual buffer is refilled for each block, also for a smaller one
             for size in (rows, rows, max(1, rows // 3)):
                 x, lam = _loss_block(rng, size, theta)
-                got = losses(x, np.abs(x), lam, family)
+                got = simulate._threshold_losses(theta, x, np.abs(x), lam, family)
                 want = simulate._row_losses(theta, apply_family(x, lam[:, None], family))
                 assert got.tobytes() == want.tobytes()
 
@@ -389,17 +388,103 @@ class TestSurvivorLosses:
         assert simulate._fdr_losses(theta, family, config)(x).tobytes() == want.tobytes()
 
 
+def _in_fresh_thread(fn):
+    """``fn()`` run on a new thread, which starts with no kept buffers."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def _sum_squares(x):
+    return np.sum(x * x, axis=1)
+
+
 class TestReusedBuffers:
-    theta = np.array([0.5, -1.0, 0.0, 2.0, 0.25])
+    """The scratch buffers each thread keeps across calls (``gauss._kept``)."""
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_spike_still_refused(self, value, tmp_path):
-        with pytest.raises(ValueError, match="max"):
-            regret_experiment(spikes(16, 2, value), 4, seed=1)
-        cfg = tmp_path / "e.cfg"
-        cfg.write_text(f"kind = regret\nn = 16\nreplicates = 4\nspike_count = 2\nspike_value = {value}\n")
-        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    calls = [
+        lambda: regret_experiment(spikes(50_000, 200, 3.0), 2, seed=1),
+        lambda: regret_experiment(spikes(1024, 32, 3.0), 16, seed=2, strong=True),
+        lambda: common_mean_experiment(20_000, 0.05, 3, seed=3),
+        lambda: regret_experiment(spikes(50_000, 200, 3.0), 2, seed=1),
+    ]
 
+    def test_calls_of_other_sizes_leave_no_trace(self):
+        # one thread runs them in turn, each on the buffers the one before left
+        got = [call() for call in self.calls]
+        assert got == [_in_fresh_thread(call) for call in self.calls]
+        assert got[0] == got[3]
+
+    def test_nested_mc_mean(self):
+        # the inner call draws around a row of the outer block while that block is in use
+        theta = spikes(300, 10, 2.0)
+        inner = []
+
+        def nested(x):
+            inner.append(mc_mean(x[0], _sum_squares, 5, seed=9))
+            return _sum_squares(x)
+
+        assert mc_mean(theta, nested, 40, seed=4) == mc_mean(theta, _sum_squares, 40, seed=4)
+        first = theta + simulate._replicate_rng(4, 0).standard_normal(theta.size)
+        assert inner == [mc_mean(first, _sum_squares, 5, seed=9)]
+
+    def test_statistic_error_returns_the_buffer(self):
+        theta = spikes(300, 10, 2.0)
+        mc_mean(theta, _sum_squares, 4, seed=1)
+        before = list(gauss._kept_store.buffers)
+        with pytest.raises(ZeroDivisionError):
+            mc_mean(theta, lambda x: 1 / 0, 4, seed=1)
+        after = gauss._kept_store.buffers
+        assert len(after) == len(before) and all(any(a is b for b in before) for a in after)
+
+    def test_threads_match_sequential_calls(self):
+        jobs = [(spikes(50_000, 200, 3.0), 2, 5, False), (spikes(1024, 32, 3.0), 16, 6, True)]
+        want = [regret_experiment(*job[:3], strong=job[3]) for job in jobs]
+        got = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def work(k):
+            start.wait()
+            for _ in range(3):
+                got[k].append(regret_experiment(*jobs[k][:3], strong=jobs[k][3]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[w] * 3 for w in want]
+
+    def test_statistic_may_return_a_view_of_its_block(self):
+        # one row a block: every block is drawn into the same buffer
+        theta = spikes(simulate._BLOCK_ELEMENTS, 3, 1.0)
+        est = mc_mean(theta, lambda x: x[:, 0], 4, seed=1)
+        draws = [simulate._replicate_rng(1, i).standard_normal(theta.size) for i in range(4)]
+        firsts = np.array([1.0 + z[0] for z in draws])
+        assert (est.mean, est.std_error) == (float(firsts.mean()), float(firsts.std(ddof=1) / 2.0))
+
+    def test_second_call_reuses_the_buffers(self):
+        theta = spikes(2000, 20, 3.0)
+        blocks = []
+        keep = lambda x: (blocks.append(x), _sum_squares(x))[1]
+        mc_mean(theta, keep, 4, seed=1)
+        mc_mean(theta, keep, 4, seed=2)
+        assert np.shares_memory(blocks[0], blocks[1])
+        regret_experiment(theta, 4, seed=1)
+        before = list(gauss._kept_store.buffers)
+        regret_experiment(theta, 4, seed=2)
+        after = gauss._kept_store.buffers
+        assert len(after) == len(before)
+        assert all(any(np.shares_memory(a, b) for b in before) for a in after)
 
 
 def _fresh_rng(seed, index):
@@ -614,6 +699,14 @@ class TestExperiments:
             regret_experiment([1e200, 1e200] + [0.0] * 18, 4, seed=1)
         with pytest.raises(ValueError, match="max"):
             common_mean_experiment(20, 1e200, 4, seed=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spike_still_refused(self, value, tmp_path):
+        with pytest.raises(ValueError, match="max"):
+            regret_experiment(spikes(16, 2, value), 4, seed=1)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"kind = regret\nn = 16\nreplicates = 4\nspike_count = 2\nspike_value = {value}\n")
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_regret_spikes_smoke(self):
         n = 256
