@@ -294,20 +294,17 @@ class SelectorTrace:
     k_hat: int
 
 
-def _interval(xi1: float, xi2: float, config: FdrConfig) -> tuple[float, float, float]:
-    """The selected interval's ends and ``lambda_hat`` from the two levels."""
+def _interval(xi1, xi2, config: FdrConfig):
+    """The selected interval's ends and ``lambda_hat``, entry by entry over arrays of
+    the two levels: exactly an end at ``interp`` 0 or 1, and +inf where the lower end is."""
     lower = math.sqrt(1.0 + config.delta1) * xi1
     upper = math.sqrt(1.0 + config.delta2) * xi2
     w = config.interp
-    if math.isinf(lower):
-        lam = math.inf
-    elif w == 0.0:
-        lam = lower
-    elif w == 1.0:
-        lam = upper
-    else:
-        lam = lower + w * (upper - lower)
-    return lower, upper, lam
+    if w == 0.0:
+        return lower, upper, lower
+    with np.errstate(invalid="ignore"):  # inf - inf where the lower end is +inf
+        inside = upper if w == 1.0 else lower + w * (upper - lower)
+    return lower, upper, np.where(np.isinf(lower), math.inf, inside)
 
 
 def select_lambda(x, config: FdrConfig) -> SelectorTrace:
@@ -319,15 +316,7 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     to +inf and the downstream estimate is identically zero.
     """
     k_hat, xi1, xi2 = _select_levels(x, config.alpha1, config.alpha2)
-    lower, upper, lam = _interval(xi1, xi2, config)
-    return SelectorTrace(
-        xi1_hat=xi1,
-        xi2_hat=xi2,
-        lower=lower,
-        upper=upper,
-        lambda_hat=lam,
-        k_hat=k_hat,
-    )
+    return SelectorTrace(xi1, xi2, *map(float, _interval(xi1, xi2, config)), k_hat)
 
 
 def _block_lambdas(absx: np.ndarray, config: FdrConfig, store: dict) -> np.ndarray:
@@ -335,4 +324,4 @@ def _block_lambdas(absx: np.ndarray, config: FdrConfig, store: dict) -> np.ndarr
     block, from the block's magnitudes ``absx``; ``store`` keeps the candidate
     levels across the blocks of one ``n``."""
     _, up, down = _block_levels(absx, config.alpha1, config.alpha2, store)
-    return np.array([_interval(a, b, config)[2] for a, b in zip(up.tolist(), down.tolist())])
+    return _interval(up, down, config)[2]

@@ -35,15 +35,16 @@ what the same computation gives on that row alone, bit for bit; each
 row's squared loss is still its own dot product.  ``mc_risk`` alone takes
 an estimator of one vector, which it applies row by row.
 
-A call reads each coordinate of a block a fixed few times, in buffers that
-each thread keeps across blocks and calls (``gauss._kept``): the draws are
-formed in place in one buffer, which the next block, or the next call on
-the same thread, overwrites once the statistic has returned; ``|x|`` is
-computed once per block, the selector's candidate levels once per call,
-and each threshold loss comes from the survivors ``|x_i| > level`` alone
-(``_threshold_losses``), bit for bit the dense loss.  An experiment keeps
-three buffers of ``8 max(2**14, n)`` bytes on its thread, 2.4 MB at
-n = 1e5, for the largest n that thread has run; the next call reuses them
+Every experiment evaluates its threshold rules through one block
+statistic, ``_threshold_losses(theta, families, level)``, at the level
+an ``FdrConfig`` selects per row or at a fixed level.  Per block it writes
+``|x|`` once, gathers the survivors ``|x_i| > level`` once and runs each
+family on them alone, bit for bit the dense loss; the selector's candidate
+levels are computed once per call.  An experiment keeps three buffers of
+``8 max(2**14, n)`` bytes on its thread (``gauss._kept``), 2.4 MB at
+n = 1e5, for the largest n that thread has run: the draws, formed in
+place and overwritten by the next block or call once the statistic has
+returned, ``|x|`` and the residuals.  The next call reuses them
 instead of faulting fresh pages in.
 """
 
@@ -85,9 +86,11 @@ __all__ = [
 
 
 def _check_ball(p: float, radius: float, weak: bool = False) -> None:
-    """The l_p ball of a least-favorable signal: ``p >= 0``, a finite positive radius."""
+    """An l_p ball: ``p >= 0`` and a finite positive radius, a fraction at most 1 for ``p = 0``."""
     if not (p >= 0.0 and 0.0 < radius < math.inf):
         raise ValueError("need p >= 0 and 0 < radius < inf")
+    if p == 0.0 and radius > 1.0:
+        raise ValueError("an l_0 radius is a fraction: need radius <= 1 for p = 0")
     if weak and p == 0.0:
         raise ValueError("weak balls require p > 0")
 
@@ -254,35 +257,36 @@ def _row_losses(theta: np.ndarray, estimates) -> np.ndarray:
     return np.array([float(d @ d) for d in estimates - theta])
 
 
-def _threshold_losses(theta: np.ndarray, x, absx, lam, family: ThresholdFamily) -> np.ndarray:
-    """``||t(row, lam_row) - theta||^2`` for each row of a (B, n) block ``x``.
+def _threshold_losses(theta: np.ndarray, families, level):
+    """The block statistic of every experiment: a (B, n) block ``x`` maps to
+    the (B, len(families)) losses ``||t(row, lam_row) - theta||^2``.
 
-    ``absx`` holds the block's magnitudes and ``lam`` a (B,) array of
-    levels.  Every family maps ``|x_i| <= lam`` to a signed zero, whose
-    residual ``+-0 - theta_i`` squares to ``theta_i^2``, so the family runs
-    on the survivors ``|x_i| > lam`` alone.  Their residuals are scattered
-    into a kept buffer whose rows otherwise hold ``-theta``, and each row's
-    loss is its own dot product: it sees the values of the dense
+    ``level`` is an ``FdrConfig``, whose selection (``_block_lambdas``) gives
+    each row's level from candidate levels kept across the blocks, or a
+    level, or a (B,) array of levels.  Every family maps ``|x_i| <= lam``
+    to a signed zero, whose residual ``+-0 - theta_i`` squares to
+    ``theta_i^2``, so the survivors ``|x_i| > lam`` are gathered once and
+    each family runs on them alone.  Their residuals are scattered into a
+    kept buffer whose rows otherwise hold ``-theta``, and each row's loss
+    is its own dot product: it sees the values of the dense
     ``t(x, lam) - theta`` in the same order.
     """
-    at = np.flatnonzero(absx > lam[:, None])
-    rows, cols = np.divmod(at, x.shape[1])
-    err = apply_family(x.take(at), lam[rows], family)
-    err -= theta.take(cols)
-    with _kept(x.shape) as resid:
-        np.negative(theta, out=resid)
-        resid.reshape(-1)[at] = err
-        return np.array([float(d @ d) for d in resid])
-
-
-def _fdr_losses(theta: np.ndarray, family: ThresholdFamily, config: FdrConfig):
-    """The block statistic: per row, the squared loss of ``family`` at the selected level."""
     store = {}
 
     def statistic(x):
-        with _kept(x.shape) as absx:
+        with _kept(x.shape) as absx, _kept(x.shape) as resid:
             np.abs(x, out=absx)
-            return _threshold_losses(theta, x, absx, _block_lambdas(absx, config, store), family)
+            fixed = not isinstance(level, FdrConfig)
+            lam = np.broadcast_to(level, len(x)) if fixed else _block_lambdas(absx, level, store)
+            at = np.flatnonzero(absx > lam[:, None])
+            rows, cols = np.divmod(at, x.shape[1])
+            survivors, lam_at, theta_at = x.take(at), lam[rows], theta.take(cols)
+            np.negative(theta, out=resid)
+            losses = []
+            for family in families:
+                resid.reshape(-1)[at] = apply_family(survivors, lam_at, family) - theta_at
+                losses.append([float(d @ d) for d in resid])
+        return np.transpose(losses)
 
     return statistic
 
@@ -457,7 +461,7 @@ def regret_experiment(
     theta = np.asarray(theta, dtype=float)
     exact_total = optimal_levels(EmpiricalPrior.from_vector(theta))[1] * theta.size
 
-    loss = _fdr_losses(theta, family, config)
+    loss = _threshold_losses(theta, (family,), config)
     oracle_fields = (None, None, None)
     if strong:
         statistic = lambda x: np.column_stack((loss(x), oracle_loss_min(x, theta)[1]))
@@ -465,7 +469,7 @@ def regret_experiment(
         oracle_ratio = mc.mean / oracle.mean if oracle.mean > 1e-10 else math.nan
         oracle_fields = (oracle.mean, oracle.std_error, oracle_ratio)
     else:
-        mc = mc_mean(theta, loss, replicates, seed)
+        (mc,) = mc_mean(theta, loss, replicates, seed)
     degenerate = exact_total < 1e-10
     ratio = math.nan if degenerate else mc.mean / exact_total
     # the hashed fields keep antithetic=False: another set would move every fingerprint
@@ -505,7 +509,6 @@ def common_mean_experiment(
     The sample-mean comparator has total risk exactly 1; thresholding wins
     whenever the common mean is small against ``1/sqrt(n)``.
     """
-    soft_fam = ThresholdFamily("soft")
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
     n = _integer("n", n)
     if n < 1:
@@ -514,16 +517,12 @@ def common_mean_experiment(
     prior = EmpiricalPrior.from_vector(theta)
     exact_total = optimal_levels(prior)[1] * n
 
-    store = {}
+    fdr = _threshold_losses(theta, (ThresholdFamily("soft"), firm_fam), config)
 
     def losses(x: np.ndarray) -> np.ndarray:
         # one selection serves both families; the comparator is the row mean
-        with _kept(x.shape) as absx:
-            np.abs(x, out=absx)
-            level = _block_lambdas(absx, config, store)
-            soft, firm = (_threshold_losses(theta, x, absx, level, fam) for fam in (soft_fam, firm_fam))
         means = np.array([row.mean() for row in x])[:, None]
-        return np.column_stack((soft, firm, _row_losses(theta, means)))
+        return np.column_stack((fdr(x), _row_losses(theta, means)))
 
     soft, firm, sample = mc_mean(theta, losses, replicates, seed)
     fp = _fingerprint(
@@ -565,7 +564,7 @@ def minimax_ball_experiment(
     n = _integer("n", n)
     bench = minimax_benchmark(n, p, radius, weak=weak)
     theta = least_favorable(n, p, radius, weak)
-    mc = mc_mean(theta, _fdr_losses(theta, family, config), replicates, seed)
+    (mc,) = mc_mean(theta, _threshold_losses(theta, (family,), config), replicates, seed)
     # the label keeps the text of the signal's former description, level=None
     # included, and antithetic=False stays: another text would move every fingerprint
     fp = _fingerprint(
@@ -606,12 +605,8 @@ def concentration_check(
     n = EmpiricalPrior.from_vector(theta).n  # the prior owns the n * max|theta|^2 rule
     level = _check_level(float(level))
 
-    def scaled_loss(x):
-        with _kept(x.shape) as absx:
-            np.abs(x, out=absx)
-            return np.sqrt(_threshold_losses(theta, x, absx, np.full(x.shape[0], level), family) / n)
-
-    samples = _samples(theta, scaled_loss, replicates, seed)
+    losses = _samples(theta, _threshold_losses(theta, (family,), level), replicates, seed)
+    samples = np.sqrt(losses[:, 0] / n)
     var = float(samples.var(ddof=1))
     centered = samples - samples.mean()
     m4 = float(np.mean(centered**4))

@@ -617,6 +617,7 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_EXPERIMENT, "kind = minimax\np = -1\nradius = 0.1\n"),
         (_EXPERIMENT, "kind = minimax\np = 2.5\nradius = 0.1\n"),
         (_EXPERIMENT, "kind = minimax\np = 0\nweak = true\nradius = 0.1\n"),
+        (_EXPERIMENT, "kind = minimax\np = 0\nradius = 2\n"),
         (_EXPERIMENT, "kind = minimax\np = 1\nradius = nan\n"),
         (_EXPERIMENT, "kind = regret\nfamily = firm\nfirm_slope = 2.5\n"),
         (_EXPERIMENT, "kind = regret\nfamily = interpolated\nweight = 2\n"),

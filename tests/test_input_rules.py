@@ -27,6 +27,7 @@ PRIOR = EmpiricalPrior.from_atoms([0.0, 2.0])
 X = np.array([0.5, -3.0, 1.0])
 LEVEL = "level must be >= 0"
 BALL = "need p >= 0 and 0 < radius < inf"
+L0_RADIUS = "an l_0 radius is a fraction: need radius <= 1 for p = 0"
 BENCHMARK = "benchmark must be a finite normal float: radius is out of range for n"
 ENERGY = "n * max|theta|^2 must be finite"
 SEED = "seed must be >= 0 and < 2**128"
@@ -79,6 +80,13 @@ CASES = {
     "benchmark-overflow": (lambda: minimax_benchmark(10, 1.5, 1e300), ValueError, BENCHMARK),
     "ball-experiment-inf-radius": (
         lambda: minimax_ball_experiment(20, 1.0, math.inf, 4, 1), ValueError, BALL
+    ),
+    # for p = 0 the radius is the fraction of nonzero coordinates
+    "minimax-level-l0-radius-2": (lambda: minimax_level(100, 0.0, 2.0), ValueError, L0_RADIUS),
+    "benchmark-l0-radius-2": (lambda: minimax_benchmark(100, 0.0, 2.0), ValueError, L0_RADIUS),
+    "least-favorable-l0-radius-2": (lambda: least_favorable(100, 0.0, 2.0), ValueError, L0_RADIUS),
+    "ball-experiment-l0-radius-2": (
+        lambda: minimax_ball_experiment(100, 0.0, 2.0, 4, 1), ValueError, L0_RADIUS
     ),
     # spike signals
     "spikes-negative-count": (lambda: spikes(0, -1, 1.0), ValueError, "count must be >= 0"),

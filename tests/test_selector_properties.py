@@ -9,6 +9,7 @@ second time with the top-K candidate cuts forced at every n, and blocks of
 rows are checked row by row.
 """
 
+import dataclasses
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
@@ -186,18 +187,26 @@ def _assert_block_matches_rows(x, alpha1, alpha2):
         assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)
         assert u == _brute_step_up(row, alpha1)
         assert d == _brute_step_down(row, alpha2)
-    config = FdrConfig(
-        alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2,
-        delta1=0.1, delta2=0.3, interp=0.4,
-    )
-    lambdas = selector._block_lambdas(np.abs(x), config, {})
-    assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
+    # the one interval rule: its exact ends w = 0 and 1, and a point inside
+    for interp in (0.0, 0.4, 1.0):
+        config = FdrConfig(
+            alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2,
+            delta1=0.1, delta2=0.3, interp=interp,
+        )
+        traces = [select_lambda(row, config) for row in x]
+        for trace in traces:
+            fields = dataclasses.astuple(trace)
+            assert [type(v) for v in fields] == [float] * 5 + [int]
+        lambdas = selector._block_lambdas(np.abs(x), config, {})
+        assert lambdas.tolist() == [trace.lambda_hat for trace in traces]
 
 
 @SETTINGS
 @given(blocks())
 @example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.2))
 @example((np.array([[0.0], [2.5], [45.0]]), 0.2, 0.1))
+# a finite step-up level with an infinite step-down level
+@example((np.array([[1.5], [0.0], [2.5]]), 0.2, 0.1))
 @example(_block_on_level(0.2))
 @example(_block_on_level(0.2, 0.0))
 @example(_block_on_level(0.2, np.inf))

@@ -360,6 +360,8 @@ def _loss_block(rng, rows, theta):
 
 
 class TestSurvivorLosses:
+    """The one block statistic of the experiments, ``_threshold_losses``."""
+
     families = TestBlocks.families
 
     @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
@@ -369,12 +371,13 @@ class TestSurvivorLosses:
         n = 41
         spikes = np.where(rng.random(n) < 0.3, rng.uniform(-4.0, 4.0, size=n), 0.0)
         for theta in (spikes, np.zeros(n), -np.abs(spikes) - 0.5):
-            # the kept residual buffer is refilled for each block, also for a smaller one
+            # the kept buffers are refilled for each block, also for a smaller one
             for size in (rows, rows, max(1, rows // 3)):
                 x, lam = _loss_block(rng, size, theta)
-                got = simulate._threshold_losses(theta, x, np.abs(x), lam, family)
+                got = simulate._threshold_losses(theta, (family,), lam)(x)
                 want = simulate._row_losses(theta, apply_family(x, lam[:, None], family))
-                assert got.tobytes() == want.tobytes()
+                assert got.shape == (size, 1)
+                assert got[:, 0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", families, ids=lambda f: f.kind)
     def test_experiments_match_dense_losses(self, family):
@@ -385,7 +388,32 @@ class TestSurvivorLosses:
         config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05)
         lam = np.array([select_lambda(row, config).lambda_hat for row in x])
         want = simulate._row_losses(theta, apply_family(x, lam[:, None], family))
-        assert simulate._fdr_losses(theta, family, config)(x).tobytes() == want.tobytes()
+        assert simulate._threshold_losses(theta, (family,), config)(x)[:, 0].tobytes() == want.tobytes()
+
+    def test_families_share_one_pass(self):
+        # each column of a two-family statistic is that family's own statistic, bit for bit
+        rng = np.random.default_rng(33)
+        theta = spikes(41, 8, 2.5)
+        config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05, interp=0.5)
+        pair = (ThresholdFamily("soft"), ThresholdFamily("firm", firm_slope=1.5))
+        for rows in (16, 1, 5):
+            x, lam = _loss_block(rng, rows, theta)
+            for level in (config, lam):
+                got = simulate._threshold_losses(theta, pair, level)(x)
+                assert got.shape == (rows, 2)
+                for j, family in enumerate(pair):
+                    alone = simulate._threshold_losses(theta, (family,), level)(x)
+                    assert got[:, j].tobytes() == alone[:, 0].tobytes()
+
+    @pytest.mark.parametrize("level", [0.0, 1.3, math.inf])
+    def test_float_level_is_a_row_of_levels(self, level):
+        rng = np.random.default_rng(34)
+        theta = spikes(41, 8, 2.5)
+        for rows in (16, 3):
+            x = theta + rng.standard_normal((rows, 41))
+            got = simulate._threshold_losses(theta, self.families, level)(x)
+            want = simulate._threshold_losses(theta, self.families, np.full(rows, level))(x)
+            assert got.tobytes() == want.tobytes()
 
 
 def _in_fresh_thread(fn):
@@ -622,7 +650,8 @@ class TestSignalGenerator:
         # n radius^p / level^p overflows: every coordinate is a spike
         theta = least_favorable(10, 1.5, 1e300)
         np.testing.assert_array_equal(theta, np.full(10, minimax_level(10, 1.5, 1e300)))
-        theta = least_favorable(10, 0.0, 1e308)
+        # an l_0 radius is a fraction: at its largest, 1, every coordinate is a spike at level 1
+        theta = least_favorable(10, 0.0, 1.0)
         np.testing.assert_array_equal(theta, np.ones(10))
         # level^p overflows alone: the ball holds fewer spikes than one
         theta = least_favorable(10, 2000.0, 0.5)
@@ -658,6 +687,8 @@ class TestMinimaxFormula:
         for n in (1, 2, 10, 1000, 10**6):
             for p in (0.0, 0.3, 1.0, 1.5, 1.99, 3.0):
                 for radius in (1e-300, 1e-12, 1e-3, 0.05, 0.5, 1.0, 7.0, 1e12):
+                    if p == 0.0 and radius > 1.0:
+                        continue  # an l_0 radius is a fraction
                     pp = p if p > 0.0 else 1.0
                     try:
                         inner = min(float(n), radius**-pp)
