@@ -31,15 +31,22 @@ Both answers lie among the largest magnitudes.  For any ``K >= k_hat``,
 ``K = n``, the count ``K <- N(xi_K)`` never drops below ``k_hat`` (the
 threshold form ``t_BH = sup{t : n t / R(t) <= alpha}`` of Storey, Taylor
 and Siegmund, 2004).  From about 500 observations on, a one-row selection
-keeps only the magnitudes at or above ``xi_K (1 - 1e-12)`` (the slack
-covers ulp-level wobble of the computed levels) and repeats while that set
-at least halves, which bounds the steps by ``log2 n``; with the largest
-magnitude below the last cut appended, the kept set is a prefix of the
-sorted magnitudes that holds every step-up hit and, when
-``alpha2 <= alpha1``, nearly always the first step-down miss.  Only that
-prefix is sorted and compared.  When the step-down scan still finds no
-miss before the end of a prefix shorter than ``n``, every magnitude is
-sorted and compared instead.
+runs these cuts at the larger slope ``a* = max(alpha1, alpha2)``: it keeps
+only the magnitudes at or above ``xi*_K (1 - 1e-12)`` (the slack covers
+ulp-level wobble of the computed levels) and repeats while that set at
+least halves, which bounds the steps by ``log2 n``.  What it keeps is a
+prefix ``P`` of the sorted magnitudes that ends both scans:
+
+1. every hit of either rule is in ``P``: a hit at a slope ``a <= a*`` is
+   also a hit at ``a*``, whose levels are no higher, and the count above
+   keeps every ``a*`` hit at or above each cut;
+2. the magnitude after ``P`` is a miss of both rules: it lies below the
+   last cut that dropped anything, made at some size ``S >= |P| + 1``, so
+   below ``xi*_S (1 - 1e-12) <= xi_{|P|+1}`` at either slope.
+
+So the step-up scan finds its last hit in ``P`` and the step-down scan its
+first miss in ``P`` or right after it.  Only ``P`` is sorted and compared;
+when the cuts drop every magnitude, the largest one alone stands for it.
 
 Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
 (B, m) block of sorted prefixes, one row per observation vector of the same
@@ -166,31 +173,25 @@ def exceed_count(x, t):
 
 
 def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
-    """The largest entries of ``absx`` in decreasing order: every ``m_(k) >=
-    xi_k`` at slope ``alpha``, then the next one.
+    """The entries of ``absx`` at or above the last cut at slope ``alpha``, in
+    decreasing order: all of ``absx`` when no cut drops anything, and its
+    largest entry alone when the cuts drop everything.
 
-    The whole of ``absx``, sorted, when no cut drops anything.  The cuts
-    are counts over all of ``absx``: the levels only rise, so the set a cut
-    keeps is ``{absx >= level}``.  Only the set before the last cut that
-    dropped anything is gathered.
+    The cuts are counts over all of ``absx``: the levels only rise, so the
+    set a cut keeps is ``{absx >= level}``, and only the last one is gathered.
     """
     n = absx.size
-    size, level, floor = n, 0.0, None
+    size, level = n, 0.0
     while True:
-        cut = max(level, float(_levels_at(n, alpha, np.array([size]))[0]) * (1.0 - _TOPK_SLACK))
-        count = int(np.count_nonzero(absx >= cut))
-        if count < size:
-            floor = level
-        level = cut
+        level = max(level, float(_levels_at(n, alpha, np.array([size]))[0]) * (1.0 - _TOPK_SLACK))
+        count = int(np.count_nonzero(absx >= level))
         halved = 2 * count <= size
         size = count
         if not (halved and size > _TOPK_STOP):
             break
-    if floor is None:
-        return np.sort(absx)[::-1]
-    pool = absx[absx >= floor] if floor > 0.0 else absx
-    below = pool < level
-    return np.append(np.sort(pool[~below])[::-1], pool[below].max())
+    if size == 0:
+        return absx.max(keepdims=True)
+    return np.sort(absx[absx >= level])[::-1]
 
 
 def _prefix_levels(store: dict, n: int, alpha: float, m: int) -> np.ndarray:
@@ -202,14 +203,24 @@ def _prefix_levels(store: dict, n: int, alpha: float, m: int) -> np.ndarray:
     return xi[:m]
 
 
-def _levels_from(mags, n: int, alpha1: float, alpha2: float, store: dict):
-    """Per row of sorted prefixes: ``k_hat`` (the last step-up hit) and
-    ``xi_{k_hat}`` at slope ``alpha1``, and ``xi_{k'-1}`` at slope ``alpha2``
-    for the first step-down miss ``k' >= 2`` (``m + 1`` without one).  A
-    level is +inf when its rule rejects nothing.  None when the prefixes are
-    shorter than ``n`` and a row that reaches ``xi_1`` has no such miss.
+def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
+    """The selection core, on each row of a (B, n) block of magnitudes.
+
+    Returns per row ``k_hat`` (the last step-up hit) and ``xi_{k_hat}`` at
+    slope ``alpha1``, and ``xi_{k'-1}`` at slope ``alpha2`` for the first
+    step-down miss ``k' >= 2`` (``m + 1`` for a sorted prefix of ``m``
+    magnitudes without one).  A level is +inf when its rule rejects nothing;
+    ``store`` keeps the candidate levels (see ``_prefix_levels``).  A one-row
+    block of ``n >= _TOPK_MIN_N`` sorts and compares only its top-K prefix,
+    cut at the larger slope (see the module docstring); other blocks sort
+    every row in full.
     """
-    count, size = mags.shape
+    count, n = absx.shape
+    if count == 1 and n >= _TOPK_MIN_N:
+        mags = _top_magnitudes(absx[0], max(alpha1, alpha2))[None]
+    else:
+        mags = np.sort(absx, axis=1)[:, ::-1]
+    size = mags.shape[1]
     xi1 = _prefix_levels(store, n, alpha1, size)
     up_hit = mags >= xi1
     k_hat = np.where(up_hit.any(axis=1), size - np.argmax(up_hit[:, ::-1], axis=1), 0)
@@ -220,27 +231,8 @@ def _levels_from(mags, n: int, alpha1: float, alpha2: float, store: dict):
     ends = np.ones((count, size), dtype=bool)
     np.logical_not(down_hit[:, 1:], out=ends[:, :-1])
     last = np.argmax(ends, axis=1)  # k' - 2, the index of xi_{k'-1}
-    reached = down_hit[:, 0]
-    if size < n and (reached & (last == size - 1)).any():
-        return None
     up = np.where(k_hat > 0, xi1[k_hat - 1], math.inf)
-    return k_hat, up, np.where(reached, xi2[last], math.inf)
-
-
-def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
-    """The selection core, on each row of a (B, n) block of magnitudes.
-
-    Returns per row the step-up rejection count and level at slope
-    ``alpha1`` and the step-down level at slope ``alpha2``; ``store`` keeps
-    the candidate levels (see ``_prefix_levels``).  A one-row block may
-    take the top-K path; larger blocks sort every row in full.
-    """
-    n = absx.shape[1]
-    if absx.shape[0] == 1 and n >= _TOPK_MIN_N:
-        levels = _levels_from(_top_magnitudes(absx[0], alpha1)[None], n, alpha1, alpha2, store)
-        if levels is not None:
-            return levels
-    return _levels_from(np.sort(absx, axis=1)[:, ::-1], n, alpha1, alpha2, store)
+    return k_hat, up, np.where(down_hit[:, 0], xi2[last], math.inf)
 
 
 def _select_levels(x, alpha1: float, alpha2: float) -> tuple[int, float, float]:

@@ -348,19 +348,24 @@ def oracle_loss_min(x, theta):
     ``x`` may also be a (B, n) block of draws around the same ``theta``;
     the result is then a pair of arrays ``(levels, losses)`` whose entries
     equal the one-draw results on each row, bit for bit.
+
+    Every term of a segment's loss is at most ``4 n M^2`` with ``M =
+    max(max|x|, max|theta|)``, so an input where that bound is not finite
+    (NaN and infinities included) is refused before any of them is formed.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or x.ndim not in (1, 2) or x.shape[-1] != theta.size or x.size == 0:
         raise ValueError("x must be a nonempty vector or block of rows matching the 1-d theta")
-    if not (np.isfinite(x).all() and np.isfinite(theta).all()):
-        raise ValueError("x and theta must be finite")
     block = x.reshape(-1, theta.size)
     count, n = block.shape
     # Buffers are reused and dropped once dead: each full-size temporary
     # costs page faults.  ``order`` holds flat indices into the block, except
     # while ``theta`` is gathered.
     absx = np.abs(block)
+    bound = max(float(absx.max()), float(np.abs(theta).max()))
+    if not 4.0 * n * bound * bound < math.inf:
+        raise ValueError("4 n max(|x|, |theta|)^2 must be finite")
     order = np.argsort(absx, axis=1)
     rows = np.arange(count)
     start = rows[:, None] * n

@@ -374,16 +374,75 @@ _EXPERIMENT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind", list(_EXPERIMENT_SHA256))
+# configs on the paths the small pins above miss: one-row top-K blocks (regret at
+# n = 20 000 with interp = 1 and alpha2 < alpha1, hard at n = 10 000, common_mean at
+# n = 9000 with interp = 0.5) and a firm family with both deltas on 8-row blocks.
+# The hashes were taken from the code before the top-K prefix lost the magnitude
+# it appended after the last cut.
+_PATH_EXPERIMENT_CFG = {
+    "regret_top_k": "kind = regret\nn = 20000\nspike_count = 200\nspike_value = 3.5\n"
+    "replicates = 4\nalpha2 = 0.04\ninterp = 1\n",
+    "firm_deltas": "kind = regret\nn = 2048\nspike_count = 40\nspike_value = 3.0\n"
+    "replicates = 24\nfamily = firm\nfirm_slope = 1.8\ndelta1 = 0.1\ndelta2 = 0.3\n"
+    "interp = 0.4\n",
+    "hard": "kind = regret\nn = 10000\nspike_count = 50\nspike_value = 4.0\nreplicates = 4\n"
+    "family = hard\nallow_hard = true\n",
+    "common_mean_interp": "kind = common_mean\nn = 9000\nmu = 0.005\nreplicates = 4\n"
+    "interp = 0.5\n",
+}
+_PATH_EXPERIMENT_SHA256 = {
+    "regret_top_k": "6f8424e49e7f8c8da4e15db12a0492ba4e050ee262daef684cf78a695877ae9f",
+    "firm_deltas": "65f7824bdea8dedc0caa652063b21ce6e20bff258f897bb08681ced6abfa63f9",
+    "hard": "3344320dc10f4dd6c877eb751f8e1fed8c69c258fceb45c75c1c16ce466e53c0",
+    "common_mean_interp": "8c18bfb03d66429c49ecb0379bfa5c1ab170b5eb7ca10158ec19c87adf8e6677",
+}
+_PINNED_CFG = {**_EXPERIMENT_CFG, **_PATH_EXPERIMENT_CFG}
+_PINNED_SHA256 = {**_EXPERIMENT_SHA256, **_PATH_EXPERIMENT_SHA256}
+
+
+@pytest.mark.parametrize("kind", list(_PINNED_SHA256))
 def test_experiment_bytes_pinned(tmp_path, kind):
-    cfg = write(tmp_path / "e.cfg", _EXPERIMENT_CFG[kind])
+    cfg = write(tmp_path / "e.cfg", _PINNED_CFG[kind])
     digest = hashlib.sha256()
     for seed in ("1", "2", "3"):
         out = tmp_path / seed
         assert run("experiment", "--config", cfg, "--out", str(out), "--seed", seed) == 0
         for name in ("experiment.csv", "experiment.json"):
             digest.update((out / name).read_bytes())
-    assert digest.hexdigest() == _EXPERIMENT_SHA256[kind]
+    assert digest.hexdigest() == _PINNED_SHA256[kind]
+
+
+# the default selector, and alpha2 < alpha1 with both deltas, interp inside the
+# interval and a firm family; every estimate of n >= 512 takes the top-K path
+_ESTIMATE_SELECTOR = {
+    "default": "",
+    "interval": "alpha1 = 0.1\nalpha2 = 0.05\nalpha1p = 0.2\nalpha2p = 0.02\n"
+    "delta1 = 0.05\ndelta2 = 0.2\ninterp = 0.7\nfamily = firm\n",
+}
+# the SHA-256 of estimate.csv then estimate.json for the inputs of seeds 1, 2 and 3
+# in turn, taken like _PATH_EXPERIMENT_SHA256
+_ESTIMATE_SHA256 = {
+    (5000, "default"): "f7c16d88ef634c3c8b076785b38d7dca4cf119e71be68fc80ec48290f28e3b15",
+    (5000, "interval"): "1b4314ac2c215b051380abdb7865cabb3f3c8ba6e3dec817c839c0ffdc754b18",
+    (50000, "default"): "8e8b65cf33991f4510924a67b25805fc59dd64ea603bd9e33bf12dbbc88b0b7e",
+    (50000, "interval"): "29dfdd68dd51227c6f089ba3b4d00a8bfd3a192e52aa920a86156de00bd9f3c2",
+}
+
+
+@pytest.mark.parametrize("n, selector", list(_ESTIMATE_SHA256))
+def test_estimate_bytes_pinned(tmp_path, monkeypatch, n, selector):
+    # a relative input path, since estimate.json repeats the configured one
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "e.cfg", f"input = x.bin\n{_ESTIMATE_SELECTOR[selector]}")
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        x = np.random.default_rng(seed).standard_normal(n)
+        x[: n // 50] += 3.5
+        write_vector_binary(tmp_path / "x.bin", x)
+        assert run("estimate", "--config", "e.cfg", "--out", str(seed)) == 0
+        for name in ("estimate.csv", "estimate.json"):
+            digest.update((tmp_path / str(seed) / name).read_bytes())
+    assert digest.hexdigest() == _ESTIMATE_SHA256[n, selector]
 
 
 # the library call of each _EXPERIMENT_CFG config at seed 1

@@ -17,6 +17,7 @@ from fdrthresh.simulate import (
     minimax_ball_experiment,
     minimax_benchmark,
     minimax_level,
+    oracle_loss_min,
     regret_experiment,
     spikes,
 )
@@ -34,6 +35,7 @@ SEED = "seed must be >= 0 and < 2**128"
 HARD = ThresholdFamily("hard")
 NONEMPTY = "x must be a nonempty 1-d vector"
 FINITE = "x must be finite"
+ORACLE = "4 n max(|x|, |theta|)^2 must be finite"
 
 CASES = {
     # the level domain [0, inf]; a scalar-only level rejects an array by type
@@ -139,6 +141,17 @@ CASES = {
     "common-mean-energy": (lambda: common_mean_experiment(20, 1e200, 4, 1), ValueError, ENERGY),
     "concentration-energy": (
         lambda: concentration_check([1e200, 0.0], 1.0, SOFT, 4, 1), ValueError, ENERGY
+    ),
+    # a segment loss of the pathwise oracle can overflow: it returned a NaN or
+    # -inf loss for these finite inputs
+    "oracle-huge-x": (
+        lambda: oracle_loss_min(np.array([1e200, 0.5]), np.zeros(2)), ValueError, ORACLE
+    ),
+    "oracle-square-overflow": (
+        lambda: oracle_loss_min(np.array([1.2e154]), np.zeros(1)), ValueError, ORACLE
+    ),
+    "oracle-error-overflow": (
+        lambda: oracle_loss_min(np.array([9e153]), np.array([-9e153])), ValueError, ORACLE
     ),
     # the Monte Carlo engine: replicates and the Philox key
     "mc-one-replicate": (lambda: mc_mean(X, np.sum, 1, 1), ValueError, "replicates must be >= 2"),

@@ -411,31 +411,38 @@ def test_top_k_above_cutoff(case, ratio):
 
 
 @SETTINGS
-@given(observations(), st.floats(0.01, 1.0))
-def test_step_down_beyond_the_prefix_falls_back(case, ratio):
-    # without the magnitude below the last cut the step-down scan may reach
-    # the end of the prefix, and selection must then use every magnitude
+@given(st.one_of(observations(), slow_cuts()), st.floats(0.01, 1.0))
+@example((np.zeros(7), 0.2), 0.5)
+@example((np.array([2.5]), 0.2), 0.5)
+@example((np.full(5, 45.0), 0.1), 0.5)
+@example(SUBNORMAL, 0.5)
+@example(CLAMPED, 0.5)
+def test_top_k_prefix_ends_both_scans(case, ratio):
+    # the prefix cut at the larger slope holds every hit of both rules, each
+    # magnitude after it is below the next level of both slopes, and the
+    # levels read off it are the exact ones
     x, alpha1 = case
-    top = selector._top_magnitudes
-
-    def drop_floor(absx, alpha):
-        mags = top(absx, alpha)
-        return mags[:-1] if mags.size > 1 else mags
-
-    @contextmanager
-    def truncated():
-        with _top_k_everywhere(), mock.patch.object(selector, "_top_magnitudes", drop_floor):
-            yield
-
-    counts = _brute_counts(x, candidate_levels(x.size, alpha1))
-    for alpha2 in _alpha2_cases(alpha1, ratio):
-        if alpha2 > 0.0:
-            _assert_same_selection(x, alpha1, alpha2, truncated, counts)
+    n = x.size
+    mags = np.sort(np.abs(x))[::-1]
+    above = [np.nextafter(alpha1, 1.0), alpha1 + (1.0 - alpha1) * ratio / 2]
+    for alpha2 in [*_alpha2_cases(alpha1, ratio), *above]:
+        if not 0.0 < alpha2 < 1.0:
+            continue
+        with _top_k_everywhere():
+            prefix = selector._top_magnitudes(np.abs(x), max(alpha1, alpha2))
+            levels = selector._select_levels(x, alpha1, alpha2)[1:]
+        assert levels == _exact_levels(x, alpha1, alpha2)
+        np.testing.assert_array_equal(prefix, mags[: prefix.size])
+        for alpha in (alpha1, alpha2):
+            assert not (mags >= candidate_levels(n, alpha))[prefix.size :].any()
+            if prefix.size < n:
+                level = selector._levels_at(n, alpha, np.array([prefix.size + 1]))[0]
+                assert mags[prefix.size] < level
 
 
 def test_alpha2_above_alpha1_matches_full_core():
-    # the prefix is cut at slope alpha1; a step-down scan at a larger slope
-    # that runs past its end falls back to every magnitude
+    # a step-down slope above the step-up slope: the prefix is cut at the
+    # larger one, so it still ends the step-down scan
     rng = np.random.default_rng(7)
     x = rng.standard_normal(2 * selector._TOPK_MIN_N)
     x[:50] += 4.0
@@ -486,7 +493,7 @@ def top_k_magnitudes(draw):
         return np.full(n, value), alpha
     mags = np.abs(rng.standard_normal(n)) * draw(st.sampled_from([0.5, 1.0, 2.0]))
     if kind == "spikes":
-        count = draw(st.integers(1, 4000))
+        count = draw(st.integers(1, min(n, 4000)))
         # spikes of a few exact values, so that they tie
         mags[rng.choice(n, count, replace=False)] = rng.choice([3.0, 5.0, 45.0], size=count)
     cuts = []
@@ -507,10 +514,14 @@ def top_k_magnitudes(draw):
 def test_count_only_cuts_match_materializing_cuts(case):
     absx, alpha = case
     for stop in (selector._TOPK_STOP, 0):
+        cuts = []
         with mock.patch.object(selector, "_TOPK_STOP", stop):
             got = selector._top_magnitudes(absx, alpha)
-            want = _materializing_top_magnitudes(absx, alpha)
-        assert got.tobytes() == want.tobytes()
+            want = _materializing_top_magnitudes(absx, alpha, cuts)
+        # the reference's kept set without the magnitude it appends after a
+        # dropping cut, or its one element when the cuts drop everything
+        kept = np.count_nonzero(absx >= cuts[-1])
+        assert got.tobytes() == (want[:kept] if kept else want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,10 @@ class TestOracleBlocks:
             oracle_loss_min(np.zeros((1, 2, 3)), np.zeros(3))
         with pytest.raises(ValueError):
             oracle_loss_min(np.full((2, 3), np.nan), np.zeros(3))
+        # finite inputs whose segment losses overflow
+        for x, theta in (([1e200, 0.5], [0.0, 0.0]), ([1.2e154], [0.0]), ([9e153], [-9e153])):
+            with pytest.raises(ValueError):
+                oracle_loss_min(np.array([x, np.zeros(len(x))]), np.array(theta))
 
 
 def _oracle_edge_cases(rng):
