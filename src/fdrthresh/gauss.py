@@ -115,12 +115,14 @@ def norm_quantile(p):
     if ((arr <= 0.0) | (arr >= 1.0)).any():
         raise ValueError("p must lie in the open interval (0, 1)")
     z = _sp.ndtri(arr)
-    # Two Newton iterations: z <- z - (Phi(z) - p)/phi(z).  Skip where the
-    # density underflows (|z| > 38).
+    # Two Newton iterations: z <- z - (Phi(z) - p)/phi(z).  Skip where
+    # Phi(z) underflows to 0 (z below about -37.7, p below about 6e-311):
+    # the step would then move an accurate ndtri value by up to 1e-3.
     for _ in range(2):
         dens = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        ok = dens > 0.0
-        step = np.where(ok, (0.5 * _sp.erfc(-z / _SQRT2) - arr), 0.0)
+        cdf = 0.5 * _sp.erfc(-z / _SQRT2)
+        ok = cdf > 0.0
+        step = np.where(ok, cdf - arr, 0.0)
         z = np.where(ok, z - step / np.where(ok, dens, 1.0), z)
     return z if arr.ndim else float(z)
 

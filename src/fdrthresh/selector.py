@@ -32,21 +32,29 @@ Both answers lie among the largest magnitudes.  For any ``K >= k_hat``,
 threshold form ``t_BH = sup{t : n t / R(t) <= alpha}`` of Storey, Taylor
 and Siegmund, 2004).  From about 500 observations on, a one-row selection
 runs these cuts at the larger slope ``a* = max(alpha1, alpha2)``: it keeps
-only the magnitudes at or above ``xi*_K (1 - 1e-12)`` (the slack covers
-ulp-level wobble of the computed levels) and repeats while that set at
-least halves, which bounds the steps by ``log2 n``.  What it keeps is a
-prefix ``P`` of the sorted magnitudes that ends both scans:
+only the magnitudes at or above a cut ``c_K`` and repeats while that set
+at least halves, which bounds the steps by ``log2 n``.  A cut is a bound,
+not a compared level: one bare ``ndtri`` value shrunk by a relative slack
+of 1e-12, so ``xi*_K (1 - 2e-12) <= c_K <= xi*_K`` (the slack covers the
+ulp-level wobble of the computed levels and the error of ``ndtri``; where
+the level's probability is clamped below 1/2 the cut is lower still).
+What the cuts keep is a prefix ``P`` of the sorted magnitudes that ends
+both scans:
 
 1. every hit of either rule is in ``P``: a hit at a slope ``a <= a*`` is
    also a hit at ``a*``, whose levels are no higher, and the count above
    keeps every ``a*`` hit at or above each cut;
 2. the magnitude after ``P`` is a miss of both rules: it lies below the
    last cut that dropped anything, made at some size ``S >= |P| + 1``, so
-   below ``xi*_S (1 - 1e-12) <= xi_{|P|+1}`` at either slope.
+   below ``c_S <= xi*_S <= xi_{|P|+1}`` at either slope.
 
 So the step-up scan finds its last hit in ``P`` and the step-down scan its
 first miss in ``P`` or right after it.  Only ``P`` is sorted and compared;
 when the cuts drop every magnitude, the largest one alone stands for it.
+Other blocks (several rows, or fewer than about 500 observations) sort
+every row and keep the columns up to the largest row count at the first
+cut ``c_n``: by fact 1 no hit lies below it, and by fact 2 at ``S = n``
+each row's first magnitude below it ends both scans.
 
 Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
 (B, m) block of sorted prefixes, one row per observation vector of the same
@@ -55,7 +63,10 @@ first miss after k = 1 of the step-down mask; both levels are read from the
 same level arrays.  The levels depend only on ``(n, alpha)``: a store kept
 by the caller holds ``xi_1..xi_m`` per slope and recomputes them only for a
 longer prefix, so a Monte Carlo run computes them once for all its blocks,
-and each one-row entry point starts a fresh store.  A ``SelectorTrace``
+and each one-row entry point starts a fresh store.  A Monte Carlo block at
+``interp = 0`` reads only the step-up level, so it runs the step-down scan
+at ``alpha1`` on the step-up levels and hits and computes no level at
+``alpha2``.  A ``SelectorTrace``
 keeps scalars only; ``candidate_levels(n, alpha)`` gives the candidate array
 and ``exceed_count(x, levels)`` the counts at any array of levels.
 """
@@ -66,6 +77,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .gauss import _as_float_array, norm_quantile
 from .thresholds import _check_observations
@@ -85,8 +97,8 @@ _P_CLAMP = 0.49999999
 
 # From this many observations on, a one-row selection sorts and compares only
 # the top magnitudes (see the module docstring).  Below it, sorting every
-# magnitude and computing every level costs less than the cuts; on a 2-core
-# x86 host the two paths cross between n = 384 and 512.
+# magnitude costs less than the cuts; on a 2-core x86 host the two paths
+# cost within 10 % of each other from n = 256 to 512.
 _TOPK_MIN_N = 512
 
 # The candidate set is cut again while it holds more than this many entries.
@@ -95,7 +107,8 @@ _TOPK_MIN_N = 512
 _TOPK_STOP = 512
 
 # Relative slack on each cut ``xi_K``: computed levels are nonincreasing in
-# k only up to a few ulps.
+# k only up to a few ulps, and a cut's bare ``ndtri`` lay within 1.1e-15
+# relative of the polished level over probabilities from subnormal to the clamp.
 _TOPK_SLACK = 1e-12
 
 
@@ -137,13 +150,24 @@ def _check_alpha(alpha: float) -> None:
 def _levels_at(n: int, alpha: float, ks: np.ndarray) -> np.ndarray:
     """Candidate levels ``xi_k`` at the 1-based integer indices ``ks``.
 
-    The one place the levels are computed: ``candidate_levels`` evaluates
-    it at every index and the selector at a prefix of them, so the two
-    agree bit for bit.
+    The one place the compared levels are computed: ``candidate_levels``
+    evaluates it at every index and the selector at a prefix of them, so
+    the two agree bit for bit.  The top-K cuts are bounds, not compared
+    levels, and come from ``_cut``.
     """
     p = alpha * ks / (2.0 * n)
     levels = np.where(p < 0.5, -norm_quantile(np.minimum(p, _P_CLAMP)), 0.0)
     return np.maximum(levels, 0.0)
+
+
+def _cut(n: int, alpha: float, size: int) -> float:
+    """The top-K cut at ``size``: ``xi_size (1 - 2 slack) <= cut <= xi_size``.
+
+    One bare ``ndtri``, shrunk by the slack.  Where ``_levels_at`` clamps
+    the probability below 1/2 the cut falls lower still, which only keeps
+    more magnitudes.
+    """
+    return -float(ndtri(alpha * size / (2.0 * n))) * (1.0 - _TOPK_SLACK)
 
 
 def candidate_levels(n: int, alpha: float) -> np.ndarray:
@@ -183,7 +207,7 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     n = absx.size
     size, level = n, 0.0
     while True:
-        level = max(level, float(_levels_at(n, alpha, np.array([size]))[0]) * (1.0 - _TOPK_SLACK))
+        level = max(level, _cut(n, alpha, size))
         count = int(np.count_nonzero(absx >= level))
         halved = 2 * count <= size
         size = count
@@ -213,13 +237,17 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
     ``store`` keeps the candidate levels (see ``_prefix_levels``).  A one-row
     block of ``n >= _TOPK_MIN_N`` sorts and compares only its top-K prefix,
     cut at the larger slope (see the module docstring); other blocks sort
-    every row in full.
+    every row in full and compare only the columns up to the largest row
+    count at the first cut.
     """
     count, n = absx.shape
+    slope = max(alpha1, alpha2)
     if count == 1 and n >= _TOPK_MIN_N:
-        mags = _top_magnitudes(absx[0], max(alpha1, alpha2))[None]
+        mags = _top_magnitudes(absx[0], slope)[None]
     else:
-        mags = np.sort(absx, axis=1)[:, ::-1]
+        # every hit of either slope lies at or above the first cut
+        keep = np.count_nonzero(absx >= _cut(n, slope, n), axis=1).max()
+        mags = np.sort(absx, axis=1)[:, ::-1][:, : max(1, keep)]
     size = mags.shape[1]
     xi1 = _prefix_levels(store, n, alpha1, size)
     up_hit = mags >= xi1
@@ -315,5 +343,8 @@ def _block_lambdas(absx: np.ndarray, config: FdrConfig, store: dict) -> np.ndarr
     """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n)
     block, from the block's magnitudes ``absx``; ``store`` keeps the candidate
     levels across the blocks of one ``n``."""
-    _, up, down = _block_levels(absx, config.alpha1, config.alpha2, store)
+    # at interp = 0 the step-down level is not read: scan it at alpha1, whose
+    # levels and hits the step-up scan already has
+    alpha2 = config.alpha1 if config.interp == 0.0 else config.alpha2
+    _, up, down = _block_levels(absx, config.alpha1, alpha2, store)
     return _interval(up, down, config)[2]

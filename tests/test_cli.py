@@ -396,8 +396,27 @@ _PATH_EXPERIMENT_SHA256 = {
     "hard": "3344320dc10f4dd6c877eb751f8e1fed8c69c258fceb45c75c1c16ce466e53c0",
     "common_mean_interp": "8c18bfb03d66429c49ecb0379bfa5c1ab170b5eb7ca10158ec19c87adf8e6677",
 }
-_PINNED_CFG = {**_EXPERIMENT_CFG, **_PATH_EXPERIMENT_CFG}
-_PINNED_SHA256 = {**_EXPERIMENT_SHA256, **_PATH_EXPERIMENT_SHA256}
+# the benchmark's selector (alpha2 = 0.1 below alpha1 = 0.2) at interp = 0, where
+# the step-down level is not read: regret on one-row top-K blocks, strong regret on
+# 16-row blocks, and the same strong regret at interp = 0.6.  The hashes were taken
+# from the code before selection skipped the unread step-down level and bounded a
+# block's sorted prefix by its first cut.
+_BENCH_SELECTOR = "alpha1 = 0.2\nalpha2 = 0.1\nalpha1p = 0.4\nalpha2p = 0.05\n"
+_BENCH_SELECTOR_CFG = {
+    "bench_top_k": "kind = regret\nn = 20000\nspike_count = 200\nspike_value = 3.5\n"
+    "replicates = 4\n" + _BENCH_SELECTOR,
+    "bench_strong": "kind = regret\nn = 1024\nspike_count = 32\nspike_value = 3.0\n"
+    "replicates = 16\nstrong = true\n" + _BENCH_SELECTOR,
+    "bench_strong_interp": "kind = regret\nn = 1024\nspike_count = 32\nspike_value = 3.0\n"
+    "replicates = 16\nstrong = true\n" + _BENCH_SELECTOR + "interp = 0.6\n",
+}
+_BENCH_SELECTOR_SHA256 = {
+    "bench_top_k": "2172031bbecf37e3921c9b381896c8a4646b9346cb1149fa33149a40cec2e0fd",
+    "bench_strong": "53808a20ec590db5731c34e673b641eb69678f53e1625a831e2a76043b75639a",
+    "bench_strong_interp": "050a31b1649c4fa4ddb2a3e61cf7c7cc35bd53e44539530d9a2630bc0e829080",
+}
+_PINNED_CFG = {**_EXPERIMENT_CFG, **_PATH_EXPERIMENT_CFG, **_BENCH_SELECTOR_CFG}
+_PINNED_SHA256 = {**_EXPERIMENT_SHA256, **_PATH_EXPERIMENT_SHA256, **_BENCH_SELECTOR_SHA256}
 
 
 @pytest.mark.parametrize("kind", list(_PINNED_SHA256))

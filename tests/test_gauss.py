@@ -88,6 +88,19 @@ class TestQuantile:
         back = norm_cdf(norm_quantile(p))
         assert np.max(np.abs(back - p)) <= 1e-12
 
+    def test_subnormal_tail(self):
+        # below p of about 6e-311 Phi underflows to 0, so a Newton step would move
+        # these quantiles by about 1e-3; 40-digit mpmath roots of log Phi(z) = log p
+        oracle = {
+            1e-320: -38.26912534303265,
+            1e-315: -37.96730035106736,
+            1e-312: -37.78504989441962,
+            2e-311: -37.705738655172226,
+            5e-311: -37.681446803061256,
+        }
+        for p, want in oracle.items():
+            assert norm_quantile(p) == pytest.approx(want, rel=1e-14)
+
     def test_strictly_increasing(self):
         p = np.linspace(1e-6, 1 - 1e-6, 2001)
         assert np.all(np.diff(norm_quantile(p)) > 0)

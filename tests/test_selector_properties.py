@@ -133,25 +133,27 @@ def test_trace_arrays_and_count(case, ratio):
 
 
 @st.composite
-def blocks(draw, max_n=40, max_rows=6):
+def blocks(draw, max_n=40, max_rows=6, all_hits=True):
     """``(x, alpha1, alpha2)``: a (B, n) block of adversarial rows.
 
     Rows mix magnitudes on, or one ulp beside, a candidate level of either
-    slope with ties, zeros and magnitudes of 38 and more; every block also
-    holds an all-zero row, which selects nothing, and a row of all hits.
+    slope or the first top-K cut with ties, zeros, 45.0 and magnitudes of 38
+    and more; every block also holds an all-zero row, which selects nothing,
+    and unless ``all_hits`` is false a row of all hits.
     """
     alpha1 = draw(ALPHAS)
     alpha2 = draw(st.sampled_from([alpha1, np.nextafter(alpha1, 0.0), 0.3 * alpha1]))
     n = draw(st.integers(1, max_n))
     levels = np.concatenate((candidate_levels(n, alpha1), candidate_levels(n, alpha2)))
     index = st.integers(0, levels.size - 1)
+    cut = selector._cut(n, alpha1, n)
     piece = st.one_of(
         st.floats(0.0, 8.0),
         index.map(lambda k: levels[k]),
         st.tuples(index, st.sampled_from([-np.inf, np.inf])).map(
             lambda t: np.nextafter(levels[t[0]], t[1])
         ),
-        st.just(0.0),
+        st.sampled_from([0.0, cut, np.nextafter(cut, 0.0), 45.0]),
         st.floats(38.0, 1e3),
     )
     row = st.one_of(
@@ -159,7 +161,9 @@ def blocks(draw, max_n=40, max_rows=6):
         # ties: a few values repeated along the row
         st.lists(piece, min_size=1, max_size=3).map(lambda v: np.resize(np.array(v), n)),
     )
-    rows = draw(st.lists(row, min_size=0, max_size=max_rows)) + [np.zeros(n), np.full(n, 1e3)]
+    rows = draw(st.lists(row, min_size=0, max_size=max_rows)) + [np.zeros(n)]
+    if all_hits:
+        rows.append(np.full(n, 1e3))
     order = draw(st.permutations(range(len(rows))))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     return np.stack([rows[i] for i in order]) * np.array(signs), alpha1, alpha2
@@ -217,14 +221,32 @@ def test_block_core_matches_rows_and_brute_force(case):
     _assert_block_matches_rows(*case)
 
 
+@SETTINGS
+@given(blocks(all_hits=False))
+@example((np.array([[45.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), 0.2, 0.1))
+@example((np.zeros((2, 5)), 0.2, 0.2))
+@example((np.full((3, 60), 45.0), 0.05, 0.015))
+def test_block_prefix_bound_changes_no_level(case):
+    # a block keeps only the sorted columns up to the largest row count at the
+    # first cut; every level equals the one read off all n columns
+    x, alpha1, alpha2 = case
+    absx = np.abs(x)
+    got = selector._block_levels(absx, alpha1, alpha2, {})
+    with mock.patch.object(selector, "_cut", lambda n, alpha, size: 0.0):
+        want = selector._block_levels(absx, alpha1, alpha2, {})
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 @st.composite
 def block_runs(draw):
     """``(blocks, config)``: blocks of one ``n`` at or above the top-K cutoff.
 
-    One-row blocks take the top-K path and read a prefix of the levels;
-    blocks of several rows read all ``n`` of them.  The run starts and ends
-    with a one-row block and holds a full block in between, so the levels
-    kept across the blocks grow and are then read shorter.
+    One-row blocks take the top-K path and blocks of several rows a sorted
+    prefix bounded by the first cut; each reads a prefix of the levels.  The
+    run starts and ends with a one-row block and holds a three-row block
+    before the last, so the levels kept across the blocks are read at several
+    lengths.
     """
     n = draw(st.integers(selector._TOPK_MIN_N, 2 * selector._TOPK_MIN_N))
     alpha1 = draw(st.sampled_from([0.05, 0.2, 0.5]))
@@ -246,18 +268,21 @@ def block_runs(draw):
 @given(block_runs())
 def test_shared_levels_never_change_a_level(case):
     blocks, config = case
-    store, prefixes = {}, []
+    store = {}
     levels = selector._prefix_levels
 
     def spy(store, n, alpha, m):
-        prefixes.append(m)
-        return levels(store, n, alpha, m)
+        held = store.get((n, alpha))
+        xi = levels(store, n, alpha, m)
+        # the store grows only when asked for a longer prefix than it holds
+        if held is not None and held.size >= m:
+            assert store[n, alpha] is held
+        else:
+            assert store[n, alpha].size == m
+        return xi
 
     with mock.patch.object(selector, "_prefix_levels", spy):
         got = [selector._block_lambdas(np.abs(x), config, store) for x in blocks]
-    n = blocks[0].shape[1]
-    # a full block read all n levels, and a later one-row block read fewer
-    assert n in prefixes and min(prefixes[prefixes.index(n):]) < n
     for x, lambdas in zip(blocks, got):
         assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
 
@@ -458,9 +483,7 @@ def _materializing_top_magnitudes(absx, alpha, cuts=None):
     n = absx.size
     cand, pool, cut = absx, None, 0.0
     while True:
-        level = float(selector._levels_at(n, alpha, np.array([cand.size]))[0]) * (
-            1.0 - selector._TOPK_SLACK
-        )
+        level = selector._cut(n, alpha, cand.size)
         if cuts is not None:
             cuts.append(level)
         kept = cand[cand >= level]
@@ -487,7 +510,7 @@ def top_k_magnitudes(draw):
     kind = draw(st.sampled_from(["noise", "spikes", "zeros", "flat"]))
     if kind == "zeros":
         return np.zeros(n), alpha
-    first = float(selector._levels_at(n, alpha, np.array([n]))[0]) * (1.0 - selector._TOPK_SLACK)
+    first = selector._cut(n, alpha, n)
     if kind == "flat":
         value = draw(st.sampled_from([first, np.nextafter(first, 0.0), 0.5 * first, 2.0 * first]))
         return np.full(n, value), alpha
@@ -522,6 +545,34 @@ def test_count_only_cuts_match_materializing_cuts(case):
         # dropping cut, or its one element when the cuts drop everything
         kept = np.count_nonzero(absx >= cuts[-1])
         assert got.tobytes() == (want[:kept] if kept else want).tobytes()
+
+
+# slopes and sizes whose cut probabilities alpha K / (2n) run from subnormal to
+# clamped below 1/2
+_CUT_CASES = [
+    (SUBNORMAL[0].size, SUBNORMAL[1]),
+    (CLAMPED[0].size, CLAMPED[1]),
+    (1, 1e-300),
+    (2**40, 1e-300),
+    (1, 0.2),
+    (2, 0.05),
+    (2**40, 0.2),
+    (2**40, 0.999999999),
+    (10**6, 1e-6),
+]
+
+
+@pytest.mark.parametrize("n, alpha", _CUT_CASES)
+def test_cut_bounds_the_level(n, alpha):
+    # a cut lies at or below its polished level and within twice the slack of it,
+    # except where the level's probability is clamped and the cut is lower still
+    sizes = np.unique(np.append(np.geomspace(1, n, 400).round(), [2, n // 2]).astype(np.int64))
+    sizes = sizes[(sizes >= 1) & (sizes <= n)]
+    levels = selector._levels_at(n, alpha, sizes)
+    cuts = np.array([selector._cut(n, alpha, int(size)) for size in sizes])
+    assert np.all(cuts <= levels)
+    open_p = alpha * sizes / (2.0 * n) <= selector._P_CLAMP
+    assert np.all(levels[open_p] * (1.0 - 2.0 * selector._TOPK_SLACK) <= cuts[open_p])
 
 
 # ---------------------------------------------------------------------------
