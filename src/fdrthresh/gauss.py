@@ -85,10 +85,21 @@ def _kept(shape):
         store.append(buf)
 
 
+def _pdf(x):
+    """``norm_pdf`` without the NaN check: the package's internal evaluations
+    of already checked levels and atoms."""
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def _cdf(x):
+    """``norm_cdf`` without the NaN check."""
+    return 0.5 * _sp.erfc(-x / _SQRT2)
+
+
 def norm_pdf(x):
     """Density of N(0, 1) at ``x`` (scalar or array)."""
     arr = _as_float_array(x, "x")
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
+    out = _pdf(arr)
     return out if arr.ndim else float(out)
 
 
@@ -98,7 +109,7 @@ def norm_cdf(x):
     Infinite inputs map to exact 0.0 / 1.0.
     """
     arr = _as_float_array(x, "x")
-    out = 0.5 * _sp.erfc(-arr / _SQRT2)
+    out = _cdf(arr)
     return out if arr.ndim else float(out)
 
 

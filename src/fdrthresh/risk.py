@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
-from .gauss import _SQRT2, _as_float_array, _bisect, _integer, _kept, norm_cdf, norm_pdf
+from .gauss import _SQRT2, _as_float_array, _bisect, _cdf, _integer, _kept, _pdf, norm_cdf, norm_pdf
 from .thresholds import _check_level
 
 __all__ = [
@@ -130,11 +130,25 @@ class EmpiricalPrior:
         return bool(np.all((self.atoms == 0.0) | (self.weights == 0.0)))
 
 
-def _survive_term(a, level, m0=None):
-    """q(a) = E (Z - level)^2 1{Z > a}; pass ``m0 = Phi(-a)`` when already known."""
-    m0 = norm_cdf(-a) if m0 is None else m0
-    dens = norm_pdf(a)
-    return (1.0 + level * level) * m0 + (a - 2.0 * level) * dens
+def _survive_term(a, level, m0):
+    """q(a) = E (Z - level)^2 1{Z > a}, given ``m0 = Phi(-a)``."""
+    return (1.0 + level * level) * m0 + (a - 2.0 * level) * _pdf(a)
+
+
+def _soft_terms(mu, level):
+    """``(R(mu, level), T(mu, level))`` at finite levels, without checks.
+
+    ``R`` is the soft risk and ``T = Phi(mu - level) + Phi(-mu - level)`` the
+    rejection probability, both from the same three ``erfc`` calls; ``T`` is
+    ``rejection_prob``'s summand bit for bit.
+    """
+    lo, hi = level - mu, level + mu
+    upper = _cdf(-hi)  # Phi(-(L + mu)), shared with q(L + mu)
+    below = _cdf(-lo)  # Phi(mu - L), shared with q(L - mu)
+    risk = mu**2 * (_cdf(lo) - upper)
+    risk += _survive_term(lo, level, below)
+    risk += _survive_term(hi, level, upper)
+    return risk, below + upper
 
 
 def soft_risk(mu, level):
@@ -146,10 +160,7 @@ def soft_risk(mu, level):
     mu_arr = _as_float_array(mu, "mu")
     mu_b, lev_b = np.broadcast_arrays(mu_arr, _check_level(level))
     finite = np.isfinite(lev_b)
-    lev_f = np.where(finite, lev_b, 1.0)
-    upper = norm_cdf(-lev_f - mu_b)  # Phi(-(L + mu)), shared with q(L + mu)
-    kill = mu_b**2 * (norm_cdf(lev_f - mu_b) - upper)
-    out = kill + _survive_term(lev_f - mu_b, lev_f) + _survive_term(lev_f + mu_b, lev_f, upper)
+    out = _soft_terms(mu_b, np.where(finite, lev_b, 1.0))[0]
     out = np.where(finite, out, mu_b**2)
     if out.ndim == 0:
         return float(out)
@@ -259,8 +270,8 @@ def _exact_slope(prior: EmpiricalPrior, level: float) -> tuple[float, float]:
     """``(R_G', R_G'')`` at ``level``: per atom ``R' = 2L T - 2[phi(L-mu) + phi(L+mu)]``
     and ``R'' = 2T - 2mu[phi(L-mu) - phi(L+mu)]``, ``T = Phi(mu-L) + Phi(-mu-L)``."""
     mu, w = prior.atoms, prior.weights
-    tail = float(w @ (norm_cdf(mu - level) + norm_cdf(-mu - level)))
-    dens_lo, dens_hi = norm_pdf(level - mu), norm_pdf(level + mu)
+    tail = float(w @ (_cdf(mu - level) + _cdf(-mu - level)))
+    dens_lo, dens_hi = _pdf(level - mu), _pdf(level + mu)
     d1 = 2.0 * (level * tail - float(w @ (dens_lo + dens_hi)))
     return d1, 2.0 * (tail - float(w @ (mu * (dens_lo - dens_hi))))
 
@@ -286,15 +297,78 @@ def _solve_slope(slope, lo: float, hi: float) -> float:
     return x
 
 
-def _minimize_level(prior: EmpiricalPrior, f, slope, level_max: float | None, *args):
+def _exact_terms(prior: EmpiricalPrior, levels: np.ndarray):
+    """``(R_G, 2 T_G)`` on an array of finite levels: the exact average risk,
+    as ``bayes_soft_risk`` gives it, and its curvature bound."""
+    risk, tail = _soft_terms(prior.atoms[:, None], levels)
+    return prior.weights @ risk, 2.0 * (prior.weights @ tail)
+
+
+def _surrogate_terms(prior: EmpiricalPrior, levels: np.ndarray, b0: float):
+    """``(S_G, C)`` on an array of levels: the surrogate risk and its curvature
+    bound from each level on, ``C(L) = 2 G(|theta| > L) + b0 u phi(u)`` at
+    ``u = max(L, 1)``."""
+    above = prior.weights @ (np.abs(prior.atoms)[:, None] > levels)
+    top = np.maximum(levels, 1.0)
+    return surrogate_risk(prior, levels, b0), 2.0 * above + b0 * top * _pdf(top)
+
+
+# The level search evaluates every _COARSE-th level of its 2048-point grid,
+# then every level of each cell whose lower bound reaches the best value.
+_COARSE = 32
+
+# Relative slack on the cell bounds, far above the rounding of the values.
+_CELL_SLACK = 1e-12
+
+
+def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray, *args) -> tuple[int, np.ndarray]:
+    """``(i, vals)``: the first index of the smallest objective value on ``grid``,
+    and the values, +inf at each level that was not evaluated.
+
+    ``terms(prior, levels, *args)`` gives the objective ``f`` and, at each
+    level ``L``, an upper bound ``C(L)`` on the curvature of ``f`` at every
+    level from ``L`` on.  On a cell ``[a, b]`` between evaluated levels
+    ``f`` is then at least ``min(f(a), f(b)) - C(a) (b - a)^2 / 8``.  Every
+    ``_COARSE``-th level and the last are evaluated first; then every level
+    of the cells whose bound is at most the best value found, plus a
+    relative slack of ``_CELL_SLACK``.  The levels of the other cells lie
+    above that value, so ``i`` is the index that evaluating the whole grid
+    gives.
+    """
+    vals = np.full(grid.size, math.inf)
+
+    def evaluate(index):
+        # runs of a multiple of 4 levels: OpenBLAS's matrix-vector product, which mixes
+        # over the atoms, rounds the last (size mod 4) levels of a run apart, and the
+        # full grid has none, so each level gets the value the full grid gives it
+        run = np.concatenate((index, index[-1:].repeat(-index.size % 4)))
+        values, curvature = terms(prior, grid[run], *args)
+        vals[index] = values[: index.size]
+        return curvature[: index.size]
+
+    ends = np.append(np.arange(0, grid.size - 1, _COARSE), grid.size - 1)
+    curvature = evaluate(ends)
+    best = vals[ends].min()
+    left, right = ends[:-1], ends[1:]
+    width = grid[right] - grid[left]
+    bound = np.minimum(vals[left], vals[right]) - curvature[:-1] * width**2 / 8.0
+    inner = (left[bound <= best + _CELL_SLACK * abs(best), None] + np.arange(1, _COARSE)).ravel()
+    inner = inner[inner < grid.size - 1]
+    if inner.size:
+        evaluate(inner)
+    return int(np.argmin(vals)), vals
+
+
+def _minimize_level(prior: EmpiricalPrior, terms, slope, level_max: float | None, *args):
     """``(level, f(prior, level, *args))`` at the minimum of ``f`` on ``[0, level_max]`` and at inf.
 
-    Scans a 2048-point grid on ``[0, level_max]``, runs a safeguarded Newton
-    solve on the closed-form ``slope`` in the best bracket (bisection when
-    the curvature is not positive or a step leaves it), keeps the grid value
-    when lower, and compares with the infinite-level limit, the prior mean
-    square: the level is +inf when the zero estimator is optimal, and the
-    risk is then the mean square.  The default ``level_max`` is
+    ``f`` is the first of ``terms``.  Finds the best level of a 2048-point
+    grid on ``[0, level_max]`` (``_grid_argmin``), runs a safeguarded Newton
+    solve on the closed-form ``slope`` in the bracket around it (bisection
+    when the curvature is not positive or a step leaves it), keeps the grid
+    value when lower, and compares with the infinite-level limit, the prior
+    mean square: the level is +inf when the zero estimator is optimal, and
+    the risk is then the mean square.  The default ``level_max`` is
     ``prior.default_level_max``.
     """
     if level_max is None:
@@ -302,14 +376,13 @@ def _minimize_level(prior: EmpiricalPrior, f, slope, level_max: float | None, *a
     if not (level_max > 0.0) or not math.isfinite(level_max):
         raise ValueError("level_max must be positive and finite")
     grid = np.linspace(0.0, level_max, 2048)
-    vals = f(prior, grid, *args)
-    i = int(np.argmin(vals))
+    i, vals = _grid_argmin(prior, terms, grid, *args)
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     edges = np.unique(np.clip(np.r_[lo, hi, np.abs(prior.atoms)], lo, hi))  # split at kinks
     x, v = float(grid[i]), float(vals[i])
     for a, b in zip(edges[:-1], edges[1:]):
         z = _solve_slope(lambda lv: slope(prior, lv, *args), float(a), float(b))
-        if (fz := float(f(prior, z, *args))) <= v:
+        if (fz := float(terms(prior, np.array([z]), *args)[0][0])) <= v:
             x, v = z, fz
     if v < prior.mean_square - 1e-12 * max(1.0, prior.mean_square):
         return x, v
@@ -320,9 +393,16 @@ def optimal_levels(prior: EmpiricalPrior, level_max: float | None = None) -> tup
     """``(level, risk)`` minimizing the exact average risk ``bayes_soft_risk``.
 
     The search is ``_minimize_level``'s: a grid on ``[0, level_max]``, a
-    Newton solve in the best bracket, and the infinite level.
+    Newton solve in the best bracket, and the infinite level.  The grid's
+    best level is certified by the curvature bound ``R_G'' <= 2 T_G``, with
+    ``T_G = rejection_prob``, which is nonincreasing in the level: per atom
+    ``R'' = 2 T - 2 mu [phi(L - mu) - phi(L + mu)]``, and the second term is
+    never negative for ``L >= 0``.  So only the cells of the grid whose
+    bound comes within a relative 1e-12 of the best value are searched
+    level by level: 158 of the 2048 levels on the n = 1024 benchmark prior
+    and 127 on the n = 1e5 one.
     """
-    return _minimize_level(prior, bayes_soft_risk, _exact_slope, level_max)
+    return _minimize_level(prior, _exact_terms, _exact_slope, level_max)
 
 
 def optimal_surrogate_level(
@@ -330,6 +410,11 @@ def optimal_surrogate_level(
 ) -> tuple[float, float]:
     """``(level, risk)`` minimizing ``surrogate_risk(prior, level, b0)``.
 
-    The search is ``optimal_levels``'s, on the surrogate's slope.
+    The search is ``optimal_levels``'s, on the surrogate's slope, with the
+    curvature bound ``2 G(|theta| > a) + b0 u phi(u)``, ``u = max(a, 1)``,
+    on the levels past ``a``: ``E_G min(theta^2, L^2)`` has curvature
+    ``2 G(|theta| > L)`` away from its concave kinks at the ``|atoms|``, and
+    ``b0 Phi(-L)`` has ``b0 L phi(L)``, which is largest at ``L = 1`` and
+    decreases after it.
     """
-    return _minimize_level(prior, surrogate_risk, _surrogate_slope, level_max, b0)
+    return _minimize_level(prior, _surrogate_terms, _surrogate_slope, level_max, b0)

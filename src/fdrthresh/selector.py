@@ -61,8 +61,8 @@ Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
 length ``n``: ``k_hat`` is the last hit of the step-up mask and ``k'`` the
 first miss after k = 1 of the step-down mask; both levels are read from the
 same level arrays.  The levels depend only on ``(n, alpha)``: a store kept
-by the caller holds ``xi_1..xi_m`` per slope and recomputes them only for a
-longer prefix, so a Monte Carlo run computes them once for all its blocks,
+by the caller holds ``xi_1..xi_m`` per slope and computes only the missing
+levels for a longer prefix, so a Monte Carlo run computes each level once,
 and each one-row entry point starts a fresh store.  A Monte Carlo block at
 ``interp = 0`` reads only the step-up level, so it runs the step-down scan
 at ``alpha1`` on the step-up levels and hits and computes no level at
@@ -219,11 +219,11 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _prefix_levels(store: dict, n: int, alpha: float, m: int) -> np.ndarray:
-    """``xi_1..xi_m`` at ``(n, alpha)``, kept in ``store`` and recomputed only
-    when ``m`` exceeds the prefix it holds."""
-    xi = store.get((n, alpha))
-    if xi is None or xi.size < m:
-        xi = store[n, alpha] = _levels_at(n, alpha, np.arange(1, m + 1))
+    """``xi_1..xi_m`` at ``(n, alpha)``, kept in ``store``; a longer prefix
+    computes only the levels past the kept ones, each as ``_levels_at`` does."""
+    xi = store.get((n, alpha), np.empty(0))
+    if xi.size < m:
+        xi = store[n, alpha] = np.concatenate((xi, _levels_at(n, alpha, np.arange(xi.size + 1, m + 1))))
     return xi[:m]
 
 

@@ -44,8 +44,10 @@ levels are computed once per call.  An experiment keeps three buffers of
 ``8 max(2**14, n)`` bytes on its thread (``gauss._kept``), 2.4 MB at
 n = 1e5, for the largest n that thread has run: the draws, formed in
 place and overwritten by the next block or call once the statistic has
-returned, ``|x|`` and the residuals.  The next call reuses them
-instead of faulting fresh pages in.
+returned, ``|x|`` and the residuals.  ``oracle_loss_min`` takes six
+buffers while the draws are held, one of them a row of ``n + 1`` sums
+wider, so a strong run keeps seven: 0.9 MB at n = 1024.  The next call
+reuses them instead of faulting fresh pages in.
 """
 
 from __future__ import annotations
@@ -352,6 +354,9 @@ def oracle_loss_min(x, theta):
     Every term of a segment's loss is at most ``4 n M^2`` with ``M =
     max(max|x|, max|theta|)``, so an input where that bound is not finite
     (NaN and infinities included) is refused before any of them is formed.
+
+    The (B, n) temporaries lie in six buffers that the thread keeps
+    (``gauss._kept``); nothing returned is a view of them.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -359,71 +364,77 @@ def oracle_loss_min(x, theta):
         raise ValueError("x must be a nonempty vector or block of rows matching the 1-d theta")
     block = x.reshape(-1, theta.size)
     count, n = block.shape
-    # Buffers are reused and dropped once dead: each full-size temporary
-    # costs page faults.  ``order`` holds flat indices into the block, except
-    # while ``theta`` is gathered.
-    absx = np.abs(block)
-    bound = max(float(absx.max()), float(np.abs(theta).max()))
-    if not 4.0 * n * bound * bound < math.inf:
-        raise ValueError("4 n max(|x|, |theta|)^2 must be finite")
-    order = np.argsort(absx, axis=1)
-    rows = np.arange(count)
-    start = rows[:, None] * n
-    order += start
-    mags = absx.take(order)
-    # distinct magnitudes have one sorting permutation; rows with ties take
-    # the stable one, so that every sum runs in the same order in any block
-    tied = (mags[:, 1:] == mags[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(absx[tied], axis=1, kind="stable") + start[tied]
-    del absx
-    xs = block.take(order)
-    order -= start
-    ths = theta.take(order)
-    del order
-    # copysign, not sign: an active x_i = 0 (only at L = 0) must still cost theta_i^2
-    signed_err = np.copysign(1.0, xs)
-    xs -= ths
-    signed_err *= xs
-    del xs
+    # Every float temporary lies in a kept buffer, and a buffer takes a second
+    # name once its first is dead; ``order`` holds flat indices into the block,
+    # except while ``theta`` is gathered.  A ``take`` into ``out`` is buffered
+    # unless mode="clip"; every index is in range.
+    with (
+        _kept((count, n)) as absx,
+        _kept((count, n)) as mags,
+        _kept((count, n)) as xs,
+        _kept((count, n)) as ths,
+        _kept((count, n)) as signed_err,
+        _kept((count, n + 1)) as prefix_kill,
+    ):
+        np.abs(block, out=absx)
+        bound = max(float(absx.max()), float(np.abs(theta).max()))
+        if not 4.0 * n * bound * bound < math.inf:
+            raise ValueError("4 n max(|x|, |theta|)^2 must be finite")
+        order = np.argsort(absx, axis=1)
+        rows = np.arange(count)
+        start = rows[:, None] * n
+        order += start
+        block.take(order, out=xs, mode="clip")
+        np.abs(xs, out=mags)
+        # distinct magnitudes have one sorting permutation; rows with ties take
+        # the stable one, so that every sum runs in the same order in any block
+        # (the sorted magnitudes are the same)
+        tied = (mags[:, 1:] == mags[:, :-1]).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(absx[tied], axis=1, kind="stable") + start[tied]
+            block.take(order, out=xs, mode="clip")
+        order -= start
+        theta.take(order, out=ths, mode="clip")
+        # copysign, not sign: an active x_i = 0 (only at L = 0) must still cost theta_i^2
+        np.copysign(1.0, xs, out=signed_err)
+        xs -= ths
+        signed_err *= xs
 
-    # prefix_kill[:, m] = loss of the m smallest-magnitude coords once killed
-    prefix_kill = np.zeros((count, n + 1))
-    ths **= 2
-    np.cumsum(ths, axis=1, out=prefix_kill[:, 1:])
-    del ths
-    total = prefix_kill[:, -1]
-    # suffix sums over the active (surviving) coords
-    suf1 = np.empty_like(signed_err)
-    np.cumsum(signed_err[:, ::-1], axis=1, out=suf1[:, ::-1])
-    suf2 = signed_err
-    suf2 **= 2
-    np.cumsum(suf2[:, ::-1], axis=1, out=suf2[:, ::-1])
+        # prefix_kill[:, m] = loss of the m smallest-magnitude coords once killed
+        prefix_kill[:, 0] = 0.0
+        ths **= 2
+        np.cumsum(ths, axis=1, out=prefix_kill[:, 1:])
+        total = prefix_kill[:, -1]
+        # suffix sums over the active (surviving) coords
+        suf1 = xs
+        np.cumsum(signed_err[:, ::-1], axis=1, out=suf1[:, ::-1])
+        suf2 = signed_err
+        suf2 **= 2
+        np.cumsum(suf2[:, ::-1], axis=1, out=suf2[:, ::-1])
 
-    # On segment m, L in [|x|_(m-1), |x|_(m)], the m smallest are killed and
-    # the loss is the convex quadratic below, so its minimum is at the
-    # stationary point clipped to the segment.  A coordinate with |x| = L
-    # costs theta^2 either way, so tied (one-point) segments are exact too.
-    cnt = np.arange(n, 0, -1, dtype=float)
-    floor = np.empty_like(mags)
-    floor[:, 0] = 0.0
-    floor[:, 1:] = mags[:, :-1]
-    levels = suf1 / cnt
-    np.clip(levels, floor, mags, out=levels)
-    del mags
-    # prefix_kill + suf2 - 2 L suf1 + cnt L^2, in that order, in place
-    losses = np.add(prefix_kill[:, :-1], suf2, out=suf2)
-    term = np.multiply(2.0, levels, out=floor)
-    term *= suf1
-    losses -= term
-    np.multiply(cnt, levels, out=term)
-    term *= levels
-    losses += term
-    best = np.argmin(losses, axis=1)
-    best_loss = losses[rows, best]
-    zero_all = best_loss >= total - 1e-15 * np.maximum(1.0, total)
-    levels = np.where(zero_all, math.inf, levels[rows, best])
-    losses = np.where(zero_all, total, best_loss)
+        # On segment m, L in [|x|_(m-1), |x|_(m)], the m smallest are killed and
+        # the loss is the convex quadratic below, so its minimum is at the
+        # stationary point clipped to the segment.  A coordinate with |x| = L
+        # costs theta^2 either way, so tied (one-point) segments are exact too.
+        cnt = np.arange(n, 0, -1, dtype=float)
+        floor = absx
+        floor[:, 0] = 0.0
+        floor[:, 1:] = mags[:, :-1]
+        levels = np.divide(suf1, cnt, out=ths)
+        np.clip(levels, floor, mags, out=levels)
+        # prefix_kill + suf2 - 2 L suf1 + cnt L^2, in that order, in place
+        losses = np.add(prefix_kill[:, :-1], suf2, out=suf2)
+        term = np.multiply(2.0, levels, out=floor)
+        term *= suf1
+        losses -= term
+        np.multiply(cnt, levels, out=term)
+        term *= levels
+        losses += term
+        best = np.argmin(losses, axis=1)
+        best_loss = losses[rows, best]
+        zero_all = best_loss >= total - 1e-15 * np.maximum(1.0, total)
+        levels = np.where(zero_all, math.inf, levels[rows, best])
+        losses = np.where(zero_all, total, best_loss)
     if x.ndim == 1:
         return float(levels[0]), float(losses[0])
     return levels, losses

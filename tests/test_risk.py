@@ -6,7 +6,9 @@ frozen from a 40-digit extended-precision oracle.
 """
 
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from fdrthresh.risk import (
     soft_risk,
     surrogate_risk,
 )
-from fdrthresh.simulate import common_mean_experiment, regret_experiment
+from fdrthresh.simulate import common_mean_experiment, regret_experiment, spikes
 
 
 def quad_soft_risk(mu: float, level: float) -> float:
@@ -607,3 +609,103 @@ def _sweep_prior(rng, trial) -> EmpiricalPrior:
     n = int(rng.integers(20, 200))
     theta = rng.normal(0.0, rng.uniform(0.2, 3.0), size=n)
     return EmpiricalPrior.from_vector(theta)
+
+
+def _search_priors():
+    """Priors with ties, rounded atoms, a kink in the best bracket, heavy
+    tails and two-atom spikes, then the edge priors: ``(prior, level_max)``."""
+    rng = np.random.default_rng(2028)
+    for _ in range(10):
+        yield EmpiricalPrior.from_vector(np.round(rng.normal(0.0, 2.0, int(rng.integers(50, 300))), 1)), None
+    for _ in range(10):
+        k = int(rng.integers(2, 12))
+        atoms = np.round(rng.uniform(-6.0, 6.0, k) * 2.0) / 2.0
+        yield EmpiricalPrior.from_atoms(atoms, rng.dirichlet(np.ones(k)), n=int(rng.integers(10, 10**5))), None
+    for _ in range(10):
+        # an atom of small weight right at the surrogate's best level
+        base = random_prior(rng)
+        level = optimal_surrogate_level(base)[0]
+        atoms = np.r_[base.atoms, level + rng.uniform(-1e-3, 1e-3)]
+        yield EmpiricalPrior.from_atoms(atoms, np.r_[base.weights * 0.999, 0.001], n=1000), None
+    for _ in range(10):
+        n = int(rng.integers(50, 300))
+        theta = rng.standard_cauchy(n) * rng.uniform(0.1, 2.0)
+        theta[rng.random(n) < rng.uniform(0.3, 0.99)] = 0.0
+        yield EmpiricalPrior.from_vector(theta), None
+    for n, count in ((10, 1), (1024, 32), (100_000, 500), (10**6, 100), (50, 25), (2000, 1)):
+        yield EmpiricalPrior.from_vector(spikes(n, count, float(rng.uniform(0.5, 6.0)))), None
+    # the best level is the grid's last, where the Newton value and the grid value nearly tie
+    atoms = [2.0, 2.0, 0.0, 4.0, 0.5, 2.4733, 4.0, 0.5]
+    weights = [0.2627586, 0.08996464, 0.0959252, 0.01079073, 0.24164553, 0.1263197, 0.07745971, 0.0951359]
+    yield EmpiricalPrior.from_atoms(atoms, np.array(weights) / sum(weights), n=63857), 0.338180226455106
+    for name in ("zero-atom", "first-cell", "last-cell", "right-end", "pm40", "kink-in-bracket", "50-atoms"):
+        yield edge_prior(name)
+
+
+class TestCertifiedSearch:
+    """``optimal_levels`` evaluates a coarse grid and the cells its curvature bound keeps."""
+
+    def test_search_finds_what_the_dense_grid_finds(self):
+        evaluated = []
+        for prior, level_max in _search_priors():
+            top = prior.default_level_max if level_max is None else level_max
+            grid = np.linspace(0.0, top, 2048)
+            for terms, f, args in (
+                (risk._exact_terms, bayes_soft_risk, ()),
+                (risk._surrogate_terms, surrogate_risk, (4.0,)),
+            ):
+                i, vals = risk._grid_argmin(prior, terms, grid, *args)
+                assert i == int(np.argmin(f(prior, grid, *args)))
+                evaluated.append(np.isfinite(vals).sum())
+            # with every level a coarse one the search is the dense 2048-level grid
+            got = optimal_levels(prior, level_max), optimal_surrogate_level(prior, level_max=level_max)
+            with mock.patch.object(risk, "_COARSE", 1):
+                dense = optimal_levels(prior, level_max), optimal_surrogate_level(prior, level_max=level_max)
+            assert np.array(got).tobytes() == np.array(dense).tobytes()
+        assert len(evaluated) == 2 * 54
+        assert np.median(evaluated) <= 200
+
+    def test_a_narrow_dip_between_coarse_levels_is_found(self):
+        # a dip narrower than a coarse cell, below the best coarse value only between two
+        # coarse levels: only the curvature bound keeps its cell
+        grid = np.linspace(0.0, 10.0, 2048)
+        center, width, depth = grid[1296], 0.05, 0.133
+        curvature = 0.02 + depth / width**2
+
+        def terms(prior, levels):
+            dip = depth * np.exp(-0.5 * ((levels - center) / width) ** 2)
+            return 1.0 + 0.01 * (levels - 3.0) ** 2 - dip, np.full(levels.shape, curvature)
+
+        i, _ = risk._grid_argmin(None, terms, grid)
+        assert i == int(np.argmin(terms(None, grid)[0])) == 1296
+
+    def test_curvature_bounds(self):
+        # R_G'' <= 2 T_G with T_G = rejection_prob nonincreasing, and the surrogate's bound
+        rng = np.random.default_rng(92)
+        levels = np.linspace(0.0, 12.0, 97)
+        for trial in range(40):
+            prior = random_prior(rng) if trial % 2 else _sweep_prior(rng, trial)
+            tail = rejection_prob(prior, levels)
+            assert np.all(np.diff(tail) <= 1e-15)
+            # the search reads 2 T_G from the risk's own erfc calls
+            assert risk._exact_terms(prior, levels)[1].tobytes() == (2.0 * tail).tobytes()
+            bound = risk._surrogate_terms(prior, levels, 4.0)[1]
+            assert np.all(np.diff(bound) <= 1e-15)
+            for lam, t, c in zip(levels, tail, bound):
+                assert risk._exact_slope(prior, lam)[1] <= 2.0 * t * (1.0 + 1e-12)
+                assert risk._surrogate_slope(prior, lam, 4.0)[1] <= c * (1.0 + 1e-12)
+
+    def test_many_atoms_stay_under_a_memory_bound(self):
+        # 2**15 distinct atoms: the full grid's (atoms x 2048) temporaries held 537 MB each
+        n = 2**15
+        prior = EmpiricalPrior.from_vector(0.05 * n / np.arange(1, n + 1))
+        assert prior.atoms.size == n
+        tracemalloc.start()
+        try:
+            level, value = optimal_levels(prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256e6
+        assert 0.0 < level < prior.default_level_max
+        assert value <= float(np.min(bayes_soft_risk(prior, level + np.array([-1e-3, 1e-3]))))

@@ -287,6 +287,22 @@ def test_shared_levels_never_change_a_level(case):
         assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
 
 
+def test_extended_prefix_equals_levels_at():
+    # a store grown from m1 to m2 levels holds what one _levels_at call gives, bit for bit
+    rng = np.random.default_rng(60)
+    for alpha in np.r_[rng.uniform(1e-4, 0.999, 40), 1e-300, 0.999999999]:
+        n = int(rng.integers(2, 10**6))
+        m2 = int(rng.integers(2, min(n, 5000) + 1))
+        m1 = int(rng.integers(1, m2))
+        store = {}
+        first = selector._prefix_levels(store, n, alpha, m1).copy()
+        extended = selector._prefix_levels(store, n, alpha, m2)
+        want = selector._levels_at(n, alpha, np.arange(1, m2 + 1))
+        assert extended.tobytes() == want.tobytes()
+        assert first.tobytes() == want[:m1].tobytes()
+        assert selector._prefix_levels(store, n, alpha, m1).tobytes() == first.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # top-K candidate cuts
 

@@ -504,6 +504,40 @@ class TestReusedBuffers:
         firsts = np.array([1.0 + z[0] for z in draws])
         assert (est.mean, est.std_error) == (float(firsts.mean()), float(firsts.std(ddof=1) / 2.0))
 
+    def test_oracle_results_outlive_its_buffers(self):
+        # a later call, of one row or a block and of another size, leaves an earlier result as it was
+        rng = np.random.default_rng(28)
+        theta = spikes(1024, 32, 3.0)
+        block = theta + rng.standard_normal((16, 1024))
+        first = oracle_loss_min(block, theta)
+        row = oracle_loss_min(block[3], theta)
+        saved = [a.tobytes() for a in first]
+        other = spikes(3000, 40, 2.0)
+        oracle_loss_min(other + rng.standard_normal(3000), other)
+        oracle_loss_min(theta + rng.standard_normal((16, 1024)), theta)
+        oracle_loss_min(other + rng.standard_normal((5, 3000)), other)
+        assert [a.tobytes() for a in first] == saved
+        assert row == (float(first[0][3]), float(first[1][3]))
+        for buf in gauss._kept_store.buffers:
+            assert not any(np.shares_memory(a, buf) for a in first)
+
+    def test_oracle_nested_in_kept_blocks(self):
+        # as in strong regret: the draws lie in a kept buffer while the oracle runs
+        rng = np.random.default_rng(29)
+        theta = spikes(1024, 32, 3.0)
+        x = theta + rng.standard_normal((16, 1024))
+        x[2] = np.round(x[2], 1)  # a row with tied magnitudes
+        want = _in_fresh_thread(lambda: oracle_loss_min(x, theta))
+        want_row = _in_fresh_thread(lambda: oracle_loss_min(x[5], theta))
+        with gauss._kept(x.shape) as outer, gauss._kept((3, 7)) as other:
+            outer[:] = x
+            other[:] = 1.0
+            got = oracle_loss_min(outer, theta)
+            got_row = oracle_loss_min(outer[5], theta)
+            assert outer.tobytes() == x.tobytes() and (other == 1.0).all()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got_row == want_row
+
     def test_second_call_reuses_the_buffers(self):
         theta = spikes(2000, 20, 3.0)
         blocks = []
