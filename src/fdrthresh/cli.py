@@ -284,7 +284,8 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
     # n = 0 (the default) sizes the prior by its atoms
     prior = EmpiricalPrior.from_atoms(cfg["atoms"], cfg["weights"] or None, cfg["n"] or None)
     functional = functional or cfg.get("functional", "bayes_risk")
-    level_max = cfg["level_max"] if cfg["level_max"] > 0.0 else prior.default_level_max
+    # level_max = 0 (the default) means the prior's default; any other value is checked
+    level_max = cfg["level_max"] if cfg["level_max"] != 0.0 else prior.default_level_max
     if not (cfg["level_min"] >= 0.0 and level_max > cfg["level_min"] and math.isfinite(level_max)):
         raise ValueError("need 0 <= level_min < level_max < inf")
     if cfg["points"] < 2:

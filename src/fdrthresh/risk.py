@@ -359,16 +359,17 @@ def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray, *args) -> tuple
     return int(np.argmin(vals)), vals
 
 
-def _minimize_level(prior: EmpiricalPrior, terms, slope, level_max: float | None, *args):
+def _minimize_level(prior: EmpiricalPrior, terms, slope, kinks, level_max: float | None, *args):
     """``(level, f(prior, level, *args))`` at the minimum of ``f`` on ``[0, level_max]`` and at inf.
 
     ``f`` is the first of ``terms``.  Finds the best level of a 2048-point
-    grid on ``[0, level_max]`` (``_grid_argmin``), runs a safeguarded Newton
-    solve on the closed-form ``slope`` in the bracket around it (bisection
-    when the curvature is not positive or a step leaves it), keeps the grid
-    value when lower, and compares with the infinite-level limit, the prior
-    mean square: the level is +inf when the zero estimator is optimal, and
-    the risk is then the mean square.  The default ``level_max`` is
+    grid on ``[0, level_max]`` (``_grid_argmin``), splits the bracket around
+    it at the ``kinks`` of ``f`` inside it, runs a safeguarded Newton solve
+    on the closed-form ``slope`` in each piece (bisection when the curvature
+    is not positive or a step leaves it), keeps the grid value when lower,
+    and compares with the infinite-level limit, the prior mean square: the
+    level is +inf when the zero estimator is optimal, and the risk is then
+    the mean square.  The default ``level_max`` is
     ``prior.default_level_max``.
     """
     if level_max is None:
@@ -378,7 +379,7 @@ def _minimize_level(prior: EmpiricalPrior, terms, slope, level_max: float | None
     grid = np.linspace(0.0, level_max, 2048)
     i, vals = _grid_argmin(prior, terms, grid, *args)
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    edges = np.unique(np.clip(np.r_[lo, hi, np.abs(prior.atoms)], lo, hi))  # split at kinks
+    edges = np.unique(np.clip(np.r_[lo, hi, kinks], lo, hi))
     x, v = float(grid[i]), float(vals[i])
     for a, b in zip(edges[:-1], edges[1:]):
         z = _solve_slope(lambda lv: slope(prior, lv, *args), float(a), float(b))
@@ -392,17 +393,17 @@ def _minimize_level(prior: EmpiricalPrior, terms, slope, level_max: float | None
 def optimal_levels(prior: EmpiricalPrior, level_max: float | None = None) -> tuple[float, float]:
     """``(level, risk)`` minimizing the exact average risk ``bayes_soft_risk``.
 
-    The search is ``_minimize_level``'s: a grid on ``[0, level_max]``, a
-    Newton solve in the best bracket, and the infinite level.  The grid's
-    best level is certified by the curvature bound ``R_G'' <= 2 T_G``, with
-    ``T_G = rejection_prob``, which is nonincreasing in the level: per atom
-    ``R'' = 2 T - 2 mu [phi(L - mu) - phi(L + mu)]``, and the second term is
-    never negative for ``L >= 0``.  So only the cells of the grid whose
-    bound comes within a relative 1e-12 of the best value are searched
-    level by level: 158 of the 2048 levels on the n = 1024 benchmark prior
-    and 127 on the n = 1e5 one.
+    The search is ``_minimize_level``'s: a grid on ``[0, level_max]``, one
+    Newton solve in the best bracket, where ``R_G`` is smooth, and the
+    infinite level.  The grid's best level is certified by the curvature
+    bound ``R_G'' <= 2 T_G``, with ``T_G = rejection_prob``, which is
+    nonincreasing in the level: per atom ``R'' = 2 T - 2 mu [phi(L - mu) -
+    phi(L + mu)]``, and the second term is never negative for ``L >= 0``.
+    So only the cells of the grid whose bound comes within a relative 1e-12
+    of the best value are searched level by level: 158 of the 2048 levels
+    on the n = 1024 benchmark prior and 127 on the n = 1e5 one.
     """
-    return _minimize_level(prior, _exact_terms, _exact_slope, level_max)
+    return _minimize_level(prior, _exact_terms, _exact_slope, (), level_max)
 
 
 def optimal_surrogate_level(
@@ -410,11 +411,12 @@ def optimal_surrogate_level(
 ) -> tuple[float, float]:
     """``(level, risk)`` minimizing ``surrogate_risk(prior, level, b0)``.
 
-    The search is ``optimal_levels``'s, on the surrogate's slope, with the
-    curvature bound ``2 G(|theta| > a) + b0 u phi(u)``, ``u = max(a, 1)``,
-    on the levels past ``a``: ``E_G min(theta^2, L^2)`` has curvature
+    The search is ``optimal_levels``'s, on the surrogate's slope, with its
+    best bracket split at the kinks, the ``|atoms|``, and the curvature
+    bound ``2 G(|theta| > a) + b0 u phi(u)``, ``u = max(a, 1)``, on the
+    levels past ``a``: ``E_G min(theta^2, L^2)`` has curvature
     ``2 G(|theta| > L)`` away from its concave kinks at the ``|atoms|``, and
     ``b0 Phi(-L)`` has ``b0 L phi(L)``, which is largest at ``L = 1`` and
     decreases after it.
     """
-    return _minimize_level(prior, _surrogate_terms, _surrogate_slope, level_max, b0)
+    return _minimize_level(prior, _surrogate_terms, _surrogate_slope, np.abs(prior.atoms), level_max, b0)

@@ -30,14 +30,14 @@ Both answers lie among the largest magnitudes.  For any ``K >= k_hat``,
 ``m_(k_hat) >= xi_{k_hat} >= xi_K``, so ``k_hat <= N(xi_K)``: starting at
 ``K = n``, the count ``K <- N(xi_K)`` never drops below ``k_hat`` (the
 threshold form ``t_BH = sup{t : n t / R(t) <= alpha}`` of Storey, Taylor
-and Siegmund, 2004).  From about 500 observations on, a one-row selection
-runs these cuts at the larger slope ``a* = max(alpha1, alpha2)``: it keeps
-only the magnitudes at or above a cut ``c_K`` and repeats while that set
-at least halves, which bounds the steps by ``log2 n``.  A cut is a bound,
-not a compared level: one bare ``ndtri`` value shrunk by a relative slack
-of 1e-12, so ``xi*_K (1 - 2e-12) <= c_K <= xi*_K`` (the slack covers the
-ulp-level wobble of the computed levels and the error of ``ndtri``; where
-the level's probability is clamped below 1/2 the cut is lower still).
+and Siegmund, 2004).  A one-row selection runs these cuts at the larger
+slope ``a* = max(alpha1, alpha2)``: it keeps only the magnitudes at or
+above a cut ``c_K`` and repeats while that set at least halves, which
+bounds the steps by ``log2 n``.  A cut is a bound, not a compared level:
+one bare ``ndtri`` value shrunk by a relative slack of 1e-12, so
+``xi*_K (1 - 2e-12) <= c_K <= xi*_K`` (the slack covers the ulp-level
+wobble of the computed levels and the error of ``ndtri``; where the
+level's probability is clamped below 1/2 the cut is lower still).
 What the cuts keep is a prefix ``P`` of the sorted magnitudes that ends
 both scans:
 
@@ -51,10 +51,10 @@ both scans:
 So the step-up scan finds its last hit in ``P`` and the step-down scan its
 first miss in ``P`` or right after it.  Only ``P`` is sorted and compared;
 when the cuts drop every magnitude, the largest one alone stands for it.
-Other blocks (several rows, or fewer than about 500 observations) sort
-every row and keep the columns up to the largest row count at the first
-cut ``c_n``: by fact 1 no hit lies below it, and by fact 2 at ``S = n``
-each row's first magnitude below it ends both scans.
+Blocks of several rows sort every row and keep the columns up to the
+largest row count at the first cut ``c_n``: by fact 1 no hit lies below
+it, and by fact 2 at ``S = n`` each row's first magnitude below it ends
+both scans.
 
 Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
 (B, m) block of sorted prefixes, one row per observation vector of the same
@@ -95,14 +95,8 @@ __all__ = [
 # Tail probabilities are clamped just below 1/2 before the quantile call.
 _P_CLAMP = 0.49999999
 
-# From this many observations on, a one-row selection sorts and compares only
-# the top magnitudes (see the module docstring).  Below it, sorting every
-# magnitude costs less than the cuts; on a 2-core x86 host the two paths
-# cost within 10 % of each other from n = 256 to 512.
-_TOPK_MIN_N = 512
-
 # The candidate set is cut again while it holds more than this many entries.
-# On the same host, stops of 256 to 1024 did equally well from n = 4096 to
+# On a 2-core x86 host, stops of 256 to 1024 did equally well from n = 4096 to
 # 250 000 at 0.1 % and 1 % spikes; 2048 was up to twice slower.
 _TOPK_STOP = 512
 
@@ -155,9 +149,9 @@ def _levels_at(n: int, alpha: float, ks: np.ndarray) -> np.ndarray:
     the two agree bit for bit.  The top-K cuts are bounds, not compared
     levels, and come from ``_cut``.
     """
+    # alpha < 1 and k <= n keep p below 1/2, so every level is positive
     p = alpha * ks / (2.0 * n)
-    levels = np.where(p < 0.5, -norm_quantile(np.minimum(p, _P_CLAMP)), 0.0)
-    return np.maximum(levels, 0.0)
+    return -norm_quantile(np.minimum(p, _P_CLAMP))
 
 
 def _cut(n: int, alpha: float, size: int) -> float:
@@ -173,9 +167,8 @@ def _cut(n: int, alpha: float, size: int) -> float:
 def candidate_levels(n: int, alpha: float) -> np.ndarray:
     """Two-sided quantile levels ``-Q(alpha k / (2n))`` for k = 1..n.
 
-    Strictly decreasing while positive; entries whose tail probability
-    ``alpha k / (2n)`` reaches 1/2 are clamped to 0 (they would otherwise
-    be negative and a magnitude threshold below 0 is meaningless).
+    Positive and decreasing in k up to rounding.  Tail probabilities above
+    ``_P_CLAMP``, reached only at slopes above 0.99999998, are clamped to it.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -235,14 +228,14 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
     step-down miss ``k' >= 2`` (``m + 1`` for a sorted prefix of ``m``
     magnitudes without one).  A level is +inf when its rule rejects nothing;
     ``store`` keeps the candidate levels (see ``_prefix_levels``).  A one-row
-    block of ``n >= _TOPK_MIN_N`` sorts and compares only its top-K prefix,
-    cut at the larger slope (see the module docstring); other blocks sort
-    every row in full and compare only the columns up to the largest row
-    count at the first cut.
+    block sorts and compares only its top-K prefix, cut at the larger slope
+    (see the module docstring); a block of several rows sorts every row in
+    full and compares only the columns up to the largest row count at the
+    first cut.
     """
     count, n = absx.shape
     slope = max(alpha1, alpha2)
-    if count == 1 and n >= _TOPK_MIN_N:
+    if count == 1:
         mags = _top_magnitudes(absx[0], slope)[None]
     else:
         # every hit of either slope lies at or above the first cut

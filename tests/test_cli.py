@@ -378,7 +378,9 @@ _EXPERIMENT_SHA256 = {
 # n = 20 000 with interp = 1 and alpha2 < alpha1, hard at n = 10 000, common_mean at
 # n = 9000 with interp = 0.5) and a firm family with both deltas on 8-row blocks.
 # The hashes were taken from the code before the top-K prefix lost the magnitude
-# it appended after the last cut.
+# it appended after the last cut.  regret_one_row_tail ends each run with a one-row
+# block of n = 64 after a 256-row block; its hash was taken from the code that
+# still sorted every magnitude of a one-row block below 512 observations.
 _PATH_EXPERIMENT_CFG = {
     "regret_top_k": "kind = regret\nn = 20000\nspike_count = 200\nspike_value = 3.5\n"
     "replicates = 4\nalpha2 = 0.04\ninterp = 1\n",
@@ -389,12 +391,15 @@ _PATH_EXPERIMENT_CFG = {
     "family = hard\nallow_hard = true\n",
     "common_mean_interp": "kind = common_mean\nn = 9000\nmu = 0.005\nreplicates = 4\n"
     "interp = 0.5\n",
+    "regret_one_row_tail": "kind = regret\nn = 64\nspike_count = 4\nspike_value = 3.0\n"
+    "replicates = 257\nalpha2 = 0.04\ninterp = 1\n",
 }
 _PATH_EXPERIMENT_SHA256 = {
     "regret_top_k": "6f8424e49e7f8c8da4e15db12a0492ba4e050ee262daef684cf78a695877ae9f",
     "firm_deltas": "65f7824bdea8dedc0caa652063b21ce6e20bff258f897bb08681ced6abfa63f9",
     "hard": "3344320dc10f4dd6c877eb751f8e1fed8c69c258fceb45c75c1c16ce466e53c0",
     "common_mean_interp": "8c18bfb03d66429c49ecb0379bfa5c1ab170b5eb7ca10158ec19c87adf8e6677",
+    "regret_one_row_tail": "1f0115bf1db6611615f0becfd72afba448c371ca11125ddc0b5244cf426a8650",
 }
 # the benchmark's selector (alpha2 = 0.1 below alpha1 = 0.2) at interp = 0, where
 # the step-down level is not read: regret on one-row top-K blocks, strong regret on
@@ -432,15 +437,18 @@ def test_experiment_bytes_pinned(tmp_path, kind):
 
 
 # the default selector, and alpha2 < alpha1 with both deltas, interp inside the
-# interval and a firm family; every estimate of n >= 512 takes the top-K path
+# interval and a firm family; every estimate is one row, so it takes the top-K path
 _ESTIMATE_SELECTOR = {
     "default": "",
     "interval": "alpha1 = 0.1\nalpha2 = 0.05\nalpha1p = 0.2\nalpha2p = 0.02\n"
     "delta1 = 0.05\ndelta2 = 0.2\ninterp = 0.7\nfamily = firm\n",
 }
 # the SHA-256 of estimate.csv then estimate.json for the inputs of seeds 1, 2 and 3
-# in turn, taken like _PATH_EXPERIMENT_SHA256
+# in turn, taken like _PATH_EXPERIMENT_SHA256; the n = 300 hashes were taken from the
+# code that still sorted every magnitude of a one-row selection below 512 observations
 _ESTIMATE_SHA256 = {
+    (300, "default"): "b30d6f007b65412c71d5b5c3243ef1c26c5fba3314f7dab72e5fe89c612414ac",
+    (300, "interval"): "c1c19c7bde0ab9d549fc6898714fd679b98d55a2b2bee88d872b6c11e011a97f",
     (5000, "default"): "f7c16d88ef634c3c8b076785b38d7dca4cf119e71be68fc80ec48290f28e3b15",
     (5000, "interval"): "1b4314ac2c215b051380abdb7865cabb3f3c8ba6e3dec817c839c0ffdc754b18",
     (50000, "default"): "8e8b65cf33991f4510924a67b25805fc59dd64ea603bd9e33bf12dbbc88b0b7e",
@@ -702,7 +710,11 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_EXPERIMENT, "kind = regret\nalpha1p = 0.04\n"),
         (_CURVE, "functional = surrogate_risk\nb0 = nan\n"),
         (_CURVE, "level_max = inf\n"),
+        (_CURVE, "level_max = -5\n"),
+        (_CURVE, "level_max = nan\n"),
         (("fdr-curve", "atoms = 0, 3\n"), "level_max = inf\n"),
+        (("fdr-curve", "atoms = 0, 3\n"), "level_max = -5\n"),
+        (("fdr-curve", "atoms = 0, 3\n"), "level_max = nan\n"),
         # library argument checks that a thin front end passes on as exit 2
         (_EXPERIMENT, "kind = common_mean\nfirm_slope = 2.5\n"),
         (_EXPERIMENT, f"kind = regret\nseed = {2**128 + 1}\n"),

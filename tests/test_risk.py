@@ -702,10 +702,13 @@ class TestCertifiedSearch:
         assert prior.atoms.size == n
         tracemalloc.start()
         try:
-            level, value = optimal_levels(prior)
+            with mock.patch.object(risk, "_exact_slope", wraps=risk._exact_slope) as slope:
+                level, value = optimal_levels(prior)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 256e6
+        # one Newton solve in the best bracket, not one per atom inside it
+        assert slope.call_count <= 8
         assert 0.0 < level < prior.default_level_max
         assert value <= float(np.min(bayes_soft_risk(prior, level + np.array([-1e-3, 1e-3]))))

@@ -5,8 +5,8 @@ The strategies put magnitudes exactly on candidate levels and one ulp to
 either side of them, repeat values, and mix in zeros and magnitudes of 40
 and more, whose Gaussian tail underflows to 0.  Examples are derandomized
 so every run checks the same cases.  The brute-force and trace tests run a
-second time with the top-K candidate cuts forced at every n, and blocks of
-rows are checked row by row.
+second time with the top-K candidate cuts repeated until a cut stops
+halving, and blocks of rows are checked row by row.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from fdrthresh import selector
 from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.selector import (
     FdrConfig,
+    SelectorTrace,
     candidate_levels,
     exceed_count,
     select_lambda,
@@ -240,7 +241,7 @@ def test_block_prefix_bound_changes_no_level(case):
 
 @st.composite
 def block_runs(draw):
-    """``(blocks, config)``: blocks of one ``n`` at or above the top-K cutoff.
+    """``(blocks, config)``: blocks of one ``n`` of 512 to 1024 observations.
 
     One-row blocks take the top-K path and blocks of several rows a sorted
     prefix bounded by the first cut; each reads a prefix of the levels.  The
@@ -248,7 +249,7 @@ def block_runs(draw):
     before the last, so the levels kept across the blocks are read at several
     lengths.
     """
-    n = draw(st.integers(selector._TOPK_MIN_N, 2 * selector._TOPK_MIN_N))
+    n = draw(st.integers(512, 1024))
     alpha1 = draw(st.sampled_from([0.05, 0.2, 0.5]))
     alpha2 = draw(st.sampled_from([alpha1, 0.3 * alpha1]))
     config = FdrConfig(alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2)
@@ -309,17 +310,16 @@ def test_extended_prefix_equals_levels_at():
 
 @contextmanager
 def _top_k_everywhere():
-    """Take the top-K path at every n and cut until a cut stops halving."""
-    with mock.patch.object(selector, "_TOPK_MIN_N", 1), mock.patch.object(
-        selector, "_TOPK_STOP", 0
-    ):
+    """Cut the top-K candidates until a cut stops halving, at every size."""
+    with mock.patch.object(selector, "_TOPK_STOP", 0):
         yield
 
 
-@contextmanager
-def _full_core():
-    with mock.patch.object(selector, "_TOPK_MIN_N", np.iinfo(np.int64).max):
-        yield
+def _full_core(x, alpha1, alpha2):
+    """``_select_levels(x, alpha1, alpha2)`` through the full sort: row 0 of the
+    two-row block ``|x|, |x|``, which sorts every row."""
+    k_hat, up, down = selector._block_levels(np.abs(np.vstack([x, x])), alpha1, alpha2, {})
+    return int(k_hat[0]), float(up[0]), float(down[0])
 
 
 def _top_k_run(test, *args):
@@ -384,9 +384,8 @@ def _assert_same_selection(x, alpha1, alpha2, top_k, counts):
     with top_k():
         got = selector._select_levels(x, alpha1, alpha2)
         trace = select_lambda(x, config)
-    with _full_core():
-        want = selector._select_levels(x, alpha1, alpha2)
-        ref = select_lambda(x, config)
+    want = _full_core(x, alpha1, alpha2)
+    ref = SelectorTrace(*want[1:], *map(float, selector._interval(*want[1:], config)), want[0])
     assert got == want
     assert trace == ref
     np.testing.assert_array_equal(exceed_count(x, candidate_levels(x.size, alpha1)), counts)
@@ -418,10 +417,10 @@ def _exact_levels(x, alpha1, alpha2):
 
 @st.composite
 def slow_cuts(draw):
-    """``(x, alpha)`` above the top-K cutoff with a run of magnitudes on, or
-    one ulp beside, consecutive levels, so that a cut can drop few of them."""
+    """``(x, alpha)`` of 512 to 1024 observations with a run of magnitudes on,
+    or one ulp beside, consecutive levels, so that a cut can drop few of them."""
     alpha = draw(st.one_of(st.sampled_from([0.05, 0.2, 0.5]), st.floats(1e-3, 0.9)))
-    n = draw(st.integers(selector._TOPK_MIN_N, 2 * selector._TOPK_MIN_N))
+    n = draw(st.integers(512, 1024))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = candidate_levels(n, alpha)
     start = draw(st.integers(0, n - 1))
@@ -485,11 +484,10 @@ def test_alpha2_above_alpha1_matches_full_core():
     # a step-down slope above the step-up slope: the prefix is cut at the
     # larger one, so it still ends the step-down scan
     rng = np.random.default_rng(7)
-    x = rng.standard_normal(2 * selector._TOPK_MIN_N)
+    x = rng.standard_normal(1024)
     x[:50] += 4.0
     got = selector._select_levels(x, 0.1, 0.2)
-    with _full_core():
-        assert got == selector._select_levels(x, 0.1, 0.2)
+    assert got == _full_core(x, 0.1, 0.2)
     assert got[2] == _exact_levels(x, 0.1, 0.2)[1]
 
 
@@ -517,10 +515,10 @@ def _materializing_top_magnitudes(absx, alpha, cuts=None):
 
 @st.composite
 def top_k_magnitudes(draw):
-    """``(|x|, alpha)`` above the top-K cutoff: noise, spikes, all zeros or
+    """``(|x|, alpha)`` of 512 to 4608 observations: noise, spikes, all zeros or
     one repeated value, with entries moved onto each cut level and one ulp
     below it.  The moves keep every cut's count, so the cuts stay put."""
-    n = draw(st.integers(selector._TOPK_MIN_N, selector._TOPK_MIN_N + 4096))
+    n = draw(st.integers(512, 512 + 4096))
     alpha = draw(st.one_of(st.sampled_from([0.05, 0.2, 0.6]), st.floats(1e-3, 0.9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["noise", "spikes", "zeros", "flat"]))
@@ -549,7 +547,7 @@ def top_k_magnitudes(draw):
 
 @settings(SETTINGS, max_examples=60)
 @given(top_k_magnitudes())
-@example((np.zeros(selector._TOPK_MIN_N), 0.2))
+@example((np.zeros(512), 0.2))
 def test_count_only_cuts_match_materializing_cuts(case):
     absx, alpha = case
     for stop in (selector._TOPK_STOP, 0):
