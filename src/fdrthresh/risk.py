@@ -16,10 +16,11 @@ means) gives the average risk ``R_G``, its clipped-second-moment proxy
 nominal false-discovery curve ``t -> 2 Phi(-t) / S_G(t)`` whose crossing
 points calibrate the level selectors.  The curve is taken at every ``t``
 as ``2 / E_G[r(theta) + r(-theta)]`` from the tail ratios
-``r(u) = Phi(u - t) / Phi(-t)``, without forming a tail.  The minimizing
-levels of the exact and surrogate average risks come from
-``optimal_levels`` and ``optimal_surrogate_level``, each a pair
-``(level, risk)`` computed when called.
+``r(u) = Phi(u - t) / Phi(-t)``, without forming a tail.  The level
+minimizing the exact average risk comes from a certified grid search,
+``optimal_levels``; the surrogate's, from the closed-form minimum of each
+piece between its kinks at the ``|atoms|``, ``optimal_surrogate_level``.
+Each returns a pair ``(level, risk)`` computed when called.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+from scipy.special import erfcx, log_ndtr, wrightomega
 
-from .gauss import _SQRT2, _as_float_array, _bisect, _cdf, _integer, _kept, _pdf, norm_cdf, norm_pdf
+from .gauss import _INV_SQRT_2PI, _SQRT2, _as_float_array, _bisect, _cdf, _integer, _kept, _pdf, norm_cdf
 from .thresholds import _check_level
 
 __all__ = [
@@ -185,14 +186,18 @@ def clipped_second_moment(prior: EmpiricalPrior, level):
     return _mix(prior, lambda th, lev: np.minimum(th**2, lev**2), _check_level(level))
 
 
+def _check_b0(b0: float) -> None:
+    if not (4.0 <= b0 < math.inf):
+        raise ValueError("need 4 <= b0 < inf")
+
+
 def surrogate_risk(prior: EmpiricalPrior, level, b0: float = 4.0):
     """Clipped second moment plus the Gaussian-tail penalty ``b0 * Phi(-level)``.
 
-    ``b0 >= 4`` is required; with that constant the surrogate dominates the
+    ``4 <= b0 < inf`` is required; with that constant the surrogate dominates the
     exact average risk up to the standard sandwich inequalities.
     """
-    if not (b0 >= 4.0):
-        raise ValueError("b0 must be >= 4")
+    _check_b0(b0)
     # the level is checked first; norm_cdf(-inf) is exactly 0
     return clipped_second_moment(prior, level) + b0 * norm_cdf(-np.asarray(level, dtype=float))
 
@@ -276,41 +281,11 @@ def _exact_slope(prior: EmpiricalPrior, level: float) -> tuple[float, float]:
     return d1, 2.0 * (tail - float(w @ (mu * (dens_lo - dens_hi))))
 
 
-def _surrogate_slope(prior: EmpiricalPrior, level: float, b0: float) -> tuple[float, float]:
-    """Derivatives of the surrogate, convex between its kinks at the ``|atoms|``."""
-    above = float(prior.weights @ (np.abs(prior.atoms) > level))
-    dens = norm_pdf(level)
-    return 2.0 * level * above - b0 * dens, 2.0 * above + b0 * level * dens
-
-
-def _solve_slope(slope, lo: float, hi: float) -> float:
-    """Safeguarded Newton for a zero of ``slope`` on [lo, hi], from the midpoint."""
-    x = 0.5 * (lo + hi)
-    for _ in range(60):  # Newton needs about five steps, bisection about 40
-        d1, d2 = slope(x)
-        newton = x - d1 / d2 if d2 > 0.0 else math.nan
-        lo, hi = (lo, x) if d1 > 0.0 else (x, hi)
-        step = newton if lo <= newton <= hi else 0.5 * (lo + hi)
-        step, x = step - x, step
-        if abs(step) <= 1e-13 * max(1.0, x):
-            break
-    return x
-
-
 def _exact_terms(prior: EmpiricalPrior, levels: np.ndarray):
     """``(R_G, 2 T_G)`` on an array of finite levels: the exact average risk,
     as ``bayes_soft_risk`` gives it, and its curvature bound."""
     risk, tail = _soft_terms(prior.atoms[:, None], levels)
     return prior.weights @ risk, 2.0 * (prior.weights @ tail)
-
-
-def _surrogate_terms(prior: EmpiricalPrior, levels: np.ndarray, b0: float):
-    """``(S_G, C)`` on an array of levels: the surrogate risk and its curvature
-    bound from each level on, ``C(L) = 2 G(|theta| > L) + b0 u phi(u)`` at
-    ``u = max(L, 1)``."""
-    above = prior.weights @ (np.abs(prior.atoms)[:, None] > levels)
-    top = np.maximum(levels, 1.0)
-    return surrogate_risk(prior, levels, b0), 2.0 * above + b0 * top * _pdf(top)
 
 
 # The level search evaluates every _COARSE-th level of its 2048-point grid,
@@ -321,11 +296,11 @@ _COARSE = 32
 _CELL_SLACK = 1e-12
 
 
-def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray, *args) -> tuple[int, np.ndarray]:
+def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray) -> tuple[int, np.ndarray]:
     """``(i, vals)``: the first index of the smallest objective value on ``grid``,
     and the values, +inf at each level that was not evaluated.
 
-    ``terms(prior, levels, *args)`` gives the objective ``f`` and, at each
+    ``terms(prior, levels)`` gives the objective ``f`` and, at each
     level ``L``, an upper bound ``C(L)`` on the curvature of ``f`` at every
     level from ``L`` on.  On a cell ``[a, b]`` between evaluated levels
     ``f`` is then at least ``min(f(a), f(b)) - C(a) (b - a)^2 / 8``.  Every
@@ -342,7 +317,7 @@ def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray, *args) -> tuple
         # over the atoms, rounds the last (size mod 4) levels of a run apart, and the
         # full grid has none, so each level gets the value the full grid gives it
         run = np.concatenate((index, index[-1:].repeat(-index.size % 4)))
-        values, curvature = terms(prior, grid[run], *args)
+        values, curvature = terms(prior, grid[run])
         vals[index] = values[: index.size]
         return curvature[: index.size]
 
@@ -359,64 +334,84 @@ def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray, *args) -> tuple
     return int(np.argmin(vals)), vals
 
 
-def _minimize_level(prior: EmpiricalPrior, terms, slope, kinks, level_max: float | None, *args):
-    """``(level, f(prior, level, *args))`` at the minimum of ``f`` on ``[0, level_max]`` and at inf.
-
-    ``f`` is the first of ``terms``.  Finds the best level of a 2048-point
-    grid on ``[0, level_max]`` (``_grid_argmin``), splits the bracket around
-    it at the ``kinks`` of ``f`` inside it, runs a safeguarded Newton solve
-    on the closed-form ``slope`` in each piece (bisection when the curvature
-    is not positive or a step leaves it), keeps the grid value when lower,
-    and compares with the infinite-level limit, the prior mean square: the
-    level is +inf when the zero estimator is optimal, and the risk is then
-    the mean square.  The default ``level_max`` is
-    ``prior.default_level_max``.
-    """
-    if level_max is None:
-        level_max = prior.default_level_max
-    if not (level_max > 0.0) or not math.isfinite(level_max):
+def _top_level(prior: EmpiricalPrior, level_max: float | None) -> float:
+    """The top of a level search: ``level_max``, by default ``prior.default_level_max``."""
+    top = prior.default_level_max if level_max is None else level_max
+    if not 0.0 < top < math.inf:
         raise ValueError("level_max must be positive and finite")
-    grid = np.linspace(0.0, level_max, 2048)
-    i, vals = _grid_argmin(prior, terms, grid, *args)
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    edges = np.unique(np.clip(np.r_[lo, hi, kinks], lo, hi))
-    x, v = float(grid[i]), float(vals[i])
-    for a, b in zip(edges[:-1], edges[1:]):
-        z = _solve_slope(lambda lv: slope(prior, lv, *args), float(a), float(b))
-        if (fz := float(terms(prior, np.array([z]), *args)[0][0])) <= v:
-            x, v = z, fz
-    if v < prior.mean_square - 1e-12 * max(1.0, prior.mean_square):
-        return x, v
+    return top
+
+
+def _or_infinite_level(prior: EmpiricalPrior, level: float, risk: float) -> tuple[float, float]:
+    """``(level, risk)`` if ``risk`` is below the prior mean square ``M`` by more than
+    ``1e-12 max(1, M)``, else the zero estimator's ``(inf, M)``."""
+    if risk < prior.mean_square - 1e-12 * max(1.0, prior.mean_square):
+        return level, risk
     return math.inf, prior.mean_square
 
 
 def optimal_levels(prior: EmpiricalPrior, level_max: float | None = None) -> tuple[float, float]:
     """``(level, risk)`` minimizing the exact average risk ``bayes_soft_risk``.
 
-    The search is ``_minimize_level``'s: a grid on ``[0, level_max]``, one
-    Newton solve in the best bracket, where ``R_G`` is smooth, and the
-    infinite level.  The grid's best level is certified by the curvature
-    bound ``R_G'' <= 2 T_G``, with ``T_G = rejection_prob``, which is
-    nonincreasing in the level: per atom ``R'' = 2 T - 2 mu [phi(L - mu) -
-    phi(L + mu)]``, and the second term is never negative for ``L >= 0``.
-    So only the cells of the grid whose bound comes within a relative 1e-12
-    of the best value are searched level by level: 158 of the 2048 levels
-    on the n = 1024 benchmark prior and 127 on the n = 1e5 one.
+    Finds the best level of a 2048-point grid on ``[0, level_max]``
+    (default ``prior.default_level_max``), runs one Newton solve on the
+    closed-form slope in the bracket around it, where ``R_G`` is smooth,
+    keeps the grid value when lower, and compares with the infinite level
+    (``_or_infinite_level``).  The grid's best level is certified by the
+    curvature bound ``R_G'' <= 2 T_G``, with ``T_G = rejection_prob``,
+    which is nonincreasing in the level: per atom ``R'' = 2 T - 2 mu
+    [phi(L - mu) - phi(L + mu)]``, and the second term is never negative
+    for ``L >= 0``.  So ``_grid_argmin`` searches level by level only the
+    cells whose bound comes within a relative 1e-12 of the best value: 158
+    of the 2048 levels on the n = 1024 benchmark prior and 127 on the
+    n = 1e5 one.
     """
-    return _minimize_level(prior, _exact_terms, _exact_slope, (), level_max)
+    grid = np.linspace(0.0, _top_level(prior, level_max), 2048)
+    i, vals = _grid_argmin(prior, _exact_terms, grid)
+    # safeguarded Newton on R_G' from the bracket's midpoint: a bisection step where the
+    # curvature is not positive or a Newton step leaves the bracket
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    z = 0.5 * (lo + hi)
+    for _ in range(60):  # Newton needs about five steps, bisection about 40
+        d1, d2 = _exact_slope(prior, z)
+        newton = z - d1 / d2 if d2 > 0.0 else math.nan
+        lo, hi = (lo, z) if d1 > 0.0 else (z, hi)
+        step = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        step, z = step - z, step
+        if abs(step) <= 1e-13 * max(1.0, z):
+            break
+    if (fz := float(_exact_terms(prior, np.array([z]))[0][0])) <= vals[i]:
+        return _or_infinite_level(prior, z, fz)
+    return _or_infinite_level(prior, float(grid[i]), float(vals[i]))
 
 
 def optimal_surrogate_level(
     prior: EmpiricalPrior, b0: float = 4.0, level_max: float | None = None
 ) -> tuple[float, float]:
-    """``(level, risk)`` minimizing ``surrogate_risk(prior, level, b0)``.
+    """``(level, risk)`` minimizing ``surrogate_risk(prior, level, b0)``, in closed form.
 
-    The search is ``optimal_levels``'s, on the surrogate's slope, with its
-    best bracket split at the kinks, the ``|atoms|``, and the curvature
-    bound ``2 G(|theta| > a) + b0 u phi(u)``, ``u = max(a, 1)``, on the
-    levels past ``a``: ``E_G min(theta^2, L^2)`` has curvature
-    ``2 G(|theta| > L)`` away from its concave kinks at the ``|atoms|``, and
-    ``b0 Phi(-L)`` has ``b0 L phi(L)``, which is largest at ``L = 1`` and
-    decreases after it.
+    With the ``|atoms|`` sorted, ``a_1 <= ... <= a_m``, the surrogate on
+    the piece ``[a_k, a_k+1]`` (``a_0 = 0``, ``a_m+1 = inf``) is
+    ``f_k(L) = C_k + g_k L^2 + b0 Phi(-L)``, with ``C_k`` the weight-mixed
+    ``a_j^2`` of ``j <= k`` and ``g_k`` the weight of ``j > k``.  Each
+    ``f_k`` is convex, with its one stationary point at ``L^2 = W(c^2)``,
+    ``c = b0 / (2 g_k sqrt(2 pi))`` and ``W`` the Lambert function, taken
+    as the Wright omega of ``2 log c`` so that ``c^2`` cannot overflow.
+    Clipped to its piece and to ``level_max``, that point is the piece's
+    minimum; the least piece value gives the level.  Every ``f_k`` lies on
+    or above the surrogate, so a piece past ``level_max``, whose point the
+    clip moves to ``level_max``, never undercuts the piece that holds it.
+    The risk is ``surrogate_risk`` at that level, compared with the
+    infinite level as in ``optimal_levels``.  O(m log m) time and O(m)
+    memory for m atoms.
     """
-    return _minimize_level(prior, _surrogate_terms, _surrogate_slope, np.abs(prior.atoms), level_max, b0)
+    _check_b0(b0)
+    order = np.argsort(np.abs(prior.atoms))
+    edges, weights = np.abs(prior.atoms)[order], prior.weights[order]
+    below = np.r_[0.0, np.cumsum(weights * edges**2)]  # C_k
+    above = np.r_[np.cumsum(weights[::-1])[::-1], 0.0]  # g_k
+    with np.errstate(divide="ignore"):  # g_k = 0: the point is +inf, clipped to the piece
+        root = np.sqrt(wrightomega(2.0 * (math.log(0.5 * b0 * _INV_SQRT_2PI) - np.log(above))))
+    levels = np.minimum(np.clip(root, np.r_[0.0, edges], np.r_[edges, math.inf]), _top_level(prior, level_max))
+    best = float(levels[np.argmin(below + above * levels**2 + b0 * _cdf(-levels))])
+    return _or_infinite_level(prior, best, float(surrogate_risk(prior, best, b0)))

@@ -151,6 +151,8 @@ def _levels_at(n: int, alpha: float, ks: np.ndarray) -> np.ndarray:
     """
     # alpha < 1 and k <= n keep p below 1/2, so every level is positive
     p = alpha * ks / (2.0 * n)
+    if not p.all():
+        raise ValueError(f"alpha = {float(alpha)!r} is too small for n = {n}: alpha / (2n) underflows to 0")
     return -norm_quantile(np.minimum(p, _P_CLAMP))
 
 

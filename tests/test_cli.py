@@ -709,6 +709,7 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_EXPERIMENT, "kind = regret\nfamily = interpolated\nweight = 2\n"),
         (_EXPERIMENT, "kind = regret\nalpha1p = 0.04\n"),
         (_CURVE, "functional = surrogate_risk\nb0 = nan\n"),
+        (_CURVE, "functional = surrogate_risk\nb0 = inf\n"),
         (_CURVE, "level_max = inf\n"),
         (_CURVE, "level_max = -5\n"),
         (_CURVE, "level_max = nan\n"),
@@ -732,6 +733,15 @@ def test_bad_config_values_exit_2(tmp_path, command, text, capsys):
     (tmp_path / "c.cfg").write_bytes((base + text).encode("utf-8", "surrogateescape"))
     assert run(name, "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_estimate_with_underflowing_slope_exits_2(tmp_path, capsys):
+    # FdrConfig accepts alpha1 = alpha2 = 4e-323, but alpha / (2n) underflows to 0 at n = 1000
+    data = write(tmp_path / "x.csv", "".join(f"{v!r}\n" for v in np.linspace(-3.0, 3.0, 1000).tolist()))
+    cfg = write(tmp_path / "c.cfg", f"input = {data}\nalpha1 = 4e-323\nalpha2 = 4e-323\nalpha2p = 5e-324\n")
+    assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    message = "error: alpha = 4e-323 is too small for n = 1000: alpha / (2n) underflows to 0\n"
+    assert capsys.readouterr().err == message
 
 
 def test_parser_built_once_per_process(tmp_path, four_point, capsys):

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from fdrthresh.gauss import norm_cdf
-from fdrthresh.risk import EmpiricalPrior, clipped_second_moment, soft_risk, surrogate_risk
-from fdrthresh.selector import FdrConfig, select_lambda, step_down_level, step_up_level
+from fdrthresh.risk import (
+    EmpiricalPrior,
+    clipped_second_moment,
+    optimal_surrogate_level,
+    soft_risk,
+    surrogate_risk,
+)
+from fdrthresh.selector import FdrConfig, candidate_levels, select_lambda, step_down_level, step_up_level
 from fdrthresh.simulate import (
     common_mean_experiment,
     concentration_check,
@@ -36,6 +42,7 @@ HARD = ThresholdFamily("hard")
 NONEMPTY = "x must be a nonempty 1-d vector"
 FINITE = "x must be finite"
 ORACLE = "4 n max(|x|, |theta|)^2 must be finite"
+B0 = "need 4 <= b0 < inf"
 
 CASES = {
     # the level domain [0, inf]; a scalar-only level rejects an array by type
@@ -175,8 +182,14 @@ CASES = {
         ValueError,
         "firm_slope must lie in (1, 2)",
     ),
-    "surrogate-b0-nan": (
-        lambda: surrogate_risk(PRIOR, 1.0, math.nan), ValueError, "b0 must be >= 4"
+    "surrogate-b0-nan": (lambda: surrogate_risk(PRIOR, 1.0, math.nan), ValueError, B0),
+    "surrogate-b0-inf": (lambda: surrogate_risk(PRIOR, 1.0, math.inf), ValueError, B0),
+    "surrogate-optimum-b0-inf": (lambda: optimal_surrogate_level(PRIOR, math.inf), ValueError, B0),
+    # a slope accepted by the selector whose alpha / (2n) underflows
+    "candidate-levels-underflow": (
+        lambda: candidate_levels(10**5, 4e-323),
+        ValueError,
+        "alpha = 4e-323 is too small for n = 100000: alpha / (2n) underflows to 0",
     ),
 }
 

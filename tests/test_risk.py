@@ -33,7 +33,7 @@ from fdrthresh.risk import (
     soft_risk,
     surrogate_risk,
 )
-from fdrthresh.simulate import common_mean_experiment, regret_experiment, spikes
+from fdrthresh.simulate import common_mean_experiment, least_favorable, regret_experiment, spikes
 
 
 def quad_soft_risk(mu: float, level: float) -> float:
@@ -423,19 +423,20 @@ class TestRiskSlopes:
         per_atom = [risk._exact_slope(EmpiricalPrior.from_atoms([a]), 1.2) for a in atoms]
         np.testing.assert_allclose(risk._exact_slope(prior, 1.2), weights @ np.array(per_atom))
 
-    def test_surrogate_slope_matches_central_differences_off_kinks(self):
+    def test_interior_surrogate_optimum_has_zero_slope(self):
         rng = np.random.default_rng(46)
-        prior = EmpiricalPrior.from_atoms([0.0, 1.0, -2.5, 38.0], [0.4, 0.3, 0.2, 0.1])
-        kinks = np.abs(prior.atoms)
-        levels = [lv for lv in rng.uniform(0.0, 40.0, 60) if np.min(np.abs(kinks - lv)) > 1e-3]
-        for lam in [0.0, *levels]:
-            d1, _ = risk._surrogate_slope(prior, lam, 6.0)
-            # clipped_second_moment is even in the level, so |lv| extends it past 0
-            smooth = lambda lv: clipped_second_moment(prior, abs(lv)) + 6.0 * norm_cdf(-lv)
-            assert d1 == pytest.approx(central(smooth, lam), rel=1e-7, abs=1e-9)
-            if lam > 0.0:
-                d2 = central(lambda lv: risk._surrogate_slope(prior, lv, 6.0)[0], lam)
-                assert risk._surrogate_slope(prior, lam, 6.0)[1] == pytest.approx(d2, rel=1e-7)
+        priors = [EmpiricalPrior.from_atoms([0.0, 1.0, -2.5, 38.0], [0.4, 0.3, 0.2, 0.1])]
+        priors += [random_prior(rng) for _ in range(20)]
+        checked = 0
+        for prior in priors:
+            for b0 in (4.0, 6.0, 16.0):
+                level, value = optimal_surrogate_level(prior, b0)
+                if not level < prior.default_level_max - 1e-3 or np.min(np.abs(np.abs(prior.atoms) - level)) < 1e-3:
+                    continue
+                assert value == surrogate_risk(prior, level, b0)
+                assert central(lambda lv: surrogate_risk(prior, lv, b0), level) == pytest.approx(0.0, abs=1e-8)
+                checked += 1
+        assert checked >= 40
 
 
 def dense_grid_min(fn, prior: EmpiricalPrior, level_max: float) -> float:
@@ -454,8 +455,8 @@ def edge_prior(name: str) -> tuple[EmpiricalPrior, float | None]:
         "last-cell": (nine_zeros_and_three, 1.1762),
         "right-end": (nine_zeros_and_three, 1.0),
         "pm40": (EmpiricalPrior.from_atoms([-40.0, 40.0]), None),
-        # the surrogate has two local minima, split by the kink at 2.4733, in
-        # the best grid bracket; the lower one lies past the kink
+        # the surrogate has two local minima 0.0087 apart, on either side of the
+        # kink at 2.4733; the lower one lies below the kink, the other 1.5e-7 higher
         "kink-in-bracket": (
             EmpiricalPrior.from_atoms([0.0, 2.4733, 3.4689], [0.98466, 0.00037815, 0.01496185]),
             40.0,
@@ -464,6 +465,9 @@ def edge_prior(name: str) -> tuple[EmpiricalPrior, float | None]:
             EmpiricalPrior.from_atoms(rng.normal(0.0, 2.5, 50), rng.dirichlet(np.ones(50))),
             None,
         ),
+        # 122 atoms; the surrogate's minimum, at 0.97555, lies in a basin whose
+        # levels of the 2048-level grid are all above the grid's best value
+        "sweep-127": (_sweep_prior_at(3002, 127), None),
     }[name]
 
 
@@ -518,6 +522,13 @@ class TestOptimalLevels:
         assert risk_exact == pytest.approx(exact, abs=1e-8)
         assert risk_surrogate == pytest.approx(sur, abs=1e-8)
 
+    def test_surrogate_basin_between_grid_levels_is_found(self):
+        # only the surrogate: the exact risk's dense grid takes 13 s on these 122 atoms
+        prior, _ = edge_prior("sweep-127")
+        level, value = optimal_surrogate_level(prior)
+        assert level == pytest.approx(0.97555, abs=1e-5)
+        assert value == pytest.approx(dense_grid_min(surrogate_risk, prior, prior.default_level_max), abs=1e-8)
+
     def test_experiments_never_minimize_the_surrogate(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("surrogate risk evaluated")
@@ -553,6 +564,26 @@ class TestOptimalLevels:
         level, risk_surrogate = optimal_surrogate_level(prior)
         assert level == np.inf
         assert risk_surrogate == pytest.approx(prior.mean_square, rel=1e-15)
+
+    def test_surrogate_optimum_at_a_huge_b0(self):
+        # c^2 = (b0 / (2 g sqrt(2 pi)))^2 overflows; the stationary point does not
+        prior = EmpiricalPrior.from_atoms([0.0, 50.0])
+        level, value = optimal_surrogate_level(prior, 1e300, level_max=60.0)
+        assert level == pytest.approx(37.0471159163385, rel=1e-12)
+        assert value <= float(np.min(surrogate_risk(prior, np.linspace(0.0, 60.0, 200_001), 1e300)))
+
+    def test_surrogate_optimum_memory_is_linear_in_the_atoms(self):
+        # 32 100 atoms: a search over (atoms x levels) blocks peaked at 81 MB
+        prior = EmpiricalPrior.from_vector(least_favorable(2**15, 1.0, 0.05, weak=True))
+        assert prior.atoms.size > 32_000
+        tracemalloc.start()
+        try:
+            optimum = optimal_surrogate_level(prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert optimum == (math.inf, prior.mean_square)
 
     def test_surrogate_level_monotone_in_b0(self):
         rng = np.random.default_rng(43)
@@ -611,6 +642,14 @@ def _sweep_prior(rng, trial) -> EmpiricalPrior:
     return EmpiricalPrior.from_vector(theta)
 
 
+def _sweep_prior_at(seed, trial) -> EmpiricalPrior:
+    """The ``trial``-th prior of the sweep drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    for t in range(trial):
+        _sweep_prior(rng, t)
+    return _sweep_prior(rng, trial)
+
+
 def _search_priors():
     """Priors with ties, rounded atoms, a kink in the best bracket, heavy
     tails and two-atom spikes, then the edge priors: ``(prior, level_max)``."""
@@ -650,19 +689,15 @@ class TestCertifiedSearch:
         for prior, level_max in _search_priors():
             top = prior.default_level_max if level_max is None else level_max
             grid = np.linspace(0.0, top, 2048)
-            for terms, f, args in (
-                (risk._exact_terms, bayes_soft_risk, ()),
-                (risk._surrogate_terms, surrogate_risk, (4.0,)),
-            ):
-                i, vals = risk._grid_argmin(prior, terms, grid, *args)
-                assert i == int(np.argmin(f(prior, grid, *args)))
-                evaluated.append(np.isfinite(vals).sum())
+            i, vals = risk._grid_argmin(prior, risk._exact_terms, grid)
+            assert i == int(np.argmin(bayes_soft_risk(prior, grid)))
+            evaluated.append(np.isfinite(vals).sum())
             # with every level a coarse one the search is the dense 2048-level grid
-            got = optimal_levels(prior, level_max), optimal_surrogate_level(prior, level_max=level_max)
+            got = optimal_levels(prior, level_max)
             with mock.patch.object(risk, "_COARSE", 1):
-                dense = optimal_levels(prior, level_max), optimal_surrogate_level(prior, level_max=level_max)
+                dense = optimal_levels(prior, level_max)
             assert np.array(got).tobytes() == np.array(dense).tobytes()
-        assert len(evaluated) == 2 * 54
+        assert len(evaluated) == 54
         assert np.median(evaluated) <= 200
 
     def test_a_narrow_dip_between_coarse_levels_is_found(self):
@@ -680,7 +715,7 @@ class TestCertifiedSearch:
         assert i == int(np.argmin(terms(None, grid)[0])) == 1296
 
     def test_curvature_bounds(self):
-        # R_G'' <= 2 T_G with T_G = rejection_prob nonincreasing, and the surrogate's bound
+        # R_G'' <= 2 T_G with T_G = rejection_prob nonincreasing
         rng = np.random.default_rng(92)
         levels = np.linspace(0.0, 12.0, 97)
         for trial in range(40):
@@ -689,11 +724,8 @@ class TestCertifiedSearch:
             assert np.all(np.diff(tail) <= 1e-15)
             # the search reads 2 T_G from the risk's own erfc calls
             assert risk._exact_terms(prior, levels)[1].tobytes() == (2.0 * tail).tobytes()
-            bound = risk._surrogate_terms(prior, levels, 4.0)[1]
-            assert np.all(np.diff(bound) <= 1e-15)
-            for lam, t, c in zip(levels, tail, bound):
+            for lam, t in zip(levels, tail):
                 assert risk._exact_slope(prior, lam)[1] <= 2.0 * t * (1.0 + 1e-12)
-                assert risk._surrogate_slope(prior, lam, 4.0)[1] <= c * (1.0 + 1e-12)
 
     def test_many_atoms_stay_under_a_memory_bound(self):
         # 2**15 distinct atoms: the full grid's (atoms x 2048) temporaries held 537 MB each
