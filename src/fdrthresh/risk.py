@@ -121,9 +121,17 @@ class EmpiricalPrior:
 
     @property
     def default_level_max(self) -> float:
-        """``sqrt(2 log max(n, 2)) + 4``: the default top of every level range,
-        above every risk minimizer at 1e-12 tolerance."""
-        return math.sqrt(2.0 * math.log(max(self.n, 2))) + 4.0
+        """``sqrt(2 log N) + 4``: the default top of every level range, above
+        every risk minimizer at 1e-12 tolerance.
+
+        ``log N`` is the larger of ``log max(n, 2)`` and ``log(1 / w) - 1e-9``
+        for the least positive weight ``w``, so a ``from_atoms`` spike rarer
+        than one coordinate in ``n`` raises the top.  A ``from_vector`` weight
+        is ``1 / n`` or more up to rounding, far inside the 1e-9, so there the
+        top is ``sqrt(2 log max(n, 2)) + 4`` bit for bit.
+        """
+        rarest = -math.log(float(self.weights[self.weights > 0.0].min()))
+        return math.sqrt(2.0 * max(math.log(max(self.n, 2)), rarest - 1e-9)) + 4.0
 
     @property
     def is_degenerate(self) -> bool:
@@ -344,8 +352,9 @@ def _top_level(prior: EmpiricalPrior, level_max: float | None) -> float:
 
 def _or_infinite_level(prior: EmpiricalPrior, level: float, risk: float) -> tuple[float, float]:
     """``(level, risk)`` if ``risk`` is below the prior mean square ``M`` by more than
-    ``1e-12 max(1, M)``, else the zero estimator's ``(inf, M)``."""
-    if risk < prior.mean_square - 1e-12 * max(1.0, prior.mean_square):
+    a relative 1e-12, else the zero estimator's ``(inf, M)``.  The slack is relative
+    so that a prior whose ``M`` is far below 1 keeps its finite optimum."""
+    if risk < prior.mean_square - 1e-12 * prior.mean_square:
         return level, risk
     return math.inf, prior.mean_square
 

@@ -60,13 +60,11 @@ Each rule reads its answer off one exact hit mask ``m_(k) >= xi_k`` over a
 (B, m) block of sorted prefixes, one row per observation vector of the same
 length ``n``: ``k_hat`` is the last hit of the step-up mask and ``k'`` the
 first miss after k = 1 of the step-down mask; both levels are read from the
-same level arrays.  The levels depend only on ``(n, alpha)``: a store kept
-by the caller holds ``xi_1..xi_m`` per slope and computes only the missing
-levels for a longer prefix, so a Monte Carlo run computes each level once,
-and each one-row entry point starts a fresh store.  A Monte Carlo block at
-``interp = 0`` reads only the step-up level, so it runs the step-down scan
-at ``alpha1`` on the step-up levels and hits and computes no level at
-``alpha2``.  A ``SelectorTrace``
+same level arrays.  Each block computes ``xi_1..xi_m`` for its own prefix
+of ``m`` columns, once per slope, and holds nothing across blocks.  A Monte
+Carlo block at ``interp = 0`` reads only the step-up level, so it runs the
+step-down scan at ``alpha1`` on the step-up levels and hits and computes no
+level at ``alpha2``.  A ``SelectorTrace``
 keeps scalars only; ``candidate_levels(n, alpha)`` gives the candidate array
 and ``exceed_count(x, levels)`` the counts at any array of levels.
 """
@@ -213,27 +211,18 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     return np.sort(absx[absx >= level])[::-1]
 
 
-def _prefix_levels(store: dict, n: int, alpha: float, m: int) -> np.ndarray:
-    """``xi_1..xi_m`` at ``(n, alpha)``, kept in ``store``; a longer prefix
-    computes only the levels past the kept ones, each as ``_levels_at`` does."""
-    xi = store.get((n, alpha), np.empty(0))
-    if xi.size < m:
-        xi = store[n, alpha] = np.concatenate((xi, _levels_at(n, alpha, np.arange(xi.size + 1, m + 1))))
-    return xi[:m]
-
-
-def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
+def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
     """The selection core, on each row of a (B, n) block of magnitudes.
 
     Returns per row ``k_hat`` (the last step-up hit) and ``xi_{k_hat}`` at
     slope ``alpha1``, and ``xi_{k'-1}`` at slope ``alpha2`` for the first
     step-down miss ``k' >= 2`` (``m + 1`` for a sorted prefix of ``m``
-    magnitudes without one).  A level is +inf when its rule rejects nothing;
-    ``store`` keeps the candidate levels (see ``_prefix_levels``).  A one-row
-    block sorts and compares only its top-K prefix, cut at the larger slope
-    (see the module docstring); a block of several rows sorts every row in
-    full and compares only the columns up to the largest row count at the
-    first cut.
+    magnitudes without one).  A level is +inf when its rule rejects nothing.
+    A one-row block sorts and compares only its top-K prefix, cut at the
+    larger slope (see the module docstring); a block of several rows sorts
+    every row in full and compares only the columns up to the largest row
+    count at the first cut.  The block computes the candidate levels of the
+    compared columns, once per slope.
     """
     count, n = absx.shape
     slope = max(alpha1, alpha2)
@@ -244,12 +233,13 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, store: dict):
         keep = np.count_nonzero(absx >= _cut(n, slope, n), axis=1).max()
         mags = np.sort(absx, axis=1)[:, ::-1][:, : max(1, keep)]
     size = mags.shape[1]
-    xi1 = _prefix_levels(store, n, alpha1, size)
+    ks = np.arange(1, size + 1)
+    xi1 = _levels_at(n, alpha1, ks)
     up_hit = mags >= xi1
     k_hat = np.where(up_hit.any(axis=1), size - np.argmax(up_hit[:, ::-1], axis=1), 0)
     xi2, down_hit = xi1, up_hit
     if alpha2 != alpha1:
-        xi2 = _prefix_levels(store, n, alpha2, size)
+        xi2 = _levels_at(n, alpha2, ks)
         down_hit = mags >= xi2
     ends = np.ones((count, size), dtype=bool)
     np.logical_not(down_hit[:, 1:], out=ends[:, :-1])
@@ -267,7 +257,7 @@ def _select_levels(x, alpha1: float, alpha2: float) -> tuple[int, float, float]:
     arr = _check_observations(x)
     _check_alpha(alpha1)
     _check_alpha(alpha2)
-    k_hat, up, down = _block_levels(np.abs(arr)[None], alpha1, alpha2, {})
+    k_hat, up, down = _block_levels(np.abs(arr)[None], alpha1, alpha2)
     return int(k_hat[0]), float(up[0]), float(down[0])
 
 
@@ -334,12 +324,11 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     return SelectorTrace(xi1, xi2, *map(float, _interval(xi1, xi2, config)), k_hat)
 
 
-def _block_lambdas(absx: np.ndarray, config: FdrConfig, store: dict) -> np.ndarray:
+def _block_lambdas(absx: np.ndarray, config: FdrConfig) -> np.ndarray:
     """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n)
-    block, from the block's magnitudes ``absx``; ``store`` keeps the candidate
-    levels across the blocks of one ``n``."""
+    block, from the block's magnitudes ``absx``."""
     # at interp = 0 the step-down level is not read: scan it at alpha1, whose
     # levels and hits the step-up scan already has
     alpha2 = config.alpha1 if config.interp == 0.0 else config.alpha2
-    _, up, down = _block_levels(absx, config.alpha1, alpha2, store)
+    _, up, down = _block_levels(absx, config.alpha1, alpha2)
     return _interval(up, down, config)[2]

@@ -39,15 +39,15 @@ Every experiment evaluates its threshold rules through one block
 statistic, ``_threshold_losses(theta, families, level)``, at the level
 an ``FdrConfig`` selects per row or at a fixed level.  Per block it writes
 ``|x|`` once, gathers the survivors ``|x_i| > level`` once and runs each
-family on them alone, bit for bit the dense loss; the selector's candidate
-levels are computed once per call.  An experiment keeps three buffers of
-``8 max(2**14, n)`` bytes on its thread (``gauss._kept``), 2.4 MB at
-n = 1e5, for the largest n that thread has run: the draws, formed in
-place and overwritten by the next block or call once the statistic has
-returned, ``|x|`` and the residuals.  ``oracle_loss_min`` takes six
-buffers while the draws are held, one of them a row of ``n + 1`` sums
-wider, so a strong run keeps seven: 0.9 MB at n = 1024.  The next call
-reuses them instead of faulting fresh pages in.
+family on them alone, bit for bit the dense loss; each block's selection
+computes the candidate levels it compares.  An experiment keeps three
+buffers of ``8 max(2**14, n)`` bytes on its thread (``gauss._kept``),
+2.4 MB at n = 1e5, for the largest n that thread has run: the draws,
+formed in place and overwritten by the next block or call once the
+statistic has returned, ``|x|`` and the residuals.  ``oracle_loss_min``
+takes six buffers while the draws are held, one of them a row of
+``n + 1`` sums wider, so a strong run keeps seven: 0.9 MB at n = 1024.
+The next call reuses them instead of faulting fresh pages in.
 """
 
 from __future__ import annotations
@@ -264,22 +264,20 @@ def _threshold_losses(theta: np.ndarray, families, level):
     the (B, len(families)) losses ``||t(row, lam_row) - theta||^2``.
 
     ``level`` is an ``FdrConfig``, whose selection (``_block_lambdas``) gives
-    each row's level from candidate levels kept across the blocks, or a
-    level, or a (B,) array of levels.  Every family maps ``|x_i| <= lam``
-    to a signed zero, whose residual ``+-0 - theta_i`` squares to
-    ``theta_i^2``, so the survivors ``|x_i| > lam`` are gathered once and
-    each family runs on them alone.  Their residuals are scattered into a
+    each row's level, or a level, or a (B,) array of levels.  Every family
+    maps ``|x_i| <= lam`` to a signed zero, whose residual
+    ``+-0 - theta_i`` squares to ``theta_i^2``, so the survivors
+    ``|x_i| > lam`` are gathered once and each family runs on them alone.  Their residuals are scattered into a
     kept buffer whose rows otherwise hold ``-theta``, and each row's loss
     is its own dot product: it sees the values of the dense
     ``t(x, lam) - theta`` in the same order.
     """
-    store = {}
 
     def statistic(x):
         with _kept(x.shape) as absx, _kept(x.shape) as resid:
             np.abs(x, out=absx)
             fixed = not isinstance(level, FdrConfig)
-            lam = np.broadcast_to(level, len(x)) if fixed else _block_lambdas(absx, level, store)
+            lam = np.broadcast_to(level, len(x)) if fixed else _block_lambdas(absx, level)
             at = np.flatnonzero(absx > lam[:, None])
             rows, cols = np.divmod(at, x.shape[1])
             survivors, lam_at, theta_at = x.take(at), lam[rows], theta.take(cols)

@@ -405,7 +405,10 @@ _PATH_EXPERIMENT_SHA256 = {
 # the step-down level is not read: regret on one-row top-K blocks, strong regret on
 # 16-row blocks, and the same strong regret at interp = 0.6.  The hashes were taken
 # from the code before selection skipped the unread step-down level and bounded a
-# block's sorted prefix by its first cut.
+# block's sorted prefix by its first cut.  bench_big is the mc-regret-1e5 benchmark
+# run; at seed 2 its second one-row block compares a longer prefix than its first
+# (495 levels after 468).  Its hash was taken from the code that kept the candidate
+# levels of a run in one store and computed only the missing ones for a longer prefix.
 _BENCH_SELECTOR = "alpha1 = 0.2\nalpha2 = 0.1\nalpha1p = 0.4\nalpha2p = 0.05\n"
 _BENCH_SELECTOR_CFG = {
     "bench_top_k": "kind = regret\nn = 20000\nspike_count = 200\nspike_value = 3.5\n"
@@ -414,11 +417,14 @@ _BENCH_SELECTOR_CFG = {
     "replicates = 16\nstrong = true\n" + _BENCH_SELECTOR,
     "bench_strong_interp": "kind = regret\nn = 1024\nspike_count = 32\nspike_value = 3.0\n"
     "replicates = 16\nstrong = true\n" + _BENCH_SELECTOR + "interp = 0.6\n",
+    "bench_big": "kind = regret\nn = 100000\nspike_count = 500\nspike_value = 3.0\n"
+    "replicates = 2\n" + _BENCH_SELECTOR,
 }
 _BENCH_SELECTOR_SHA256 = {
     "bench_top_k": "2172031bbecf37e3921c9b381896c8a4646b9346cb1149fa33149a40cec2e0fd",
     "bench_strong": "53808a20ec590db5731c34e673b641eb69678f53e1625a831e2a76043b75639a",
     "bench_strong_interp": "050a31b1649c4fa4ddb2a3e61cf7c7cc35bd53e44539530d9a2630bc0e829080",
+    "bench_big": "8ab0fb9f4fd2bd7aa9c85dd9b5faeac47991a3829d5988c1f3953a2302f32614",
 }
 _PINNED_CFG = {**_EXPERIMENT_CFG, **_PATH_EXPERIMENT_CFG, **_BENCH_SELECTOR_CFG}
 _PINNED_SHA256 = {**_EXPERIMENT_SHA256, **_PATH_EXPERIMENT_SHA256, **_BENCH_SELECTOR_SHA256}
@@ -708,6 +714,11 @@ _CURVE = "risk-curve", "atoms = 0, 3\n"
         (_EXPERIMENT, "kind = regret\nfamily = firm\nfirm_slope = 2.5\n"),
         (_EXPERIMENT, "kind = regret\nfamily = interpolated\nweight = 2\n"),
         (_EXPERIMENT, "kind = regret\nalpha1p = 0.04\n"),
+        (_EXPERIMENT, "kind = regret\ndelta2 = inf\n"),
+        (_EXPERIMENT, "kind = regret\nseed =\n"),
+        (_EXPERIMENT, "kind = regret\n= 3\n"),
+        (_EXPERIMENT, "kind = minimax\np = 1\nradius = 0.1\nweak = maybe\n"),
+        (("risk-curve", ""), "atoms = ,\n"),
         (_CURVE, "functional = surrogate_risk\nb0 = nan\n"),
         (_CURVE, "functional = surrogate_risk\nb0 = inf\n"),
         (_CURVE, "level_max = inf\n"),
@@ -733,6 +744,24 @@ def test_bad_config_values_exit_2(tmp_path, command, text, capsys):
     (tmp_path / "c.cfg").write_bytes((base + text).encode("utf-8", "surrogateescape"))
     assert run(name, "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_estimate_of_a_missing_input_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", f"input = {tmp_path / 'missing.csv'}\n")
+    assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_comments_and_blank_lines_change_no_byte(tmp_path):
+    plain = write(tmp_path / "plain.cfg", _EXPERIMENT_CFG["regret"])
+    noted = write(
+        tmp_path / "noted.cfg",
+        "# a comment-only line\n\n" + _EXPERIMENT_CFG["regret"].replace("\n", "  # trailing comment\n", 1) + "\n",
+    )
+    for name, cfg in (("plain", plain), ("noted", noted)):
+        assert run("experiment", "--config", cfg, "--out", str(tmp_path / name)) == 0
+    for file in ("experiment.csv", "experiment.json", "resolved.cfg"):
+        assert (tmp_path / "noted" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
 
 
 def test_estimate_with_underflowing_slope_exits_2(tmp_path, capsys):

@@ -175,6 +175,12 @@ class TestVectorFiles:
         write_vector_binary(path, [1.0, 2.0])
         assert path.read_bytes()[:8] == VECTOR_MAGIC
 
+    def test_binary_writer_refuses_a_matrix(self, tmp_path):
+        path = tmp_path / "vec.bin"
+        with pytest.raises(ValueError, match="1-d"):
+            write_vector_binary(path, np.zeros((2, 3)))
+        assert not path.exists()
+
     def test_csv_parsing(self, tmp_path):
         path = tmp_path / "vec.csv"
         path.write_text("# header comment\n1.5\n\n-2.25e0\n0.0  # inline\n")

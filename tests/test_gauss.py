@@ -208,3 +208,5 @@ class TestCriticalTailLevel:
     def test_domain(self):
         with pytest.raises(ValueError):
             critical_tail_level(1)
+        with pytest.raises(ValueError, match="integer"):
+            critical_tail_level(2.5)

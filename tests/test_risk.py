@@ -93,6 +93,23 @@ class TestEmpiricalPrior:
             EmpiricalPrior.from_vector([1e154, 0.0])  # 2e308 overflows
         assert np.isfinite(EmpiricalPrior.from_vector([1e153, 0.0]).mean_square)
 
+    def test_default_level_max_of_a_vector_prior_depends_on_n_alone(self):
+        # the counts' weights are 1/n or more up to rounding; 1 / fl(1/n) > n at n = 809,
+        # 1673, 1871 and 2045 among others, and must not raise a one-spike prior's top
+        rng = np.random.default_rng(16)
+        for n in [1, 2, 809, 1673, 1871, 2045, *rng.integers(3, 10**5, 100)]:
+            for count in {1, int(rng.integers(1, n + 1))}:
+                theta = np.zeros(n)
+                theta[:count] = 3.0
+                prior = EmpiricalPrior.from_vector(theta)
+                assert prior.default_level_max == math.sqrt(2.0 * math.log(max(n, 2))) + 4.0
+
+    def test_default_level_max_reaches_a_rare_spike(self):
+        # a weight of 1e-13 stands for one coordinate in 1e13, whatever n says
+        prior = EmpiricalPrior.from_atoms([0.0, 15.5], [1.0 - 1e-13, 1e-13])
+        assert prior.n == 2
+        assert prior.default_level_max == pytest.approx(math.sqrt(2.0 * math.log(1e13)) + 4.0, rel=1e-9)
+
     @pytest.mark.parametrize(
         "theta",
         [
@@ -323,6 +340,14 @@ class TestRejectionAndFdrCurve:
         curve = fdr_curve(near, np.linspace(0.0, 37.0, 3000))
         assert np.all(curve <= 1.0 + 4 * np.finfo(float).eps)
 
+    def test_negative_levels_are_refused(self):
+        prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
+        for t in (-1.0, np.array([1.0, -1e-300]), -math.inf):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                rejection_prob(prior, t)
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                fdr_curve(prior, t)
+
     def test_fdr_curve_two_atom_value(self):
         prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.5, 0.5], n=2)
         want = (2 * norm_cdf(-2.0)) / (
@@ -344,6 +369,15 @@ class TestPopulationLevels:
     def test_degenerate_prior(self):
         null = EmpiricalPrior.from_vector(np.zeros(3))
         assert population_fdr_levels(null, 0.1, 0.025) == (np.inf, np.inf)
+
+    def test_bad_slopes_and_an_unreachable_crossing(self):
+        prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
+        for alpha1p, alpha2p in ((0.1, 0.1), (0.05, 0.1), (0.1, 0.0), (1.0, 0.025)):
+            with pytest.raises(ValueError, match="alpha2p < alpha1p"):
+                population_fdr_levels(prior, alpha1p, alpha2p)
+        # a weak signal: the curve stays above 0.025 past the last level it searches
+        with pytest.raises(ValueError, match="beyond the searchable tail"):
+            population_fdr_levels(EmpiricalPrior.from_atoms([0.0, 0.1]), 0.1, 0.025)
 
     def test_frozen_example(self):
         prior = EmpiricalPrior.from_vector(np.array([0.0] * 9 + [3.0]))
@@ -481,6 +515,14 @@ class TestOptimalLevels:
         assert level == pytest.approx(1.7439328516429033, abs=1e-7)
         assert risk_surrogate == pytest.approx(0.466471777853926, rel=1e-12)
 
+    @pytest.mark.parametrize("level_max", [0.0, -1.0, math.inf, math.nan])
+    def test_level_max_must_be_positive_and_finite(self, level_max):
+        prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
+        with pytest.raises(ValueError, match="level_max must be positive and finite"):
+            optimal_levels(prior, level_max)
+        with pytest.raises(ValueError, match="level_max must be positive and finite"):
+            optimal_surrogate_level(prior, level_max=level_max)
+
     def test_zero_prior_prefers_infinite_level(self):
         prior = EmpiricalPrior.from_vector(np.zeros(16))
         assert optimal_levels(prior) == (np.inf, 0.0)
@@ -521,6 +563,22 @@ class TestOptimalLevels:
         sur = dense_grid_min(surrogate_risk, prior, level_max)
         assert risk_exact == pytest.approx(exact, abs=1e-8)
         assert risk_surrogate == pytest.approx(sur, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "eps, n, level_max",
+        [(2.0**-50, 2**62, None), (1e-16, None, 20.0), (1e-16, None, None), (1e-13, None, None)],
+        ids=["2^-50-n-2^62", "1e-16-top-20", "1e-16", "1e-13"],
+    )
+    def test_low_risk_priors_match_dense_grid(self, eps, n, level_max):
+        # a spike of weight eps at 2 sqrt(2 log(1/eps)): the mean square M is far below 1e-12
+        # and the optimum lies above sqrt(2 log max(n, 2)) + 4 for the default n
+        prior = EmpiricalPrior.from_atoms([0.0, 2.0 * math.sqrt(2.0 * math.log(1.0 / eps))], [1.0 - eps, eps], n)
+        level, value = optimal_levels(prior, level_max)
+        dense = dense_grid_min(bayes_soft_risk, prior, 40.0)
+        assert prior.mean_square > 4.0 * dense
+        assert 6.0 < level < 8.0
+        assert value == bayes_soft_risk(prior, level)
+        assert value == pytest.approx(dense, rel=1e-6)
 
     def test_surrogate_basin_between_grid_levels_is_found(self):
         # only the surrogate: the exact risk's dense grid takes 13 s on these 122 atoms

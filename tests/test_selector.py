@@ -278,6 +278,8 @@ def test_config_validation():
         FdrConfig(delta1=-0.1)
     with pytest.raises(ValueError):
         FdrConfig(interp=1.2)
+    with pytest.raises(ValueError, match="delta2 must be finite"):
+        FdrConfig(delta2=math.inf)
 
 
 def test_step_up_tail_bound_small_mc():

@@ -187,7 +187,7 @@ def _block_on_level(alpha, toward=None):
 
 
 def _assert_block_matches_rows(x, alpha1, alpha2):
-    k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2, {})
+    k_hat, up, down = selector._block_levels(np.abs(x), alpha1, alpha2)
     for row, k, u, d in zip(x, k_hat, up, down):
         assert (k, u, d) == selector._select_levels(row, alpha1, alpha2)
         assert u == _brute_step_up(row, alpha1)
@@ -202,7 +202,7 @@ def _assert_block_matches_rows(x, alpha1, alpha2):
         for trace in traces:
             fields = dataclasses.astuple(trace)
             assert [type(v) for v in fields] == [float] * 5 + [int]
-        lambdas = selector._block_lambdas(np.abs(x), config, {})
+        lambdas = selector._block_lambdas(np.abs(x), config)
         assert lambdas.tolist() == [trace.lambda_hat for trace in traces]
 
 
@@ -232,76 +232,11 @@ def test_block_prefix_bound_changes_no_level(case):
     # first cut; every level equals the one read off all n columns
     x, alpha1, alpha2 = case
     absx = np.abs(x)
-    got = selector._block_levels(absx, alpha1, alpha2, {})
+    got = selector._block_levels(absx, alpha1, alpha2)
     with mock.patch.object(selector, "_cut", lambda n, alpha, size: 0.0):
-        want = selector._block_levels(absx, alpha1, alpha2, {})
+        want = selector._block_levels(absx, alpha1, alpha2)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
-
-
-@st.composite
-def block_runs(draw):
-    """``(blocks, config)``: blocks of one ``n`` of 512 to 1024 observations.
-
-    One-row blocks take the top-K path and blocks of several rows a sorted
-    prefix bounded by the first cut; each reads a prefix of the levels.  The
-    run starts and ends with a one-row block and holds a three-row block
-    before the last, so the levels kept across the blocks are read at several
-    lengths.
-    """
-    n = draw(st.integers(512, 1024))
-    alpha1 = draw(st.sampled_from([0.05, 0.2, 0.5]))
-    alpha2 = draw(st.sampled_from([alpha1, 0.3 * alpha1]))
-    config = FdrConfig(alpha1=alpha1, alpha2=alpha2, alpha1p=(1.0 + alpha1) / 2, alpha2p=alpha2 / 2)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def block(rows):
-        x = rng.standard_normal((rows, n))
-        for row in x:
-            row[rng.choice(n, draw(st.integers(0, n // 4)), replace=False)] += 4.0
-        return x
-
-    sizes = [1] + draw(st.lists(st.sampled_from([1, 1, 3]), max_size=4)) + [3, 1]
-    return [block(rows) for rows in sizes], config
-
-
-@settings(SETTINGS, max_examples=25)
-@given(block_runs())
-def test_shared_levels_never_change_a_level(case):
-    blocks, config = case
-    store = {}
-    levels = selector._prefix_levels
-
-    def spy(store, n, alpha, m):
-        held = store.get((n, alpha))
-        xi = levels(store, n, alpha, m)
-        # the store grows only when asked for a longer prefix than it holds
-        if held is not None and held.size >= m:
-            assert store[n, alpha] is held
-        else:
-            assert store[n, alpha].size == m
-        return xi
-
-    with mock.patch.object(selector, "_prefix_levels", spy):
-        got = [selector._block_lambdas(np.abs(x), config, store) for x in blocks]
-    for x, lambdas in zip(blocks, got):
-        assert lambdas.tolist() == [select_lambda(row, config).lambda_hat for row in x]
-
-
-def test_extended_prefix_equals_levels_at():
-    # a store grown from m1 to m2 levels holds what one _levels_at call gives, bit for bit
-    rng = np.random.default_rng(60)
-    for alpha in np.r_[rng.uniform(1e-4, 0.999, 40), 1e-300, 0.999999999]:
-        n = int(rng.integers(2, 10**6))
-        m2 = int(rng.integers(2, min(n, 5000) + 1))
-        m1 = int(rng.integers(1, m2))
-        store = {}
-        first = selector._prefix_levels(store, n, alpha, m1).copy()
-        extended = selector._prefix_levels(store, n, alpha, m2)
-        want = selector._levels_at(n, alpha, np.arange(1, m2 + 1))
-        assert extended.tobytes() == want.tobytes()
-        assert first.tobytes() == want[:m1].tobytes()
-        assert selector._prefix_levels(store, n, alpha, m1).tobytes() == first.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +253,7 @@ def _top_k_everywhere():
 def _full_core(x, alpha1, alpha2):
     """``_select_levels(x, alpha1, alpha2)`` through the full sort: row 0 of the
     two-row block ``|x|, |x|``, which sorts every row."""
-    k_hat, up, down = selector._block_levels(np.abs(np.vstack([x, x])), alpha1, alpha2, {})
+    k_hat, up, down = selector._block_levels(np.abs(np.vstack([x, x])), alpha1, alpha2)
     return int(k_hat[0]), float(up[0]), float(down[0])
 
 

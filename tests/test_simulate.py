@@ -803,6 +803,15 @@ class TestExperiments:
         assert report.fdr_soft_risk < 0.8  # thresholding crushes the null risk
         assert report.exact_total == 0.0
 
+    @pytest.mark.parametrize("n", [2**10, 2**14])
+    def test_common_mean_beats_the_sample_mean_only_below_inverse_root_n(self, n):
+        # the sample mean's total risk is exactly 1 for every mu; soft thresholding beats
+        # it at mu = 0.9 / sqrt(n) and loses at mu = 1.1 / sqrt(n), by more than 3 SE each
+        below = common_mean_experiment(n, 0.9 / math.sqrt(n), replicates=200, seed=3)
+        above = common_mean_experiment(n, 1.1 / math.sqrt(n), replicates=200, seed=3)
+        assert below.fdr_soft_risk < 1.0 - 3.0 * below.fdr_soft_se
+        assert above.fdr_soft_risk > 1.0 + 3.0 * above.fdr_soft_se
+
     def test_minimax_experiment_smoke(self):
         report = minimax_ball_experiment(
             500, 0.0, 5 / 500, replicates=60, seed=8
