@@ -12,7 +12,9 @@ schema per subcommand; ``#`` starts a comment.  The selector keys of
 ``estimate`` and ``experiment`` and their defaults are the fields of
 ``FdrConfig``.  Every run writes the fully resolved configuration next to
 its outputs, so rerunning with that file reproduces the outputs byte for
-byte.  Every output is rewritten in place:
+byte.  The ``--out`` directory is created when the first output is
+written, so a run that fails a check before then leaves none behind.
+Every output is rewritten in place:
 an existing file is overwritten from its start and then cut to the new
 length, without truncating it to zero first.  CSV rows are formatted and
 written a fixed-size batch at a time, so the whole text of a file is never
@@ -215,6 +217,8 @@ _BATCH = 2**14
 def _rewrite(path: Path, pieces) -> None:
     """Write the text ``pieces`` to ``path`` one after another, in place.
 
+    The directory of ``path`` is created first if it is missing, so a run
+    that fails a check before its first output leaves no directory behind.
     The file is opened (or created) without truncation, written from its
     start in the default text mode and encoding of ``open(path, "w")``, and
     then cut at the end of the new text.  On ext4, truncating a file to
@@ -222,6 +226,10 @@ def _rewrite(path: Path, pieces) -> None:
     an in-place rewrite does not.  ``pieces`` is consumed lazily, so a
     caller can form each piece only when it is due to be written.
     """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {path.parent}: {exc}")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.writelines(pieces)
         fh.truncate()
@@ -383,10 +391,6 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args.command, args.config, overrides)
         out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"cannot create output directory {out_dir}: {exc}")
         if args.command == "estimate":
             cmd_estimate(cfg, out_dir)
         elif args.command == "risk-curve":

@@ -355,7 +355,9 @@ def test_risk_curve_bad_geometry(tmp_path):
 
 # one small config per experiment kind, and the SHA-256 of experiment.csv then
 # experiment.json for seeds 1, 2 and 3 in turn; the hashes were taken before the
-# refactor that gave N(t) and the prior average one owner each, which kept every byte
+# refactor that gave N(t) and the prior average one owner each, which kept every byte.
+# The common_mean hashes here and below were retaken when ``sample_mean_risk`` became
+# the exact 1 and its Monte Carlo ``sample_mean_se`` row was dropped.
 _EXPERIMENT_CFG = {
     "regret": "kind = regret\nn = 64\nspike_count = 4\nspike_value = 3.0\nreplicates = 20\n",
     "regret_strong": "kind = regret\nn = 64\nspike_count = 4\nspike_value = 3.0\n"
@@ -368,7 +370,7 @@ _EXPERIMENT_CFG = {
 _EXPERIMENT_SHA256 = {
     "regret": "9c23c5595ad8b02f6e66b5183af7675b531aa8f961529ea104d6770044080fc6",
     "regret_strong": "214e2b9e10f08729de27d5571a00cb28a91db7e3e0649e2a540bf68177e108f5",
-    "common_mean": "1ce5e197acc142893438fe4fd998fad89b20529e1904e5cd21016dfdfb03e2a0",
+    "common_mean": "01acfadea12eff6b1ec441b51d368dbd6113bb54e0d06b17d4cb91ff2e2ccf70",
     "minimax": "0243c6bb3c2d518f3d44f52dd544e70293d891a70f12a7ff3f5c1dd37a3ddad2",
     "concentration": "97c65c900c6e8cad5cf9ecc493412e912a800b27f210508fb527c84c19910d52",
 }
@@ -398,7 +400,7 @@ _PATH_EXPERIMENT_SHA256 = {
     "regret_top_k": "6f8424e49e7f8c8da4e15db12a0492ba4e050ee262daef684cf78a695877ae9f",
     "firm_deltas": "65f7824bdea8dedc0caa652063b21ce6e20bff258f897bb08681ced6abfa63f9",
     "hard": "3344320dc10f4dd6c877eb751f8e1fed8c69c258fceb45c75c1c16ce466e53c0",
-    "common_mean_interp": "8c18bfb03d66429c49ecb0379bfa5c1ab170b5eb7ca10158ec19c87adf8e6677",
+    "common_mean_interp": "3ecc6d323c9928ba71ad69c85a51912f92d4e0c40295bf4031588bdac6c51775",
     "regret_one_row_tail": "1f0115bf1db6611615f0becfd72afba448c371ca11125ddc0b5244cf426a8650",
 }
 # the benchmark's selector (alpha2 = 0.1 below alpha1 = 0.2) at interp = 0, where
@@ -551,7 +553,7 @@ def test_experiment_replicates_override(tmp_path):
         for line in (out / "experiment.csv").read_text().splitlines()[1:]
     )
     assert {"fdr_soft_risk", "fdr_firm_risk", "sample_mean_risk"} <= set(rows)
-    assert float(rows["sample_mean_risk"]) == pytest.approx(1.0, abs=0.5)
+    assert rows["sample_mean_risk"] == "1.0"
 
 
 def test_experiment_minimax(tmp_path):
@@ -750,6 +752,23 @@ def test_estimate_of_a_missing_input_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", f"input = {tmp_path / 'missing.csv'}\n")
     assert run("estimate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("estimate", "input = {tmp}/missing.csv\n"),
+        ("estimate", "input = {tmp}/nan.csv\n"),
+        ("experiment", "kind = common_mean\nn = 20\nfirm_slope = 2.5\n"),
+    ],
+    ids=["missing-input", "non-finite-input", "firm-slope"],
+)
+def test_a_failed_check_leaves_no_output_directory(tmp_path, command, text, capsys):
+    write(tmp_path / "nan.csv", "3.0\nnan\n0.2\n")
+    cfg = write(tmp_path / "c.cfg", text.format(tmp=tmp_path))
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o" / "sub")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_comments_and_blank_lines_change_no_byte(tmp_path):

@@ -31,7 +31,7 @@ from fdrthresh.simulate import (
     regret_experiment,
     spikes,
 )
-from fdrthresh.thresholds import ThresholdFamily, apply_family, soft
+from fdrthresh.thresholds import ThresholdFamily, apply_family, firm, soft
 
 
 class TestMcMean:
@@ -799,9 +799,32 @@ class TestExperiments:
     def test_common_mean_null_case(self):
         report = common_mean_experiment(1000, 0.0, replicates=100, seed=6)
         assert isinstance(report, CommonMeanReport)
-        assert report.sample_mean_risk == pytest.approx(1.0, abs=4 * report.sample_mean_se)
+        assert report.sample_mean_risk == 1.0
         assert report.fdr_soft_risk < 0.8  # thresholding crushes the null risk
         assert report.exact_total == 0.0
+
+    @pytest.mark.parametrize("n", [64, 9000], ids=["rows_per_block", "one_row_per_block"])
+    def test_common_mean_replays_each_draw(self, n):
+        # each replicate replayed alone: its draw, its selection, soft and firm at its
+        # level; at mu = 1 every draw keeps a few survivors, so the losses differ
+        config = FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05, interp=0.5)
+        replicates, seed = 12, 4
+        theta = np.full(n, 1.0)
+        losses = []
+        for i in range(replicates):
+            row = theta + simulate._replicate_rng(seed, i).standard_normal(n)
+            lam = select_lambda(row, config).lambda_hat
+            losses.append([float(d @ d) for d in (soft(row, lam) - theta, firm(row, lam, 1.5) - theta)])
+        losses = np.array(losses)
+        report = common_mean_experiment(n, 1.0, replicates, seed, config)
+        assert len(np.unique(losses[:, 0])) > 1
+        for (risk, se), column in zip(
+            ((report.fdr_soft_risk, report.fdr_soft_se), (report.fdr_firm_risk, report.fdr_firm_se)),
+            losses.T,
+        ):
+            assert risk == pytest.approx(column.mean(), rel=1e-12)
+            assert se == pytest.approx(column.std(ddof=1) / math.sqrt(replicates), rel=1e-12)
+        assert report.sample_mean_risk == 1.0
 
     @pytest.mark.parametrize("n", [2**10, 2**14])
     def test_common_mean_beats_the_sample_mean_only_below_inverse_root_n(self, n):
