@@ -10,9 +10,14 @@ Subcommands::
 Configs are flat ``key = value`` text files validated against a typed
 schema per subcommand; ``#`` starts a comment.  The selector keys of
 ``estimate`` and ``experiment`` and their defaults are the fields of
-``FdrConfig``.  Every run writes the fully resolved configuration next to
-its outputs, so rerunning with that file reproduces the outputs byte for
-byte.  The ``--out`` directory is created when the first output is
+``FdrConfig``.  A run reads only some keys of its schema, by its
+experiment kind, curve functional and family (``_READ_BY``), and refuses
+any other key that does not hold its default.  Every run writes the fully
+resolved configuration, every key of its schema, next to its outputs, so
+rerunning with that file reproduces the outputs byte for byte.  A JSON
+output writes a non-finite float as its ``repr`` text (``"inf"``), as
+``resolved.cfg`` does, never as a bare ``Infinity`` or ``NaN`` token.
+The ``--out`` directory is created when the first output is
 written, so a run that fails a check before then leaves none behind.
 Every output is rewritten in place:
 an existing file is overwritten from its start and then cut to the new
@@ -20,8 +25,9 @@ length, without truncating it to zero first.  CSV rows are formatted and
 written a fixed-size batch at a time, so the whole text of a file is never
 held in memory.  A killed run can leave a torn file, as a truncating
 rewrite can.  The CLI itself checks only the
-config syntax, the input file, the curve grid and the ``allow_hard``
-opt-in; every other rule on a value is the library's, with its message.
+config syntax, the keys a run reads, the input file, the curve grid and
+the ``allow_hard`` opt-in; every other rule on a value is the library's,
+with its message.
 Exit codes: 0 success; 2 for any ``ValueError``, whether from the config,
 the input file or a library argument check; 3 for any other failure.  The
 CLI has no error type of its own: its checks raise ``ValueError`` too.
@@ -156,6 +162,20 @@ _SCHEMAS["fdr-curve"] = {
     k: v for k, v in _SCHEMAS["risk-curve"].items() if k not in ("functional", "b0")
 }
 
+# The keys that only some runs read, each with the experiment kinds, curve
+# functionals and families whose runs read it; a run has a family only if it
+# reads ``family``.  Every other key of a schema is read by every run of its command.
+_SELECTING = {"estimate", "regret", "common_mean", "minimax"}
+_READ_BY = {
+    **dict.fromkeys(("spike_count", "spike_value"), {"regret", "concentration"}),
+    **dict.fromkeys(("p", "radius", "weak"), {"minimax"}),
+    "strong": {"regret"}, "mu": {"common_mean"}, "level": {"concentration"},
+    "b0": {"surrogate_risk"}, **dict.fromkeys(_SELECTOR_KEYS, _SELECTING),
+    "family": {"estimate", "regret", "minimax", "concentration"},
+    "allow_hard": {"hard"}, "weight": {"interpolated"},
+    "firm_slope": {"firm", "interpolated", "common_mean"},
+}
+
 
 def _parse_config_text(text: str, path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
@@ -197,6 +217,15 @@ def _resolve_config(command: str, path: str, overrides: dict) -> dict:
     for name, value in overrides.items():
         if value is not None and name in schema:
             cfg[name] = value
+    # a key the run does not read is refused unless it holds its default, so every
+    # resolved.cfg, which lists every key of its schema, still reruns
+    run = cfg.get("kind", command if command == "estimate" else cfg.get("functional", "fdr_curve"))
+    family = [cfg["family"]] if run in _READ_BY["family"] else []
+    unread = [k for k in _READ_BY if k in cfg and cfg[k] != schema[k].default]
+    unread = sorted(k for k in unread if not _READ_BY[k] & {run, *family})
+    if unread:
+        name = " ".join(dict.fromkeys([command, run, *family]))
+        raise ValueError(f"{name} does not read config keys {unread}; leave them out")
     return cfg
 
 
@@ -251,9 +280,20 @@ def _write_csv(path: Path, schema: str, lines) -> None:
     _rewrite(path, pieces)
 
 
+def _strict(value):
+    """``value`` with each non-finite float as its ``repr`` text, as ``resolved.cfg`` has it."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: Path, cfg: dict, extra: dict) -> None:
+    """Write strict JSON: no bare ``NaN`` or ``Infinity`` token."""
     meta = {"package_version": __version__, "config": {k: cfg[k] for k in sorted(cfg)}}
-    _rewrite(path, (json.dumps({**meta, **extra}, indent=2, sort_keys=True), "\n"))
+    text = json.dumps(_strict({**meta, **extra}), indent=2, sort_keys=True, allow_nan=False)
+    _rewrite(path, (text, "\n"))
 
 
 def _family(cfg: dict) -> ThresholdFamily:
@@ -288,10 +328,10 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     _write_json(out_dir / "estimate.json", cfg, report.to_dict())
 
 
-def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = None) -> None:
+def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str) -> None:
     # n = 0 (the default) sizes the prior by its atoms
     prior = EmpiricalPrior.from_atoms(cfg["atoms"], cfg["weights"] or None, cfg["n"] or None)
-    functional = functional or cfg.get("functional", "bayes_risk")
+    functional = cfg.get("functional", "fdr_curve")  # fdr-curve's schema has no functional
     # level_max = 0 (the default) means the prior's default; any other value is checked
     level_max = cfg["level_max"] if cfg["level_max"] != 0.0 else prior.default_level_max
     if not (cfg["level_min"] >= 0.0 and level_max > cfg["level_min"] and math.isfinite(level_max)):
@@ -332,8 +372,8 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str, functional: str | None = 
 
 def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     kind = cfg["kind"]
-    sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS})
-    family = _family(cfg)
+    sel = FdrConfig(**{k: cfg[k] for k in _SELECTOR_KEYS}) if kind in _SELECTING else None
+    family = _family(cfg) if kind in _READ_BY["family"] else None
     if kind in ("regret", "concentration"):
         theta = spikes(cfg["n"], cfg["spike_count"], cfg["spike_value"])
     if kind == "regret":
@@ -393,12 +433,10 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         if args.command == "estimate":
             cmd_estimate(cfg, out_dir)
-        elif args.command == "risk-curve":
-            cmd_risk_curve(cfg, out_dir, args.format)
-        elif args.command == "fdr-curve":
-            cmd_risk_curve(cfg, out_dir, args.format, functional="fdr_curve")
-        else:
+        elif args.command == "experiment":
             cmd_experiment(cfg, out_dir)
+        else:
+            cmd_risk_curve(cfg, out_dir, args.format)
         _write_resolved(cfg, out_dir)
     except ValueError as exc:  # a config, input-file or library argument check
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fdrthresh.cli import _BATCH, main
+from fdrthresh.cli import _BATCH, _READ_BY, main
 from fdrthresh.estimators import fdr_threshold_estimate, read_vector, write_vector_binary
 from fdrthresh.selector import FdrConfig
 from fdrthresh.simulate import (
@@ -781,6 +781,159 @@ def test_comments_and_blank_lines_change_no_byte(tmp_path):
         assert run("experiment", "--config", cfg, "--out", str(tmp_path / name)) == 0
     for file in ("experiment.csv", "experiment.json", "resolved.cfg"):
         assert (tmp_path / "noted" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the keys a run reads
+
+# a small run of each experiment kind and curve functional, and an estimate
+_RUN_CFG = {
+    "estimate": ("estimate", "input = {tmp}/x.csv\n"),
+    "regret": ("experiment", "kind = regret\nn = 20\nspike_count = 2\nspike_value = 3.0\n"),
+    "common_mean": ("experiment", "kind = common_mean\nn = 20\nmu = 0.3\n"),
+    "minimax": ("experiment", "kind = minimax\nn = 20\np = 1\nradius = 0.1\n"),
+    "concentration": ("experiment", "kind = concentration\nn = 20\nlevel = 1.5\n"),
+    "bayes_risk": ("risk-curve", "atoms = 0, 3\npoints = 8\n"),
+    "surrogate_risk": ("risk-curve", "atoms = 0, 3\npoints = 8\nfunctional = surrogate_risk\n"),
+    "fdr_curve": ("risk-curve", "atoms = 0, 3\npoints = 8\nfunctional = fdr_curve\n"),
+}
+
+_SELECTOR_VALUES = {
+    "alpha1": 0.01, "alpha2": 0.04, "alpha1p": 0.2, "alpha2p": 0.01,
+    "delta1": 0.1, "delta2": 0.2, "interp": 0.5,
+}
+
+# (run, added config lines, the keys the run must refuse as unread)
+_UNREAD = [
+    # a common_mean run always thresholds soft and firm, and selects no hard level
+    ("common_mean", "family = hard\nallow_hard = true\nstrong = true\nspike_count = 5\n"
+     "radius = 3\nlevel = 7\n", ["allow_hard", "family", "level", "radius", "spike_count", "strong"]),
+    ("regret", "mu = nan\n", ["mu"]),
+    ("concentration", "alpha1 = 0.01\n", ["alpha1"]),
+    ("estimate", "family = soft\nweight = 0.3\n", ["weight"]),
+    ("fdr_curve", "b0 = 5\n", ["b0"]),
+    ("bayes_risk", "b0 = 5\n", ["b0"]),
+    ("common_mean", "spike_value = 3.0\n", ["spike_value"]),
+    ("minimax", "spike_count = 2\n", ["spike_count"]),
+    ("regret", "p = 1\n", ["p"]),
+    ("concentration", "radius = 0.1\n", ["radius"]),
+    ("common_mean", "weak = true\n", ["weak"]),
+    ("minimax", "strong = true\n", ["strong"]),
+    ("concentration", "mu = 0.5\n", ["mu"]),
+    ("minimax", "level = 2\n", ["level"]),
+    *[("concentration", f"{k} = {v}\n", [k]) for k, v in _SELECTOR_VALUES.items()],
+    ("common_mean", "family = firm\n", ["family"]),
+    ("estimate", "allow_hard = true\n", ["allow_hard"]),
+    ("regret", "family = firm\nallow_hard = true\n", ["allow_hard"]),
+    ("minimax", "firm_slope = 1.8\n", ["firm_slope"]),
+    ("regret", "family = hard\nallow_hard = true\nfirm_slope = 1.8\n", ["firm_slope"]),
+    ("regret", "family = firm\nweight = 0.3\n", ["weight"]),
+    ("common_mean", "weight = 0.3\n", ["weight"]),
+]
+
+# (run, added config lines): keys at their defaults, or read by the run
+_READ_OR_DEFAULT = [
+    ("common_mean", "family = soft\nallow_hard = false\nstrong = false\nlevel = 1.0\n"
+     "spike_count = 0\nradius = 0\nweight = 0.5\n"),
+    ("regret", "mu = -0.0\np = 0\nweak = false\nlevel = 1\nfirm_slope = 1.5\n"),
+    ("concentration", "alpha1 = 0.05\ninterp = 0\nstrong = false\n"),
+    ("fdr_curve", "b0 = 4.0\n"),
+    ("bayes_risk", "b0 = 4\n"),
+    ("estimate", "family = firm\nfirm_slope = 1.8\n"),
+    ("estimate", "family = interpolated\nfirm_slope = 1.8\nweight = 0.3\n"),
+    ("regret", "family = firm\nfirm_slope = 1.8\nalpha1 = 0.1\nalpha1p = 0.2\n"),
+    ("regret", "family = hard\nallow_hard = true\nstrong = true\n"),
+    ("common_mean", "firm_slope = 1.8\ninterp = 0.5\n"),
+    ("minimax", "family = interpolated\nweight = 0.3\n"),
+    ("concentration", "family = firm\nfirm_slope = 1.8\nspike_count = 2\nspike_value = 3.0\n"),
+    ("surrogate_risk", "b0 = 5\n"),
+]
+
+
+def _run_cfg(tmp_path, run_name, text):
+    write(tmp_path / "x.csv", "3.0\n1.7\n1.5\n0.2\n")
+    command, base = _RUN_CFG[run_name]
+    extra = "replicates = 4\n" if command == "experiment" else ""
+    return command, write(tmp_path / "c.cfg", base.format(tmp=tmp_path) + extra + text)
+
+
+def test_unread_cases_cover_every_key_some_runs_do_not_read():
+    assert {key for _, _, keys in _UNREAD for key in keys} == set(_READ_BY)
+
+
+@pytest.mark.parametrize(
+    "run_name, text, keys", _UNREAD, ids=lambda v: v.strip().replace("\n", ",") if isinstance(v, str) else None
+)
+def test_a_key_the_run_does_not_read_exits_2(tmp_path, run_name, text, keys, capsys):
+    command, cfg = _run_cfg(tmp_path, run_name, text)
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} ")
+    assert run_name in err.split(" does not read ")[0].split()
+    assert f"config keys {keys}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "run_name, text", _READ_OR_DEFAULT, ids=lambda v: v.strip().replace("\n", ",")
+)
+def test_a_key_read_or_at_its_default_is_accepted(tmp_path, run_name, text, capsys):
+    command, cfg = _run_cfg(tmp_path, run_name, text)
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 0, capsys.readouterr().err
+
+
+_CURVE_RERUN = "atoms = 0, 3\nweights = 0.9, 0.1\npoints = 16\n"
+# each experiment kind, curve functional and non-soft family, by its command and config
+_RERUN_CFG = {
+    **{kind: ("experiment", text) for kind, text in _EXPERIMENT_CFG.items()},
+    **{
+        functional: ("risk-curve", f"{_CURVE_RERUN}functional = {functional}\n")
+        for functional in ("bayes_risk", "surrogate_risk", "fdr_curve")
+    },
+    "fdr-curve": ("fdr-curve", _CURVE_RERUN),
+    "hard": ("estimate", "input = {tmp}/x.csv\nfamily = hard\nallow_hard = true\n"),
+    "firm": ("experiment", _EXPERIMENT_CFG["regret"] + "family = firm\nfirm_slope = 1.8\n"),
+    "interpolated": (
+        "experiment", _EXPERIMENT_CFG["concentration"] + "family = interpolated\nweight = 0.3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_RERUN_CFG))
+def test_rerun_from_resolved_is_byte_identical(tmp_path, name):
+    write(tmp_path / "x.csv", "3.0\n1.7\n1.5\n0.2\n")
+    command, text = _RERUN_CFG[name]
+    cfg = write(tmp_path / "c.cfg", text.format(tmp=tmp_path))
+    fmt = ["--format", "json"] if command.endswith("curve") else []
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run(command, "--config", cfg, "--out", str(first), *fmt) == 0
+    assert run(command, "--config", str(first / "resolved.cfg"), "--out", str(second), *fmt) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert len(names) == 3 and names == sorted(p.name for p in second.iterdir())
+    for file in names:
+        assert (first / file).read_bytes() == (second / file).read_bytes(), file
+
+
+def _refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_json_outputs_write_infinite_floats_as_text(tmp_path):
+    # an estimate that selects nothing has an infinite level and trace ends
+    data = write(tmp_path / "x.csv", "0.1\n-0.2\n0.3\n")
+    cfg = write(tmp_path / "e.cfg", f"input = {data}\n")
+    assert run("estimate", "--config", cfg, "--out", str(tmp_path / "e")) == 0
+    report = json.loads((tmp_path / "e" / "estimate.json").read_text(), parse_constant=_refuse)
+    assert report["level"] == "inf"
+    assert {k: v for k, v in report["trace"].items() if v == "inf"}.keys() == {
+        "xi1_hat", "xi2_hat", "lower", "upper", "lambda_hat"
+    }
+    # an infinite configured level lands in the config block as text
+    cfg = write(tmp_path / "c.cfg", "kind = concentration\nn = 20\nlevel = inf\nreplicates = 4\n")
+    assert run("experiment", "--config", cfg, "--out", str(tmp_path / "c")) == 0
+    payload = json.loads((tmp_path / "c" / "experiment.json").read_text(), parse_constant=_refuse)
+    assert payload["config"]["level"] == "inf"
+    assert "level = inf\n" in (tmp_path / "c" / "resolved.cfg").read_text()
 
 
 def test_estimate_with_underflowing_slope_exits_2(tmp_path, capsys):
