@@ -75,13 +75,17 @@ __all__ = ["main"]
 # config schema machinery
 
 class _Key:
-    def __init__(self, kind: str, default=None, required: bool = False, choices=None):
+    """A typed config key; one without a default (``None``) is required."""
+
+    def __init__(self, kind: str, default=None, choices=None):
         self.kind = kind
         self.default = default
-        self.required = required
         self.choices = choices
 
     def parse(self, name: str, raw: str):
+        # the one empty value is an empty list's, as resolved.cfg writes "weights = "
+        if not raw and self.default != ():
+            raise ValueError(f"config key {name!r}: empty value")
         try:
             if self.kind == "int":
                 value = int(raw)
@@ -97,7 +101,7 @@ class _Key:
                     raise ValueError
             elif self.kind == "floats":
                 value = tuple(float(part) for part in raw.split(",") if part.strip())
-                if not value:
+                if raw and not value:
                     raise ValueError
             else:
                 value = raw
@@ -114,14 +118,14 @@ _SELECTOR_KEYS = {f.name: _Key("float", f.default) for f in dataclasses.fields(F
 
 _FAMILY_KEYS = {
     "family": _Key("str", "soft", choices={"soft", "hard", "firm", "interpolated"}),
-    "firm_slope": _Key("float", 1.5),
-    "weight": _Key("float", 0.5),
+    # firm_slope and weight, the fields after kind, with their defaults
+    **{f.name: _Key("float", f.default) for f in dataclasses.fields(ThresholdFamily)[1:]},
     "allow_hard": _Key("bool", False),
 }
 
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     "estimate": {
-        "input": _Key("str", required=True),
+        "input": _Key("str"),
         **_FAMILY_KEYS,
         **_SELECTOR_KEYS,
     },
@@ -129,7 +133,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "functional": _Key(
             "str", "bayes_risk", choices={"bayes_risk", "surrogate_risk", "fdr_curve"}
         ),
-        "atoms": _Key("floats", required=True),
+        "atoms": _Key("floats"),
         "weights": _Key("floats", ()),
         "n": _Key("int", 0),
         "level_min": _Key("float", 0.0),
@@ -138,12 +142,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "b0": _Key("float", 4.0),
     },
     "experiment": {
-        "kind": _Key(
-            "str",
-            required=True,
-            choices={"regret", "common_mean", "minimax", "concentration"},
-        ),
-        "n": _Key("int", required=True),
+        "kind": _Key("str", choices={"regret", "common_mean", "minimax", "concentration"}),
+        "n": _Key("int"),
         "replicates": _Key("int", 1000),
         "seed": _Key("int", 0),
         "mu": _Key("float", 0.0),
@@ -188,7 +188,7 @@ def _parse_config_text(text: str, path: str) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if not key or not value:
+        if not key:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key in raw:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -210,7 +210,7 @@ def _resolve_config(command: str, path: str, overrides: dict) -> dict:
     for name, key in schema.items():
         if name in raw:
             cfg[name] = key.parse(name, raw[name])
-        elif key.required:
+        elif key.default is None:
             raise ValueError(f"missing required config key {name!r}")
         else:
             cfg[name] = key.default
@@ -268,16 +268,21 @@ def _write_resolved(cfg: dict, out_dir: Path) -> None:
     _rewrite(out_dir / "resolved.cfg", (f"{k} = {_format_value(cfg[k])}\n" for k in sorted(cfg)))
 
 
-def _write_csv(path: Path, schema: str, lines) -> None:
-    """Write already formatted ``lines`` under a schema comment.
+def _write_csv(path: Path, schema: str, batches) -> None:
+    """Write ``batches``, nonempty lists of formatted lines, under a schema comment.
 
-    The lines are joined and written ``_BATCH`` at a time, so the whole
-    text of the file is never held at once.
+    Each batch is joined and written in turn, so a caller that forms its
+    batches lazily never holds the whole text of the file at once.
     """
-    lines = iter(lines)
-    batches = iter(lambda: list(itertools.islice(lines, _BATCH)), [])
     pieces = itertools.chain([f"# schema: {schema}\n"], ("\n".join(b) + "\n" for b in batches))
     _rewrite(path, pieces)
+
+
+def _slices(*columns):
+    """Yield ``(start, rows)`` for each ``_BATCH`` rows of the equal-length arrays
+    ``columns``; ``rows`` zips their ``tolist()`` slices, so no whole column is listed."""
+    for start in range(0, len(columns[0]), _BATCH):
+        yield start, zip(*(column[start:start + _BATCH].tolist() for column in columns))
 
 
 def _strict(value):
@@ -317,14 +322,11 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> None:
     family = _family(cfg)
     report = fdr_threshold_estimate(x, family, sel, allow_hard=cfg["allow_hard"])
     est = report.estimate
-    rows = (  # from one batch's ``tolist()`` slices at a time, never the whole vector's
-        f"{i},{a!r},{b!r}"
-        for start in range(0, x.size, _BATCH)
-        for i, (a, b) in enumerate(
-            zip(x[start:start + _BATCH].tolist(), est[start:start + _BATCH].tolist()), start
-        )
+    batches = (
+        [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(rows, start)]
+        for start, rows in _slices(x, est)
     )
-    _write_csv(out_dir / "estimate.csv", "index:int,observation:float,estimate:float", rows)
+    _write_csv(out_dir / "estimate.csv", "index:int,observation:float,estimate:float", batches)
     _write_json(out_dir / "estimate.json", cfg, report.to_dict())
 
 
@@ -334,8 +336,9 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str) -> None:
     functional = cfg.get("functional", "fdr_curve")  # fdr-curve's schema has no functional
     # level_max = 0 (the default) means the prior's default; any other value is checked
     level_max = cfg["level_max"] if cfg["level_max"] != 0.0 else prior.default_level_max
-    if not (cfg["level_min"] >= 0.0 and level_max > cfg["level_min"] and math.isfinite(level_max)):
-        raise ValueError("need 0 <= level_min < level_max < inf")
+    # past sqrt(float max), about 1.34e154, level_max squares to inf and a risk reads NaN
+    if not (0.0 <= cfg["level_min"] < level_max and level_max * level_max < math.inf):
+        raise ValueError("need 0 <= level_min < level_max and level_max**2 < inf")
     if cfg["points"] < 2:
         raise ValueError("points must be >= 2")
     levels = np.linspace(cfg["level_min"], level_max, cfg["points"])
@@ -348,11 +351,8 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str) -> None:
         optimum = lambda: optimal_surrogate_level(prior, cfg["b0"], level_max=level_max)
     else:
         values = fdr_curve(prior, levels)
-    _write_csv(
-        out_dir / "curve.csv",
-        "level:float,value:float",
-        (f"{float(l)!r},{float(v)!r}" for l, v in zip(levels, values)),
-    )
+    batches = ([f"{l!r},{v!r}" for l, v in rows] for _, rows in _slices(levels, values))
+    _write_csv(out_dir / "curve.csv", "level:float,value:float", batches)
     if fmt == "json":
         _write_json(
             out_dir / "curve.json",
@@ -364,9 +364,7 @@ def cmd_risk_curve(cfg: dict, out_dir: Path, fmt: str) -> None:
             },
         )
     elif fmt == "svg":
-        level = optimum()[0] if optimum else math.inf
-        vlines = [(level, "optimal")] if math.isfinite(level) else []
-        svg = svg_line_chart(functional, levels, values, vlines)
+        svg = svg_line_chart(functional, levels, values, optimum()[0] if optimum else math.inf)
         _rewrite(out_dir / "curve.svg", (svg, "\n"))
 
 
@@ -395,7 +393,7 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     results = {**dataclasses.asdict(rep), "seed": cfg["seed"]}
     del results["config_fingerprint"]
     rows = {k: _format_value(v) for k, v in results.items() if v is not None}
-    _write_csv(out_dir / "experiment.csv", "metric:str,value:str", map(",".join, rows.items()))
+    _write_csv(out_dir / "experiment.csv", "metric:str,value:str", [[*map(",".join, rows.items())]])
     extra = {"kind": kind, "fingerprint": rep.config_fingerprint, "results": rows}
     _write_json(out_dir / "experiment.json", cfg, extra)
 

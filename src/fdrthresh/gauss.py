@@ -44,12 +44,16 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is an integer, numpy integers included."""
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy integers included,
+    and at least ``least`` when that is given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 # Every kept buffer holds at least this many entries, the size of a Monte
@@ -130,11 +134,10 @@ def norm_quantile(p):
     # Phi(z) underflows to 0 (z below about -37.7, p below about 6e-311):
     # the step would then move an accurate ndtri value by up to 1e-3.
     for _ in range(2):
-        dens = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        cdf = 0.5 * _sp.erfc(-z / _SQRT2)
+        cdf = _cdf(z)
         ok = cdf > 0.0
         step = np.where(ok, cdf - arr, 0.0)
-        z = np.where(ok, z - step / np.where(ok, dens, 1.0), z)
+        z = np.where(ok, z - step / np.where(ok, _pdf(z), 1.0), z)
     return z if arr.ndim else float(z)
 
 
@@ -176,10 +179,7 @@ def critical_tail_level(n: int) -> float:
     bisection converges to full double precision.  The returned level
     satisfies ``z^2 > log n``.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError("n must be an integer")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = _integer("n", n, 2)
     target = 1.0 / (4.0 * float(n))
 
     def f(z: float) -> float:

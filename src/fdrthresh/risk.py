@@ -81,9 +81,7 @@ class EmpiricalPrior:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights / total)
-        object.__setattr__(self, "n", _integer("n", self.n))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
         top = float(np.abs(atoms).max())  # NaN or inf when an atom is not finite
         if not math.isfinite(self.n * top * top):
             raise ValueError("n * max|theta|^2 must be finite")
@@ -343,10 +341,13 @@ def _grid_argmin(prior: EmpiricalPrior, terms, grid: np.ndarray) -> tuple[int, n
 
 
 def _top_level(prior: EmpiricalPrior, level_max: float | None) -> float:
-    """The top of a level search: ``level_max``, by default ``prior.default_level_max``."""
+    """The top of a level search: ``level_max``, by default ``prior.default_level_max``.
+
+    A top whose square overflows is refused: ``0 * inf`` would make a risk NaN.
+    """
     top = prior.default_level_max if level_max is None else level_max
-    if not 0.0 < top < math.inf:
-        raise ValueError("level_max must be positive and finite")
+    if not (0.0 < top and top * top < math.inf):
+        raise ValueError("level_max must be positive and finite, with a finite square")
     return top
 
 

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .gauss import _as_float_array, norm_quantile
+from .gauss import _as_float_array, _integer, norm_quantile
 from .thresholds import _check_observations
 
 __all__ = [
@@ -170,8 +170,7 @@ def candidate_levels(n: int, alpha: float) -> np.ndarray:
     Positive and decreasing in k up to rounding.  Tail probabilities above
     ``_P_CLAMP``, reached only at slopes above 0.99999998, are clamped to it.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer("n", n, 1)
     _check_alpha(alpha)
     return _levels_at(n, alpha, np.arange(1, n + 1))
 

@@ -87,14 +87,16 @@ __all__ = [
 ]
 
 
-def _check_ball(p: float, radius: float, weak: bool = False) -> None:
-    """An l_p ball: ``p >= 0`` and a finite positive radius, a fraction at most 1 for ``p = 0``."""
+def _check_ball(p: float, radius: float, weak: bool = False) -> float:
+    """Check an l_p ball, ``p >= 0`` and a finite positive radius, a fraction at most 1
+    for ``p = 0``, and return its exponent ``p' = p`` for ``p > 0`` and 1 for ``p = 0``."""
     if not (p >= 0.0 and 0.0 < radius < math.inf):
         raise ValueError("need p >= 0 and 0 < radius < inf")
     if p == 0.0 and radius > 1.0:
         raise ValueError("an l_0 radius is a fraction: need radius <= 1 for p = 0")
     if weak and p == 0.0:
         raise ValueError("weak balls require p > 0")
+    return float(p) if p > 0.0 else 1.0
 
 
 def minimax_level(n: int, p: float, radius: float) -> float:
@@ -104,11 +106,8 @@ def minimax_level(n: int, p: float, radius: float) -> float:
     sparsity fraction).  This is the level at which least-favorable signals
     concentrate.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_ball(p, radius)
-    pp = p if p > 0.0 else 1.0
+    n = _integer("n", n, 1)
+    pp = _check_ball(p, radius)
     try:
         inner = min(float(n), radius**-pp)
     except OverflowError:  # radius^(-p') lies past the float range, far above n
@@ -125,10 +124,9 @@ def minimax_benchmark(n: int, p: float, radius: float, weak: bool = False) -> fl
     """
     if not (0.0 <= p < 2.0):
         raise ValueError("benchmark requires 0 <= p < 2")
-    _check_ball(p, radius, weak)
+    pp = _check_ball(p, radius, weak)
     lam = minimax_level(n, p, radius)
     mult = 1.0 if not weak else 2.0 / (2.0 - p)
-    pp = p if p > 0.0 else 1.0
     try:
         bench = mult * n * radius**pp * lam ** (2.0 - p)
     except OverflowError:
@@ -140,11 +138,8 @@ def minimax_benchmark(n: int, p: float, radius: float, weak: bool = False) -> fl
 
 def spikes(n: int, count: int, value: float) -> np.ndarray:
     """A length-``n`` signal with its first ``count`` coordinates at ``value``, the rest 0."""
-    n, count = _integer("n", n), _integer("count", count)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    count = _integer("count", count, 0)
+    n = _integer("n", n, 1)
     if count > n:
         raise ValueError("count must not exceed n")
     theta = np.zeros(n)
@@ -160,13 +155,12 @@ def least_favorable(n: int, p: float, radius: float, weak: bool = False) -> np.n
     ordered profile ``min(radius (n/k)^(1/p), level)``.
     """
     n = _integer("n", n)
-    _check_ball(p, radius, weak)
+    pp = _check_ball(p, radius, weak)
     p, radius = float(p), float(radius)
     lam = minimax_level(n, p, radius)
     if weak:
         k = np.arange(1, n + 1)
         return np.minimum(radius * (n / k) ** (1.0 / p), lam)
-    pp = p if p > 0.0 else 1.0
     try:  # floor(n radius) for p = 0, where lam**p is 1
         m = min(math.floor(n * radius**pp / lam**p), n)
     except OverflowError:  # a power or the count lies past the float range
@@ -231,9 +225,7 @@ def _samples(theta: np.ndarray, statistic, replicates: int, seed: int) -> np.nda
     """
     if theta.ndim != 1 or theta.size == 0:
         raise ValueError("theta must be a nonempty 1-d vector")
-    replicates, seed = _integer("replicates", replicates), _integer("seed", seed)
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
+    replicates, seed = _integer("replicates", replicates, 2), _integer("seed", seed)
     if not 0 <= seed < 2**128:
         raise ValueError("seed must be >= 0 and < 2**128")
     step = min(replicates, max(1, _BLOCK_ELEMENTS // theta.size))
@@ -519,7 +511,7 @@ def common_mean_experiment(
     replicates: int,
     seed: int,
     config: FdrConfig = FdrConfig(),
-    firm_slope: float = 1.5,
+    firm_slope: float = ThresholdFamily.firm_slope,
 ) -> CommonMeanReport:
     """Compare adaptive thresholding with the sample mean when all means equal ``mu``.
 
@@ -529,9 +521,7 @@ def common_mean_experiment(
     whenever the common mean is small against ``1/sqrt(n)``.
     """
     firm_fam = ThresholdFamily("firm", firm_slope=firm_slope)
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     theta = np.full(n, float(mu))
     exact_total = optimal_levels(EmpiricalPrior.from_vector(theta))[1] * n
 

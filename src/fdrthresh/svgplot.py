@@ -45,12 +45,13 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def svg_line_chart(label: str, xs, ys, vlines=()) -> str:
+def svg_line_chart(label: str, xs, ys, optimum: float) -> str:
     """Render the curve ``ys`` against ``xs``, titled and keyed ``label``, as SVG text.
 
     The axes read ``level`` and ``value``.  Non-finite points are dropped.
-    ``vlines`` is a sequence of ``(x, text)`` pairs drawn as dashed
-    vertical markers.
+    An ``optimum`` inside the drawn level range is marked by a dashed
+    vertical line labelled ``optimal``; any other, such as ``inf``, draws
+    no marker.
     """
     pts = [p for p in zip(map(float, xs), map(float, ys)) if all(map(math.isfinite, p))]
     if not pts:
@@ -99,18 +100,12 @@ def svg_line_chart(label: str, xs, ys, vlines=()) -> str:
         f'<text x="14" y="{top + ph / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {top + ph / 2:.1f})">value</text>',
     ]
-    for x, text in vlines:
-        x = float(x)
-        if not math.isfinite(x) or not (x0 <= x <= x1):
-            continue
-        out.append(
-            f'<line x1="{px(x):.1f}" y1="{top}" x2="{px(x):.1f}" '
-            f'y2="{top + ph}" stroke="#888" stroke-dasharray="4 3"/>'
-        )
-        if text:
-            out.append(
-                f'<text x="{px(x) + 3:.1f}" y="{top + 12}" fill="#555">{_escape(text)}</text>'
-            )
+    if x0 <= optimum <= x1:
+        out += [
+            f'<line x1="{px(optimum):.1f}" y1="{top}" x2="{px(optimum):.1f}" '
+            f'y2="{top + ph}" stroke="#888" stroke-dasharray="4 3"/>',
+            f'<text x="{px(optimum) + 3:.1f}" y="{top + 12}" fill="#555">optimal</text>',
+        ]
     coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
     ly = top + 10  # the legend's one entry
     out += [

@@ -89,10 +89,26 @@ def firm(x, level: float, slope: float):
     slope = float(slope)
     if not (1.0 < slope < 2.0):
         raise ValueError("slope must lie in (1, 2)")
+    return _firm_mix(x, level, slope, 1.0)
+
+
+def _firm_mix(x, level, slope: float, w: float):
+    """``sign(x) [(1 - w) (|x| - level)+ + w min(|x|, slope (|x| - level)+)]``, +0.0 at
+    an infinite level: firm at ``w = 1`` and the soft/firm interpolation below it.
+    ``level`` is already checked.
+
+    Bit for bit ``(1 - w) soft(x, level) + w firm(x, level, slope)``, signed zeros
+    included: ``sign(x)`` is +-1 or +0.0 and rounding is symmetric, so multiplying
+    the mix by it gives what mixing the two signed rules gives.  At ``w = 1`` the mix
+    is skipped, so an infinite ``|x|`` stays infinite.
+    """
     arr = np.asarray(x, dtype=float)
     a = np.abs(arr)
-    out = np.sign(arr) * np.minimum(a, slope * np.maximum(a - level, 0.0))
-    out = np.where(np.isinf(level), 0.0, out)
+    excess = np.maximum(a - level, 0.0)
+    out = np.minimum(a, slope * excess)
+    if w != 1.0:
+        out = (1.0 - w) * excess + w * out
+    out = np.where(np.isinf(level), 0.0, np.sign(arr) * out)
     return out if arr.ndim else float(out)
 
 
@@ -103,12 +119,14 @@ class ThresholdFamily:
     kind         one of 'soft', 'hard', 'firm', 'interpolated'
     firm_slope   gain of the firm component, in (1, 2); unused by soft/hard
     weight       mixing weight w in [0, 1] for 'interpolated'
-                 (w = 0 is soft, w = 1 is firm)
+                 (w = 0 is soft, w = 1 is firm); 0.5 by default
+
+    The defaults of ``firm_slope`` and ``weight`` are the CLI's too.
     """
 
     kind: str
     firm_slope: float = 1.5
-    weight: float = 0.0
+    weight: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in ("soft", "hard", "firm", "interpolated"):
@@ -154,7 +172,4 @@ def apply_family(x, level: float, family: ThresholdFamily):
         return hard(x, level)
     if family.kind == "firm":
         return firm(x, level, family.firm_slope)
-    s = soft(x, level)
-    f = firm(x, level, family.firm_slope)
-    out = (1.0 - family.weight) * np.asarray(s) + family.weight * np.asarray(f)
-    return out if np.asarray(x).ndim else float(out)
+    return _firm_mix(x, _check_level(level), family.firm_slope, family.weight)

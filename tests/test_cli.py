@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -15,8 +16,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fdrthresh.cli import _BATCH, _READ_BY, main
+from fdrthresh.cli import _BATCH, _READ_BY, _SCHEMAS, _format_value, _parse_config_text, main
 from fdrthresh.estimators import fdr_threshold_estimate, read_vector, write_vector_binary
+from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk
 from fdrthresh.selector import FdrConfig
 from fdrthresh.simulate import (
     common_mean_experiment,
@@ -1056,3 +1058,98 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "fdrthresh" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# defaults that read back, and the curve grid's top
+
+
+def test_every_default_reads_back_from_its_resolved_text():
+    # resolved.cfg writes each key as _format_value gives it; a key without a
+    # default is required and always holds a value that was read
+    for command, schema in _SCHEMAS.items():
+        for name, key in schema.items():
+            if key.default is None:
+                continue
+            raw = _parse_config_text(f"{name} = {_format_value(key.default)}\n", "resolved.cfg")
+            value = key.parse(name, raw[name])
+            assert value == key.default and type(value) is type(key.default), (command, name)
+
+
+@pytest.mark.parametrize("command", ["risk-curve", "fdr-curve"])
+def test_a_curve_without_weights_reruns_from_resolved(tmp_path, command):
+    cfg = write(tmp_path / "c.cfg", "atoms = 0, 3\npoints = 16\n")
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run(command, "--config", cfg, "--out", str(first), "--format", "json") == 0
+    assert "\nweights = \n" in (first / "resolved.cfg").read_text()
+    rerun = str(first / "resolved.cfg")
+    assert run(command, "--config", rerun, "--out", str(second), "--format", "json") == 0
+    for file in ("curve.csv", "curve.json", "resolved.cfg"):
+        assert (first / file).read_bytes() == (second / file).read_bytes(), file
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("risk-curve", "atoms =\n"),
+        ("risk-curve", "atoms = 0, 3\nweights = ,\n"),
+        ("risk-curve", "atoms = 0, 3\nn =\n"),
+        ("risk-curve", "atoms = 0, 3\nfunctional =\n"),
+        ("fdr-curve", "atoms = 0, 3\nlevel_max =\n"),
+        ("estimate", "input =\n"),
+        ("experiment", "kind = regret\nn = 20\nfamily =\n"),
+        ("experiment", "kind = minimax\nn = 20\np = 1\nradius = 0.1\nweak =\n"),
+    ],
+    ids=lambda v: v.strip().replace("\n", ","),
+)
+def test_an_empty_value_is_refused_but_on_an_empty_list_default(tmp_path, command, text, capsys):
+    cfg = write(tmp_path / "c.cfg", text)
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: config key ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command,functional",
+    [("risk-curve", "bayes_risk"), ("risk-curve", "surrogate_risk"), ("risk-curve", "fdr_curve"),
+     ("fdr-curve", None)],
+)
+def test_a_level_max_whose_square_overflows_exits_2(tmp_path, command, functional, capsys):
+    # at 1e160 the bayes_risk values read NaN and the surrogate's optimum (inf, 0.9)
+    base = "atoms = 0, 3\nweights = 0.9, 0.1\npoints = 3\n"
+    if functional:
+        base += f"functional = {functional}\n"
+    big = write(tmp_path / "big.cfg", base + "level_max = 1e160\n")
+    assert run(command, "--config", big, "--out", str(tmp_path / "big"), "--format", "svg") == 2
+    assert "level_max**2 < inf" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
+    # 1e150 squares to a finite float and still runs, with no RuntimeWarning
+    ok = write(tmp_path / "ok.cfg", base + "level_max = 1e150\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--config", ok, "--out", str(tmp_path / "ok"), "--format", "svg") == 0
+    rows = (tmp_path / "ok" / "curve.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 5e149, 1e150]
+    assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
+
+def test_a_curve_of_several_batches_matches_row_by_row_repr(tmp_path):
+    points = 2 * _BATCH + 1
+    cfg = write(tmp_path / "c.cfg", f"atoms = 0, 3\nweights = 0.9, 0.1\npoints = {points}\n")
+    assert run("risk-curve", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
+    levels = np.linspace(0.0, prior.default_level_max, points)
+    values = bayes_soft_risk(prior, levels)
+    want = "".join(f"{float(l)!r},{float(v)!r}\n" for l, v in zip(levels, values))
+    assert (tmp_path / "o" / "curve.csv").read_text() == "# schema: level:float,value:float\n" + want
+
+
+def test_family_defaults_have_one_owner():
+    # the dataclass fields give the CLI's defaults and common_mean_experiment's
+    defaults = {f.name: f.default for f in dataclasses.fields(ThresholdFamily)[1:]}
+    assert defaults == {"firm_slope": 1.5, "weight": 0.5}
+    for command in ("estimate", "experiment"):
+        assert {k: _SCHEMAS[command][k].default for k in defaults} == defaults
+    slope = inspect.signature(common_mean_experiment).parameters["firm_slope"].default
+    assert slope == defaults["firm_slope"]
+    assert ThresholdFamily("interpolated").slope == 1.25

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fdrthresh.gauss import norm_cdf
+from fdrthresh.gauss import critical_tail_level, norm_cdf
 from fdrthresh.risk import (
     EmpiricalPrior,
     clipped_second_moment,
@@ -190,6 +190,23 @@ CASES = {
         lambda: candidate_levels(10**5, 4e-323),
         ValueError,
         "alpha = 4e-323 is too small for n = 100000: alpha / (2n) underflows to 0",
+    ),
+    # the integer sizes with a lower bound, each through gauss._integer
+    "candidate-levels-n0": (lambda: candidate_levels(0, 0.1), ValueError, "n must be >= 1"),
+    "candidate-levels-fractional-n": (
+        lambda: candidate_levels(2.5, 0.1), ValueError, "n must be an integer, not 2.5"
+    ),
+    "critical-tail-level-n1": (lambda: critical_tail_level(1), ValueError, "n must be >= 2"),
+    "critical-tail-level-fractional-n": (
+        lambda: critical_tail_level(7.5), ValueError, "n must be an integer, not 7.5"
+    ),
+    "prior-n0": (lambda: EmpiricalPrior.from_atoms([0, 3], n=0), ValueError, "n must be >= 1"),
+    "minimax-level-n0-p1": (lambda: minimax_level(0, 1.0, 0.1), ValueError, "n must be >= 1"),
+    # a level_max whose square overflows: a risk there is NaN, or 0 * inf is
+    "surrogate-optimum-level-max-square": (
+        lambda: optimal_surrogate_level(PRIOR, level_max=1e160),
+        ValueError,
+        "level_max must be positive and finite, with a finite square",
     ),
 }
 

@@ -6,6 +6,7 @@ frozen from a 40-digit extended-precision oracle.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -522,6 +523,19 @@ class TestOptimalLevels:
             optimal_levels(prior, level_max)
         with pytest.raises(ValueError, match="level_max must be positive and finite"):
             optimal_surrogate_level(prior, level_max=level_max)
+
+    def test_level_max_must_have_a_finite_square(self):
+        # past sqrt(float max) the surrogate's last piece took 0 * inf and gave (inf, 0.9)
+        prior = EmpiricalPrior.from_atoms([0.0, 3.0], [0.9, 0.1])
+        top = math.sqrt(sys.float_info.max)
+        for level_max in (1e160, math.nextafter(top, math.inf)):
+            with pytest.raises(ValueError, match="level_max must be positive and finite"):
+                optimal_levels(prior, level_max)
+            with pytest.raises(ValueError, match="with a finite square"):
+                optimal_surrogate_level(prior, level_max=level_max)
+        level, risk_surrogate = optimal_surrogate_level(prior, level_max=top)
+        assert level == pytest.approx(1.7439328516429033, abs=1e-7)
+        assert risk_surrogate == pytest.approx(0.466471777853926, rel=1e-12)
 
     def test_zero_prior_prefers_infinite_level(self):
         prior = EmpiricalPrior.from_vector(np.zeros(16))

@@ -238,3 +238,38 @@ def test_loss_difference_bound():
     loss_lam = (np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) - mu) ** 2
     cap = (np.abs(eps) + b) ** 2 * (np.abs(eps) > b)
     assert np.all(loss_b - loss_lam <= cap + 1e-9)
+
+
+def _firm_formula(x, level, slope):
+    """``sign(x) min(|x|, slope (|x| - L)+)``, +0.0 at an infinite level."""
+    a = np.abs(x)
+    out = np.sign(x) * np.minimum(a, slope * np.maximum(a - level, 0.0))
+    return np.where(np.isinf(level), 0.0, out)
+
+
+@pytest.mark.parametrize("weight", ["0", "1", "random"])
+def test_firm_and_interpolated_bits_match_their_formulas(weight):
+    # tobytes, not assert_allclose: a signed zero compares equal to the other zero
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        x = rng.normal(scale=3.0, size=(4, 25))
+        x[rng.uniform(size=x.shape) < 0.2] = 0.0
+        x[rng.uniform(size=x.shape) < 0.2] = -0.0
+        column = np.abs(rng.normal(scale=2.0, size=(4, 1)))
+        column[:2, 0] = 0.0, np.inf
+        level = [0.0, np.inf, float(column[2, 0]), column][trial % 4]
+        slope = float(rng.uniform(1.01, 1.99))
+        w = {"0": 0.0, "1": 1.0, "random": float(rng.uniform())}[weight]
+        mix = ThresholdFamily("interpolated", firm_slope=slope, weight=w)
+        want = (1.0 - w) * soft(x, level) + w * _firm_formula(x, level, slope)
+        assert apply_family(x, level, mix).tobytes() == want.tobytes()
+        firm_family = ThresholdFamily("firm", firm_slope=slope)
+        assert apply_family(x, level, firm_family).tobytes() == _firm_formula(x, level, slope).tobytes()
+        assert firm(x, level, slope).tobytes() == _firm_formula(x, level, slope).tobytes()
+        # a scalar input gives the float of the one-element result
+        one = apply_family(float(x[0, 0]), float(np.ravel(level)[0]), mix)
+        assert type(one) is float
+        assert np.float64(one).tobytes() == want[0, 0].tobytes()
+    # firm skips the mix, so an infinite observation keeps its value, as the formula gives
+    x = np.array([np.inf, -np.inf, 2.0])
+    np.testing.assert_array_equal(firm(x, 1.0, 1.5), _firm_formula(x, 1.0, 1.5))
