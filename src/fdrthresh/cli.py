@@ -40,6 +40,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import locale
 import math
 import os
 import sys
@@ -249,18 +250,22 @@ def _rewrite(path: Path, pieces) -> None:
     The directory of ``path`` is created first if it is missing, so a run
     that fails a check before its first output leaves no directory behind.
     The file is opened (or created) without truncation, written from its
-    start in the default text mode and encoding of ``open(path, "w")``, and
-    then cut at the end of the new text.  On ext4, truncating a file to
-    zero (or renaming over it) and closing it forces a flush of its data;
-    an in-place rewrite does not.  ``pieces`` is consumed lazily, so a
+    start and then cut at the end of the new text.  On ext4, truncating a
+    file to zero (or renaming over it) and closing it forces a flush of its
+    data; an in-place rewrite does not.  Each piece is encoded as
+    ``open(path, "w")`` encodes it, in ``locale.getpreferredencoding(False)``
+    with no newline translation on POSIX, and written through a binary file
+    object, without the text layer.  ``pieces`` is consumed lazily, so a
     caller can form each piece only when it is due to be written.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create output directory {path.parent}: {exc}")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.writelines(pieces)
+    encoding = locale.getpreferredencoding(False)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for piece in pieces:
+            fh.write(piece.encode(encoding))
         fh.truncate()
 
 
@@ -390,8 +395,8 @@ def cmd_experiment(cfg: dict, out_dir: Path) -> None:
     else:  # concentration
         rep = concentration_check(theta, cfg["level"], family, cfg["replicates"], cfg["seed"])
     # the report's fields are the metric rows, in order, then its fingerprint
-    results = {**dataclasses.asdict(rep), "seed": cfg["seed"]}
-    del results["config_fingerprint"]
+    results = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)[:-1]}
+    results["seed"] = cfg["seed"]
     rows = {k: _format_value(v) for k, v in results.items() if v is not None}
     _write_csv(out_dir / "experiment.csv", "metric:str,value:str", [[*map(",".join, rows.items())]])
     extra = {"kind": kind, "fingerprint": rep.config_fingerprint, "results": rows}

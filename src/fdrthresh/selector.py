@@ -210,7 +210,7 @@ def _top_magnitudes(absx: np.ndarray, alpha: float) -> np.ndarray:
     return np.sort(absx[absx >= level])[::-1]
 
 
-def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
+def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float, ascending: bool = False):
     """The selection core, on each row of a (B, n) block of magnitudes.
 
     Returns per row ``k_hat`` (the last step-up hit) and ``xi_{k_hat}`` at
@@ -220,8 +220,10 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
     A one-row block sorts and compares only its top-K prefix, cut at the
     larger slope (see the module docstring); a block of several rows sorts
     every row in full and compares only the columns up to the largest row
-    count at the first cut.  The block computes the candidate levels of the
-    compared columns, once per slope.
+    count at the first cut.  With ``ascending`` every row is already in
+    ascending order, as ``oracle_loss_min`` leaves a strong block's rows, so
+    a block of several rows reads them as they are.  The block computes the
+    candidate levels of the compared columns, once per slope.
     """
     count, n = absx.shape
     slope = max(alpha1, alpha2)
@@ -230,7 +232,8 @@ def _block_levels(absx: np.ndarray, alpha1: float, alpha2: float):
     else:
         # every hit of either slope lies at or above the first cut
         keep = np.count_nonzero(absx >= _cut(n, slope, n), axis=1).max()
-        mags = np.sort(absx, axis=1)[:, ::-1][:, : max(1, keep)]
+        rows = absx if ascending else np.sort(absx, axis=1)
+        mags = rows[:, ::-1][:, : max(1, keep)]
     size = mags.shape[1]
     ks = np.arange(1, size + 1)
     xi1 = _levels_at(n, alpha1, ks)
@@ -323,11 +326,12 @@ def select_lambda(x, config: FdrConfig) -> SelectorTrace:
     return SelectorTrace(xi1, xi2, *map(float, _interval(xi1, xi2, config)), k_hat)
 
 
-def _block_lambdas(absx: np.ndarray, config: FdrConfig) -> np.ndarray:
+def _block_lambdas(absx: np.ndarray, config: FdrConfig, ascending: bool = False) -> np.ndarray:
     """``select_lambda(row, config).lambda_hat`` for each row of a finite (B, n)
-    block, from the block's magnitudes ``absx``."""
+    block, from the block's magnitudes ``absx``, each row in ascending order
+    if ``ascending``."""
     # at interp = 0 the step-down level is not read: scan it at alpha1, whose
     # levels and hits the step-up scan already has
     alpha2 = config.alpha1 if config.interp == 0.0 else config.alpha2
-    _, up, down = _block_levels(absx, config.alpha1, alpha2)
+    _, up, down = _block_levels(absx, config.alpha1, alpha2, ascending)
     return _interval(up, down, config)[2]

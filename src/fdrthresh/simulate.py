@@ -40,14 +40,17 @@ statistic, ``_threshold_losses(theta, families, level)``, at the level
 an ``FdrConfig`` selects per row or at a fixed level.  Per block it writes
 ``|x|`` once, gathers the survivors ``|x_i| > level`` once and runs each
 family on them alone, bit for bit the dense loss; each block's selection
-computes the candidate levels it compares.  An experiment keeps three
-buffers of ``8 max(2**14, n)`` bytes on its thread (``gauss._kept``),
-2.4 MB at n = 1e5, for the largest n that thread has run: the draws,
-formed in place and overwritten by the next block or call once the
-statistic has returned, ``|x|`` and the residuals.  ``oracle_loss_min``
-takes six buffers while the draws are held, one of them a row of
-``n + 1`` sums wider, so a strong run keeps seven: 0.9 MB at n = 1024.
-The next call reuses them instead of faulting fresh pages in.
+computes the candidate levels it compares.  Strong regret adds the oracle
+to that statistic: the oracle writes ``|x|`` and its sorted rows, and the
+selection reads those rows, so each row is sorted once.  An experiment
+keeps three buffers of ``8 max(2**14, n)`` bytes on its thread
+(``gauss._kept``), 2.4 MB at n = 1e5, for the largest n that thread has
+run: the draws, formed in place and overwritten by the next block or call
+once the statistic has returned, ``|x|`` and the residuals, which hold the
+sorted rows until the selection has read them.  ``oracle_loss_min`` takes
+six buffers; in a strong run two of them are the statistic's, so with the
+draws it keeps seven: 0.9 MB at n = 1024.  The next call reuses them
+instead of faulting fresh pages in.
 """
 
 from __future__ import annotations
@@ -251,13 +254,16 @@ def _row_losses(theta: np.ndarray, estimates) -> np.ndarray:
     return np.array([float(d @ d) for d in estimates - theta])
 
 
-def _threshold_losses(theta: np.ndarray, families, level):
+def _threshold_losses(theta: np.ndarray, families, level, oracle: bool = False):
     """The block statistic of every experiment: a (B, n) block ``x`` maps to
-    the (B, len(families)) losses ``||t(row, lam_row) - theta||^2``.
+    the (B, len(families)) losses ``||t(row, lam_row) - theta||^2``, and with
+    ``oracle`` to one more column, ``oracle_loss_min``'s losses.
 
     ``level`` is an ``FdrConfig``, whose selection (``_block_lambdas``) gives
-    each row's level, or a level, or a (B,) array of levels.  Every family
-    maps ``|x_i| <= lam`` to a signed zero, whose residual
+    each row's level, or a level, or a (B,) array of levels.  With ``oracle``
+    the oracle writes ``|x|`` and its sorted rows into the statistic's two
+    buffers, and the selection reads those rows instead of sorting again.
+    Every family maps ``|x_i| <= lam`` to a signed zero, whose residual
     ``+-0 - theta_i`` squares to ``theta_i^2``, so the survivors
     ``|x_i| > lam`` are gathered once and each family runs on them alone.  Their residuals are scattered into a
     kept buffer whose rows otherwise hold ``-theta``, and each row's loss
@@ -267,9 +273,14 @@ def _threshold_losses(theta: np.ndarray, families, level):
 
     def statistic(x):
         with _kept(x.shape) as absx, _kept(x.shape) as resid:
-            np.abs(x, out=absx)
-            fixed = not isinstance(level, FdrConfig)
-            lam = np.broadcast_to(level, len(x)) if fixed else _block_lambdas(absx, level)
+            if oracle:  # resid holds the sorted rows until it takes -theta
+                oracle_losses = oracle_loss_min(x, theta, _magnitudes=(absx, resid))[1]
+            else:
+                np.abs(x, out=absx)
+            if isinstance(level, FdrConfig):
+                lam = _block_lambdas(resid if oracle else absx, level, ascending=oracle)
+            else:
+                lam = np.broadcast_to(level, len(x))
             at = np.flatnonzero(absx > lam[:, None])
             rows, cols = np.divmod(at, x.shape[1])
             survivors, lam_at, theta_at = x.take(at), lam[rows], theta.take(cols)
@@ -278,6 +289,8 @@ def _threshold_losses(theta: np.ndarray, families, level):
             for family in families:
                 resid.reshape(-1)[at] = apply_family(survivors, lam_at, family) - theta_at
                 losses.append([float(d @ d) for d in resid])
+            if oracle:
+                losses.append(oracle_losses)
         return np.transpose(losses)
 
     return statistic
@@ -328,7 +341,7 @@ def mc_risk(
     return mc_mean(theta, loss, replicates, seed)
 
 
-def oracle_loss_min(x, theta):
+def oracle_loss_min(x, theta, *, _magnitudes=None):
     """Exact minimum over levels of the soft-threshold loss on one draw.
 
     Minimizes ``||soft(x, L) - theta||^2`` over ``L in [0, inf]``.  The loss
@@ -345,44 +358,78 @@ def oracle_loss_min(x, theta):
     max(max|x|, max|theta|)``, so an input where that bound is not finite
     (NaN and infinities included) is refused before any of them is formed.
 
+    Each row is ordered by magnitude, ties in column order.  A block of
+    several rows sorts packed keys in place: the bits of ``|x|``, which
+    order like its values, with the low ``b = max(1, ceil(log2 n))`` bits
+    replaced by the column; one row, whose keys would often agree above
+    those bits at large n, takes ``argsort``.  Keys that agree above those
+    bits sort by column, so a row whose gathered magnitudes are not strictly
+    increasing (exact ties, or keys misordered by magnitudes within about
+    ``2^(b-52)`` relative of each other) is sorted again by a stable
+    ``argsort``.
+
     The (B, n) temporaries lie in six buffers that the thread keeps
-    (``gauss._kept``); nothing returned is a view of them.
+    (``gauss._kept``); nothing returned is a view of them.  Strong regret
+    passes two of them as ``_magnitudes``, which receive ``|x|`` and each
+    row of it in ascending order, for its selection to read.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or x.ndim not in (1, 2) or x.shape[-1] != theta.size or x.size == 0:
         raise ValueError("x must be a nonempty vector or block of rows matching the 1-d theta")
     block = x.reshape(-1, theta.size)
+    if _magnitudes is None:
+        with _kept(block.shape) as absx, _kept(block.shape) as mags:
+            levels, losses = _oracle_rows(block, theta, absx, mags)
+    else:
+        levels, losses = _oracle_rows(block, theta, *_magnitudes)
+    if x.ndim == 1:
+        return float(levels[0]), float(losses[0])
+    return levels, losses
+
+
+def _oracle_rows(block, theta, absx, mags):
+    """``oracle_loss_min`` on a (B, n) block, with ``|block|`` written to
+    ``absx`` and its rows in ascending order to ``mags``."""
     count, n = block.shape
     # Every float temporary lies in a kept buffer, and a buffer takes a second
-    # name once its first is dead; ``order`` holds flat indices into the block,
-    # except while ``theta`` is gathered.  A ``take`` into ``out`` is buffered
-    # unless mode="clip"; every index is in range.
+    # name once its first is dead; the int64 keys and ``order``, which holds
+    # flat indices into the block except while ``theta`` is gathered, lie in
+    # two of them.  A ``take`` into ``out`` is buffered unless mode="clip";
+    # every index is in range.
     with (
-        _kept((count, n)) as absx,
-        _kept((count, n)) as mags,
         _kept((count, n)) as xs,
         _kept((count, n)) as ths,
         _kept((count, n)) as signed_err,
-        _kept((count, n + 1)) as prefix_kill,
+        _kept((count, n)) as killed,
     ):
         np.abs(block, out=absx)
         bound = max(float(absx.max()), float(np.abs(theta).max()))
         if not 4.0 * n * bound * bound < math.inf:
             raise ValueError("4 n max(|x|, |theta|)^2 must be finite")
-        order = np.argsort(absx, axis=1)
+        if count > 1:
+            # |x| >= 0, so its bits compare as int64 like its values; a key is a
+            # finite double >= 0 too, and sorts faster as one than as an int64
+            bits = max(1, (n - 1).bit_length())
+            keys = np.bitwise_and(absx.view(np.int64), -1 << bits, out=ths.view(np.int64))
+            keys |= np.arange(n)
+            ths.sort(axis=1)
+            order = np.bitwise_and(keys, (1 << bits) - 1, out=signed_err.view(np.int64))
+        else:
+            order = np.argsort(absx, axis=1)
         rows = np.arange(count)
         start = rows[:, None] * n
         order += start
         block.take(order, out=xs, mode="clip")
         np.abs(xs, out=mags)
-        # distinct magnitudes have one sorting permutation; rows with ties take
-        # the stable one, so that every sum runs in the same order in any block
-        # (the sorted magnitudes are the same)
-        tied = (mags[:, 1:] == mags[:, :-1]).any(axis=1)
-        if tied.any():
-            order[tied] = np.argsort(absx[tied], axis=1, kind="stable") + start[tied]
+        # distinct magnitudes have one sorting permutation; a row with ties, or
+        # whose keys misordered it, takes the stable one, so that every sum runs
+        # in the same order in any block
+        again = (mags[:, 1:] <= mags[:, :-1]).any(axis=1)
+        if again.any():
+            order[again] = np.argsort(absx[again], axis=1, kind="stable") + start[again]
             block.take(order, out=xs, mode="clip")
+            np.abs(xs, out=mags)
         order -= start
         theta.take(order, out=ths, mode="clip")
         # copysign, not sign: an active x_i = 0 (only at L = 0) must still cost theta_i^2
@@ -390,11 +437,12 @@ def oracle_loss_min(x, theta):
         xs -= ths
         signed_err *= xs
 
-        # prefix_kill[:, m] = loss of the m smallest-magnitude coords once killed
-        prefix_kill[:, 0] = 0.0
+        # killed[:, m] = loss of the m smallest-magnitude coords once killed, and
+        # total that of all n: the last step of the same running sum
+        killed[:, 0] = 0.0
         ths **= 2
-        np.cumsum(ths, axis=1, out=prefix_kill[:, 1:])
-        total = prefix_kill[:, -1]
+        np.cumsum(ths[:, :-1], axis=1, out=killed[:, 1:])
+        total = killed[:, -1] + ths[:, -1]
         # suffix sums over the active (surviving) coords
         suf1 = xs
         np.cumsum(signed_err[:, ::-1], axis=1, out=suf1[:, ::-1])
@@ -406,14 +454,16 @@ def oracle_loss_min(x, theta):
         # the loss is the convex quadratic below, so its minimum is at the
         # stationary point clipped to the segment.  A coordinate with |x| = L
         # costs theta^2 either way, so tied (one-point) segments are exact too.
+        # killed + suf2 - 2 L suf1 + cnt L^2, in that order, in place; the first
+        # sum frees ``killed`` for the segments' floors and the terms, so that
+        # ``absx`` outlives the call
+        losses = np.add(killed, suf2, out=suf2)
         cnt = np.arange(n, 0, -1, dtype=float)
-        floor = absx
+        floor = killed
         floor[:, 0] = 0.0
         floor[:, 1:] = mags[:, :-1]
         levels = np.divide(suf1, cnt, out=ths)
         np.clip(levels, floor, mags, out=levels)
-        # prefix_kill + suf2 - 2 L suf1 + cnt L^2, in that order, in place
-        losses = np.add(prefix_kill[:, :-1], suf2, out=suf2)
         term = np.multiply(2.0, levels, out=floor)
         term *= suf1
         losses -= term
@@ -423,11 +473,7 @@ def oracle_loss_min(x, theta):
         best = np.argmin(losses, axis=1)
         best_loss = losses[rows, best]
         zero_all = best_loss >= total - 1e-15 * np.maximum(1.0, total)
-        levels = np.where(zero_all, math.inf, levels[rows, best])
-        losses = np.where(zero_all, total, best_loss)
-    if x.ndim == 1:
-        return float(levels[0]), float(losses[0])
-    return levels, losses
+        return np.where(zero_all, math.inf, levels[rows, best]), np.where(zero_all, total, best_loss)
 
 
 @dataclass(frozen=True)
@@ -467,15 +513,13 @@ def regret_experiment(
     theta = np.asarray(theta, dtype=float)
     exact_total = optimal_levels(EmpiricalPrior.from_vector(theta))[1] * theta.size
 
-    loss = _threshold_losses(theta, (family,), config)
+    loss = _threshold_losses(theta, (family,), config, oracle=strong)
+    mc, *oracle_column = mc_mean(theta, loss, replicates, seed)
     oracle_fields = (None, None, None)
     if strong:
-        statistic = lambda x: np.column_stack((loss(x), oracle_loss_min(x, theta)[1]))
-        mc, oracle = mc_mean(theta, statistic, replicates, seed)
+        (oracle,) = oracle_column
         oracle_ratio = mc.mean / oracle.mean if oracle.mean > 1e-10 else math.nan
         oracle_fields = (oracle.mean, oracle.std_error, oracle_ratio)
-    else:
-        (mc,) = mc_mean(theta, loss, replicates, seed)
     degenerate = exact_total < 1e-10
     ratio = math.nan if degenerate else mc.mean / exact_total
     # the hashed fields keep antithetic=False: another set would move every fingerprint

@@ -99,15 +99,19 @@ def _firm_mix(x, level, slope: float, w: float):
 
     Bit for bit ``(1 - w) soft(x, level) + w firm(x, level, slope)``, signed zeros
     included: ``sign(x)`` is +-1 or +0.0 and rounding is symmetric, so multiplying
-    the mix by it gives what mixing the two signed rules gives.  At ``w = 1`` the mix
-    is skipped, so an infinite ``|x|`` stays infinite.
+    the mix by it gives what mixing the two signed rules gives.  At ``w = 1`` the soft
+    term and at ``w = 0`` the firm term is skipped, so an infinite ``|x|`` stays
+    infinite there; for finite ``x``, ``1.0 e + 0.0 f = e`` with ``e, f >= 0``.
     """
     arr = np.asarray(x, dtype=float)
     a = np.abs(arr)
     excess = np.maximum(a - level, 0.0)
-    out = np.minimum(a, slope * excess)
-    if w != 1.0:
-        out = (1.0 - w) * excess + w * out
+    if w == 0.0:
+        out = excess
+    elif w == 1.0:
+        out = np.minimum(a, slope * excess)
+    else:
+        out = (1.0 - w) * excess + w * np.minimum(a, slope * excess)
     out = np.where(np.isinf(level), 0.0, np.sign(arr) * out)
     return out if arr.ndim else float(out)
 

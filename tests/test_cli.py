@@ -16,6 +16,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from fdrthresh import cli
 from fdrthresh.cli import _BATCH, _READ_BY, _SCHEMAS, _format_value, _parse_config_text, main
 from fdrthresh.estimators import fdr_threshold_estimate, read_vector, write_vector_binary
 from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk
@@ -950,8 +951,6 @@ def test_estimate_with_underflowing_slope_exits_2(tmp_path, capsys):
 def test_parser_built_once_per_process(tmp_path, four_point, capsys):
     # one process: a usage error, --version, then an estimate and an
     # experiment whose outputs match those of fresh processes
-    from fdrthresh import cli
-
     experiment = write(
         tmp_path / "e.cfg",
         "kind = regret\nn = 64\nspike_count = 4\nspike_value = 2.5\nreplicates = 20\nstrong = true\n",
@@ -1048,6 +1047,31 @@ def test_outputs_opened_without_truncation(tmp_path, four_point, curve_cfg, monk
     assert run("risk-curve", "--config", curve_cfg, "--out", out, "--format", "svg") == 0
     assert len(flags) == 6
     assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_outputs_hold_the_bytes_text_mode_writes(tmp_path, monkeypatch):
+    # the outputs are written through a binary file object; each holds the bytes
+    # that open(path, "w") writes for its text, here with a non-ASCII input path
+    # in resolved.cfg (estimate.json escapes it)
+    data = write(tmp_path / "données-ü€.csv", "3.0\n1.7\n1.5\n0.2\n")
+    cfg = write(tmp_path / "est.cfg", f"input = {data}\n")
+    texts = {}
+    rewrite = cli._rewrite
+
+    def record(path, pieces):
+        pieces = list(pieces)
+        texts[path.name] = "".join(pieces)
+        rewrite(path, pieces)
+
+    monkeypatch.setattr(cli, "_rewrite", record)
+    out = tmp_path / "out"
+    assert run("estimate", "--config", cfg, "--out", str(out)) == 0
+    assert f"input = {data}\n" in texts["resolved.cfg"]
+    assert sorted(texts) == ["estimate.csv", "estimate.json", "resolved.cfg"]
+    for name, text in texts.items():
+        with open(tmp_path / name, "w") as fh:
+            fh.write(text)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_console_script_version():

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fdrthresh import gauss, simulate
+from fdrthresh import gauss, selector, simulate
 from fdrthresh.estimators import fdr_threshold_estimate
 from fdrthresh.risk import EmpiricalPrior, bayes_soft_risk, optimal_levels
 from fdrthresh.cli import main as cli_main
@@ -251,6 +251,136 @@ class TestOracleBlocks:
                 oracle_loss_min(np.array([x, np.zeros(len(x))]), np.array(theta))
 
 
+def _argsort_oracle(x, theta):
+    """The block oracle as it ran before the packed-key sort: ``argsort`` on
+    every row, the stable one on rows with tied magnitudes, then the same scan
+    with the same in-place steps, on fresh arrays."""
+    block = np.asarray(x, dtype=float).reshape(-1, theta.size)
+    count, n = block.shape
+    absx = np.abs(block)
+    bound = max(float(absx.max()), float(np.abs(theta).max()))
+    if not 4.0 * n * bound * bound < math.inf:
+        raise ValueError("4 n max(|x|, |theta|)^2 must be finite")
+    order = np.argsort(absx, axis=1)
+    rows = np.arange(count)
+    start = rows[:, None] * n
+    order += start
+    xs = block.take(order)
+    mags = np.abs(xs)
+    tied = (mags[:, 1:] == mags[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(absx[tied], axis=1, kind="stable") + start[tied]
+        xs = block.take(order)
+    ths = theta.take(order - start)
+    signed_err = np.copysign(1.0, xs)
+    xs -= ths
+    signed_err *= xs
+    prefix_kill = np.zeros((count, n + 1))
+    ths **= 2
+    np.cumsum(ths, axis=1, out=prefix_kill[:, 1:])
+    total = prefix_kill[:, -1]
+    suf1 = xs
+    np.cumsum(signed_err[:, ::-1], axis=1, out=suf1[:, ::-1])
+    suf2 = signed_err
+    suf2 **= 2
+    np.cumsum(suf2[:, ::-1], axis=1, out=suf2[:, ::-1])
+    cnt = np.arange(n, 0, -1, dtype=float)
+    floor = absx
+    floor[:, 0] = 0.0
+    floor[:, 1:] = mags[:, :-1]
+    levels = np.divide(suf1, cnt, out=ths)
+    np.clip(levels, floor, mags, out=levels)
+    losses = np.add(prefix_kill[:, :-1], suf2, out=suf2)
+    term = np.multiply(2.0, levels, out=floor)
+    term *= suf1
+    losses -= term
+    np.multiply(cnt, levels, out=term)
+    term *= levels
+    losses += term
+    best = np.argmin(losses, axis=1)
+    best_loss = losses[rows, best]
+    zero_all = best_loss >= total - 1e-15 * np.maximum(1.0, total)
+    return np.where(zero_all, math.inf, levels[rows, best]), np.where(zero_all, total, best_loss)
+
+
+def _key_misordered(row):
+    """Whether sorting the packed keys of ``|row|`` leaves its magnitudes out of order."""
+    bits = max(1, (row.size - 1).bit_length())
+    keys = (np.abs(row).view(np.int64) & (-1 << bits)) | np.arange(row.size)
+    mags = np.abs(row)[np.sort(keys) & ((1 << bits) - 1)]
+    return bool((mags[1:] < mags[:-1]).any())
+
+
+class TestOracleKeySort:
+    """The packed-key sort of blocks against the argsort scan, bit for bit."""
+
+    @staticmethod
+    def _rows(rng, n, theta):
+        """Five rows: a plain draw, ties, pairs of magnitudes that differ only
+        in the low index bits (in and out of column order), signed zeros, and
+        x == theta on half the row."""
+        bits = max(1, (n - 1).bit_length())
+        x = theta + rng.standard_normal((5, n))
+        x[1] = np.round(x[1], 1)
+        if n >= 4:
+            # each pair keeps its high bits and takes two low-bit patterns, the larger
+            # magnitude first in one pair and last in the other
+            for j, (lo, hi) in enumerate(((5, 2), (1, 6))):
+                cols = np.array([2 * j, 2 * j + 1]) + n // 2 - 2
+                word = np.abs(x[2, cols[0]]).view(np.int64) & (-1 << bits)
+                low = np.array([lo, hi]) % (1 << bits)
+                x[2, cols] = np.copysign((word | low).view(np.float64), x[2, cols])
+        x[3, ::2] = 0.0
+        x[3, 1::4] = -0.0
+        x[4, : n // 2] = theta[: n // 2]
+        return x
+
+    def _assert_same(self, block, theta):
+        """The block and its first row as a vector against the argsort scan,
+        and the rows the oracle hands a strong block's selection."""
+        want = _argsort_oracle(block, theta)
+        assert [a.tobytes() for a in oracle_loss_min(block, theta)] == [a.tobytes() for a in want]
+        one = oracle_loss_min(block[0], theta)
+        assert np.array(one).tobytes() == np.array([want[0][0], want[1][0]]).tobytes()
+        with gauss._kept(block.shape) as absx, gauss._kept(block.shape) as mags:
+            oracle_loss_min(block, theta, _magnitudes=(absx, mags))
+            assert absx.tobytes() == np.abs(block).tobytes()
+            assert mags.tobytes() == np.sort(np.abs(block), axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 8192])
+    def test_blocks_rows_and_vectors_match_argsort(self, n):
+        rng = np.random.default_rng(n)
+        theta = np.where(rng.random(n) < 0.1, rng.uniform(-4, 4, size=n), 0.0)
+        signed = theta.copy()
+        signed[::3] = -0.0
+        for target in (theta, np.zeros(n), signed):
+            x = self._rows(rng, n, target)
+            for scale in (1.0, 1e-300, 1e150):
+                block = x * scale
+                for rows in (block, block[:2], *block[:, None]):
+                    self._assert_same(rows, target * scale)
+
+    def test_misordered_keys_take_the_stable_sort(self):
+        # the rows built to misorder their keys do, and still match bit for bit
+        rng = np.random.default_rng(35)
+        misordered = 0
+        for n in (1023, 1024, 1025, 8192):
+            theta = spikes(n, n // 32, 3.0)
+            x = self._rows(rng, n, theta)[:3]
+            misordered += sum(_key_misordered(row) for row in x)
+            self._assert_same(x, theta)
+        assert misordered >= 4
+
+    def test_refused_bound_is_refused_alike(self):
+        x = np.zeros((3, 1024))
+        x[1, 7] = 1e200
+        for block in (x, x[1:2], x[1]):
+            with pytest.raises(ValueError, match="must be finite"):
+                _argsort_oracle(block, np.zeros(1024))
+            with pytest.raises(ValueError, match="must be finite"):
+                oracle_loss_min(block, np.zeros(1024))
+
+
 def _oracle_edge_cases(rng):
     """Tied magnitudes, n = 1, all-zero x, and x == theta on a subset."""
     cases = [(np.array([2.5]), np.array([1.0])), (np.array([-0.3]), np.array([0.0]))]
@@ -393,6 +523,36 @@ class TestSurvivorLosses:
         lam = np.array([select_lambda(row, config).lambda_hat for row in x])
         want = simulate._row_losses(theta, apply_family(x, lam[:, None], family))
         assert simulate._threshold_losses(theta, (family,), config)(x)[:, 0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FdrConfig(),
+            FdrConfig(alpha1=0.2, alpha2=0.1, alpha1p=0.4, alpha2p=0.05),
+            FdrConfig(alpha2=0.04, interp=0.5),
+            FdrConfig(alpha2=0.04, interp=1.0),
+        ],
+    )
+    def test_strong_block_selects_each_rows_level(self, config):
+        # a strong block selects from the oracle's sorted rows: the levels and
+        # both loss columns are each row's own, bit for bit
+        rng = np.random.default_rng(36)
+        for n, rows in ((1024, 16), (1025, 15), (64, 2), (64, 1), (9000, 1)):
+            theta = spikes(n, max(1, n // 32), 3.0)
+            x = theta + rng.standard_normal((rows, n))
+            x[0] = rng.standard_normal(n) * 0.1  # a row that rejects nothing
+            want = np.array([select_lambda(row, config).lambda_hat for row in x])
+            with gauss._kept(x.shape) as absx, gauss._kept(x.shape) as mags:
+                oracle_loss_min(x, theta, _magnitudes=(absx, mags))
+                assert absx.tobytes() == np.abs(x).tobytes()
+                assert mags.tobytes() == np.sort(np.abs(x), axis=1).tobytes()
+                got = selector._block_lambdas(mags, config, ascending=True)
+            assert got.tobytes() == want.tobytes()
+            assert np.isinf(got[0])
+            losses = simulate._threshold_losses(theta, (ThresholdFamily("soft"),), config, oracle=True)(x)
+            soft_losses = simulate._row_losses(theta, soft(x, want[:, None]))
+            oracle_losses = [oracle_loss_min(row, theta)[1] for row in x]
+            assert losses.tobytes() == np.column_stack((soft_losses, oracle_losses)).tobytes()
 
     def test_families_share_one_pass(self):
         # each column of a two-family statistic is that family's own statistic, bit for bit
@@ -551,6 +711,20 @@ class TestReusedBuffers:
         after = gauss._kept_store.buffers
         assert len(after) == len(before)
         assert all(any(np.shares_memory(a, b) for b in before) for a in after)
+
+
+    def test_strong_run_keeps_seven_buffers_of_one_block(self):
+        # the oracle takes six buffers, two of them the statistic's in a strong run,
+        # and at n = 1024 every one holds exactly a 16-row block
+        def kept_after(fn):
+            fn()
+            return [buf.size for buf in gauss._kept_store.buffers]
+
+        theta = spikes(1024, 32, 3.0)
+        x = theta + np.random.default_rng(37).standard_normal((16, 1024))
+        strong = _in_fresh_thread(lambda: kept_after(lambda: regret_experiment(theta, 16, 1, strong=True)))
+        assert strong == [2**14] * 7
+        assert _in_fresh_thread(lambda: kept_after(lambda: oracle_loss_min(x, theta))) == [2**14] * 6
 
 
 def _fresh_rng(seed, index):

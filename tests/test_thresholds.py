@@ -273,3 +273,14 @@ def test_firm_and_interpolated_bits_match_their_formulas(weight):
     # firm skips the mix, so an infinite observation keeps its value, as the formula gives
     x = np.array([np.inf, -np.inf, 2.0])
     np.testing.assert_array_equal(firm(x, 1.0, 1.5), _firm_formula(x, 1.0, 1.5))
+
+
+def test_interpolated_at_weight_zero_is_soft_bit_for_bit():
+    # the firm term is skipped at w = 0, so an infinite observation stays +-inf as
+    # in soft, where 0.0 * inf would give NaN; finite values keep their bits
+    x = np.array([np.inf, -np.inf, 2.0, -2.0, 0.0, -0.0, 0.5, -0.5, 1e-300, -7.25])
+    block = np.vstack([x, -x])
+    mix = ThresholdFamily("interpolated", firm_slope=1.5, weight=0.0)
+    for obs, level in ((x, 0.0), (x, 1.0), (x, 2.5), (block, np.array([[0.0], [1.0]]))):
+        assert apply_family(obs, level, mix).tobytes() == soft(obs, level).tobytes()
+    np.testing.assert_array_equal(apply_family(x[:3], 1.0, mix), [np.inf, -np.inf, 1.0])
